@@ -22,12 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .signal import AudioSignal, cmnd, frame_signal, parabolic_refine, yin_difference
+from .signal import (
+    AudioSignal,
+    cmnd,
+    cmnd_rows,
+    frame_signal,
+    parabolic_vertex,
+    row_blocks,
+    yin_difference,
+    yin_difference_rows,
+)
 from .trackio import PitchTrack
 
 
@@ -85,17 +95,61 @@ class PitchCandidate(NamedTuple):
     probability: float
 
 
+@lru_cache(maxsize=None)
 def _threshold_weights(config: PyinConfig) -> tuple[np.ndarray, np.ndarray]:
     """Equally spaced thresholds in (0, 1] and their Beta prior mass.
 
     The prior is Beta(2, b) with mean ``threshold_prior_mean``,
-    discretized as CDF increments so the weights sum to 1.
+    discretized as CDF increments so the weights sum to 1. Computed
+    once per config; the arrays are read-only.
     """
     a = 2.0
     b = a * (1.0 - config.threshold_prior_mean) / config.threshold_prior_mean
     grid = np.arange(0, config.n_thresholds + 1) / config.n_thresholds
     cdf = beta_dist.cdf(grid, a, b)
-    return grid[1:], np.diff(cdf)
+    thresholds, weights = grid[1:], np.diff(cdf)
+    thresholds.flags.writeable = False
+    weights.flags.writeable = False
+    return thresholds, weights
+
+
+def _lag_range(config: PyinConfig, sample_rate_hz: float, frame_len: int) -> tuple[int, int]:
+    lag_min = max(2, int(math.ceil(sample_rate_hz / config.fmax_hz)))
+    lag_max = min(int(math.floor(sample_rate_hz / config.fmin_hz)), (frame_len - 1) // 2)
+    return lag_min, lag_max
+
+
+def _candidate_sets(
+    d: np.ndarray, lag_min: int, config: PyinConfig, sample_rate_hz: float
+) -> list[list[PitchCandidate]]:
+    """Candidates of every row of CMND curves ``d`` (lags 0..lag_max)."""
+    lag_max = d.shape[1] - 1
+    # local minima of the CMND inside the search band, in lag order
+    band = d[:, lag_min:lag_max]
+    is_min = (band < d[:, lag_min - 1 : lag_max - 1]) & (band <= d[:, lag_min + 1 :])
+    rows, cols = np.nonzero(is_min)
+
+    # threshold s selects the first minimum with depth < s, i.e. minimum k
+    # exactly when ceiling[k] >= s > depth[k], ceiling being the best depth
+    # of the earlier minima in its frame
+    best = np.minimum.accumulate(np.where(is_min, band, np.inf), axis=1)
+    ceiling = np.full_like(band, np.inf)
+    ceiling[:, 1:] = best[:, :-1]
+    thresholds, weights = _threshold_weights(config)
+    first = np.searchsorted(thresholds, band[rows, cols], side="right")
+    stop = np.searchsorted(thresholds, ceiling[rows, cols], side="right")
+    selected = np.flatnonzero(stop > first)
+    spans = zip(first[selected].tolist(), stop[selected].tolist())
+    mass = np.array([weights[a:b].sum() for a, b in spans])
+    kept = mass > 0.0
+    rows, lags, mass = rows[selected][kept], cols[selected][kept] + lag_min, mass[kept]
+
+    refined = parabolic_vertex(d[rows, lags - 1], d[rows, lags], d[rows, lags + 1], lags)
+    f0 = np.minimum(np.maximum(sample_rate_hz / refined, config.fmin_hz), config.fmax_hz)
+    order = np.lexsort((f0, rows))  # stable: by frame, then frequency
+    candidates = list(map(PitchCandidate, f0[order].tolist(), mass[order].tolist()))
+    bounds = np.searchsorted(rows[order], np.arange(d.shape[0] + 1)).tolist()
+    return [candidates[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def pyin_candidates(
@@ -111,39 +165,11 @@ def pyin_candidates(
     """
     config.validate_rate(sample_rate_hz)
     frame = np.asarray(frame, dtype=np.float64)
-
-    lag_min = max(2, int(math.ceil(sample_rate_hz / config.fmax_hz)))
-    lag_max = min(int(math.floor(sample_rate_hz / config.fmin_hz)), (frame.size - 1) // 2)
+    lag_min, lag_max = _lag_range(config, sample_rate_hz, frame.size)
     if lag_min >= lag_max:
         return []
-
-    curve = cmnd(yin_difference(frame, lag_max))
-    d = curve.values
-
-    # local minima of the CMND inside the search band, in lag order
-    interior = np.arange(lag_min, lag_max)
-    is_min = (d[interior] < d[interior - 1]) & (d[interior] <= d[interior + 1])
-    minima = interior[is_min]
-    if minima.size == 0:
-        return []
-
-    thresholds, weights = _threshold_weights(config)
-    # threshold s selects the first minimum with depth < s, i.e. minimum k
-    # exactly when prefix_best[k] >= s > depth[k]
-    depths = d[minima]
-    prefix_best = np.concatenate(([np.inf], np.minimum.accumulate(depths)[:-1]))
-
-    candidates = []
-    for lag, depth, ceiling in zip(minima, depths, prefix_best):
-        mass = float(np.sum(weights[(thresholds > depth) & (thresholds <= ceiling)]))
-        if mass <= 0.0:
-            continue
-        refined = parabolic_refine(curve, int(lag))
-        f0 = sample_rate_hz / refined
-        f0 = min(max(f0, config.fmin_hz), config.fmax_hz)
-        candidates.append(PitchCandidate(f0, mass))
-    candidates.sort(key=lambda c: c.f0_hz)
-    return candidates
+    d = cmnd(yin_difference(frame, lag_max)).values
+    return _candidate_sets(d[None], lag_min, config, sample_rate_hz)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,5 +289,12 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
     frame_len = int(round(config.frame_len_ms * rate / 1000.0))
     hop = int(round(config.hop_ms * rate / 1000.0))
     frames, _grid = frame_signal(signal, frame_len, hop)
-    candidate_sets = [pyin_candidates(frame, config, rate) for frame in frames]
+    lag_min, lag_max = _lag_range(config, rate, frame_len)
+    if lag_min >= lag_max:
+        candidate_sets = [[] for _ in frames]
+    else:
+        candidate_sets = []
+        for block in row_blocks(frames, lag_max):
+            d = cmnd_rows(yin_difference_rows(block, lag_max))
+            candidate_sets += _candidate_sets(d, lag_min, config, rate)
     return pyin_viterbi(candidate_sets, config, hop_seconds=hop / rate)

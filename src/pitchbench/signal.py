@@ -5,6 +5,16 @@ refinement, and the three lag-domain curves the time-domain estimators
 are built on: the YIN difference function, its cumulative mean
 normalized form (CMND), and the normalized cross-correlation function
 (NCCF).
+
+The lag curves are computed for a 2-D array of frames at once
+(``yin_difference_rows``, ``cmnd_rows``, ``nccf_rows``): window
+energies come from one cumulative sum along each row, and the
+cross-correlation from one FFT round trip per block of rows, blocks
+being capped at a fixed spectrum size so they stay in cache. The
+engines run their per-frame chains over ``row_blocks`` of an
+utterance's frames, so temporaries stay per block. The one-frame
+functions ``yin_difference``, ``cmnd`` and ``nccf`` run the same code
+on a single row.
 """
 from __future__ import annotations
 
@@ -146,13 +156,98 @@ def frame_signal(
     return frames, grid
 
 
-def _linear_cross_correlation(frame: np.ndarray, width: int, max_lag: int) -> np.ndarray:
-    """c[tau] = sum_{j<width} frame[j] * frame[j+tau] for tau in 0..max_lag."""
-    n = next_fast_len(frame.size + width)
-    spec_full = rfft(frame, n)
-    spec_head = rfft(frame[:width], n)
-    cc = irfft(spec_full * np.conj(spec_head), n)
-    return cc[: max_lag + 1]
+# Spectrum bytes one FFT block may hold: small blocks stay in cache, where
+# a whole utterance's 2-D transform at 48 kHz is slower than a frame loop.
+_BLOCK_SPECTRUM_BYTES = 512 * 1024
+
+
+def _fft_size(size: int, max_lag: int) -> int:
+    # room for the linear (not circular) correlation of a frame with its head
+    return next_fast_len(2 * size - max_lag)
+
+
+def _block_rows(size: int, max_lag: int) -> int:
+    """Rows per FFT block of :func:`_lag_terms` for frames of ``size`` samples."""
+    return max(1, _BLOCK_SPECTRUM_BYTES // (16 * (_fft_size(size, max_lag) // 2 + 1)))
+
+
+def row_blocks(frames: np.ndarray, max_lag: int) -> list[np.ndarray]:
+    """Consecutive row blocks of ``frames``, each one FFT block of the lag
+    stage. Running a per-frame chain block by block keeps its temporaries
+    per block rather than per utterance."""
+    step = _block_rows(frames.shape[1], max_lag)
+    return [frames[start : start + step] for start in range(0, frames.shape[0], step)]
+
+
+def _lag_terms(frames: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy and correlation terms of every row's lag curves.
+
+    With ``width = frames.shape[1] - max_lag``, row r yields its head
+    energy ``sum_{j<width} x[j]^2``, the lagged-window energies
+    ``sum_{j<width} x[j+tau]^2`` and the cross-correlation
+    ``sum_{j<width} x[j] x[j+tau]`` for tau in 0..max_lag. The
+    correlation runs one FFT round trip per block of rows, with blocks
+    capped at ``_BLOCK_SPECTRUM_BYTES`` of spectrum.
+    """
+    n_rows, size = frames.shape
+    width = size - max_lag
+    energy = np.zeros((n_rows, size + 1))
+    np.cumsum(frames * frames, axis=1, out=energy[:, 1:])
+    head = energy[:, width]
+    lagged = energy[:, width : width + max_lag + 1] - energy[:, : max_lag + 1]
+
+    n = _fft_size(size, max_lag)
+    step = _block_rows(size, max_lag)
+    cross = np.empty((n_rows, max_lag + 1))
+    for start in range(0, n_rows, step):
+        block = frames[start : start + step]
+        spec = rfft(block, n, axis=1)
+        spec *= np.conj(rfft(block[:, :width], n, axis=1))
+        cross[start : start + step] = irfft(spec, n, axis=1)[:, : max_lag + 1]
+    return head, lagged, cross
+
+
+def _check_lags(size: int, min_lag: int, max_lag: int) -> None:
+    if min_lag > max_lag:
+        raise ValueError(f"min_lag {min_lag} exceeds max_lag {max_lag}")
+    if not max_lag < size / 2:
+        raise ValueError(f"max_lag {max_lag} must be < half the frame length {size}")
+
+
+def yin_difference_rows(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """:func:`yin_difference` of every row of a 2-D frame array."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+    _check_lags(frames.shape[1], 1, max_lag)
+    head, lagged, cross = _lag_terms(frames, max_lag)
+    d = head[:, None] + lagged - 2.0 * cross
+    np.maximum(d, 0.0, out=d)  # clip FFT round-off below zero
+    d[:, 0] = 0.0
+    return d
+
+
+def cmnd_rows(diff: np.ndarray) -> np.ndarray:
+    """:func:`cmnd` of every row of a 2-D array of difference curves."""
+    out = np.ones_like(diff)
+    running = np.cumsum(diff[:, 1:], axis=1)
+    taus = np.arange(1, diff.shape[1])
+    np.divide(diff[:, 1:] * taus, running, out=out[:, 1:], where=running > 0)
+    return out
+
+
+def nccf_rows(frames: np.ndarray, min_lag: int, max_lag: int) -> np.ndarray:
+    """:func:`nccf` values of every row of a 2-D frame array."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if min_lag < 1:
+        raise ValueError(f"min_lag must be >= 1, got {min_lag}")
+    _check_lags(frames.shape[1], min_lag, max_lag)
+    head, lagged, cross = _lag_terms(frames, max_lag)
+    denom_sq = head[:, None] * lagged[:, min_lag:]
+    values = np.zeros_like(denom_sq)
+    np.divide(cross[:, min_lag:], np.sqrt(denom_sq), out=values, where=denom_sq > 0)
+    np.clip(values, -1.0, 1.0, out=values)
+    return values
 
 
 def yin_difference(frame: np.ndarray, max_lag: int) -> LagCurve:
@@ -165,20 +260,7 @@ def yin_difference(frame: np.ndarray, max_lag: int) -> LagCurve:
     Requires ``max_lag < len(frame) / 2``.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    if not max_lag < frame.size / 2:
-        raise ValueError(f"max_lag {max_lag} must be < half the frame length {frame.size}")
-
-    width = frame.size - max_lag
-    energy = np.concatenate(([0.0], np.cumsum(frame * frame)))
-    head_energy = energy[width]
-    lag_energy = energy[width : width + max_lag + 1] - energy[: max_lag + 1]
-    cross = _linear_cross_correlation(frame, width, max_lag)
-    d = head_energy + lag_energy - 2.0 * cross
-    np.maximum(d, 0.0, out=d)  # clip FFT round-off below zero
-    d[0] = 0.0
-    return LagCurve(d, 0, max_lag)
+    return LagCurve(yin_difference_rows(frame[None], max_lag)[0], 0, max_lag)
 
 
 def cmnd(diff: LagCurve) -> LagCurve:
@@ -188,13 +270,8 @@ def cmnd(diff: LagCurve) -> LagCurve:
     running sum is zero (silence), d'(tau) is defined as 1 so silent
     frames never look periodic.
     """
-    d = diff.values
-    out = np.ones_like(d)
-    running = np.cumsum(d[1:])
-    taus = np.arange(1, d.size)
-    nonzero = running > 0
-    out[1:][nonzero] = d[1:][nonzero] * taus[nonzero] / running[nonzero]
-    return LagCurve(out, diff.min_lag_samples, diff.max_lag_samples)
+    values = cmnd_rows(diff.values[None])[0]
+    return LagCurve(values, diff.min_lag_samples, diff.max_lag_samples)
 
 
 def nccf(frame: np.ndarray, min_lag: int, max_lag: int) -> LagCurve:
@@ -208,25 +285,7 @@ def nccf(frame: np.ndarray, min_lag: int, max_lag: int) -> LagCurve:
     Requires ``min_lag >= 1`` and ``max_lag < len(frame) / 2``.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    if min_lag < 1:
-        raise ValueError(f"min_lag must be >= 1, got {min_lag}")
-    if min_lag > max_lag:
-        raise ValueError(f"min_lag {min_lag} exceeds max_lag {max_lag}")
-    if not max_lag < frame.size / 2:
-        raise ValueError(f"max_lag {max_lag} must be < half the frame length {frame.size}")
-
-    width = frame.size - max_lag
-    energy = np.concatenate(([0.0], np.cumsum(frame * frame)))
-    head_energy = energy[width]
-    lag_energy = energy[width : width + max_lag + 1] - energy[: max_lag + 1]
-    cross = _linear_cross_correlation(frame, width, max_lag)
-
-    denom_sq = head_energy * lag_energy[min_lag:]
-    values = np.zeros(max_lag - min_lag + 1)
-    ok = denom_sq > 0
-    values[ok] = cross[min_lag:][ok] / np.sqrt(denom_sq[ok])
-    np.clip(values, -1.0, 1.0, out=values)
-    return LagCurve(values, min_lag, max_lag)
+    return LagCurve(nccf_rows(frame[None], min_lag, max_lag)[0], min_lag, max_lag)
 
 
 def _bandpass_taps(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
@@ -275,9 +334,17 @@ def parabolic_refine(curve: LagCurve, lag: int) -> float:
     if lag in (curve.min_lag_samples, curve.max_lag_samples):
         return float(lag)
     i = lag - curve.min_lag_samples
-    y0, y1, y2 = curve.values[i - 1], curve.values[i], curve.values[i + 1]
+    y = curve.values
+    return float(parabolic_vertex(y[i - 1], y[i], y[i + 1], lag))
+
+
+def parabolic_vertex(y0, y1, y2, lag):
+    """Elementwise core of :func:`parabolic_refine` for interior lags.
+
+    ``y0, y1, y2`` are the curve values at ``lag - 1, lag, lag + 1``;
+    scalars and arrays alike broadcast.
+    """
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(lag)
-    vertex = lag + 0.5 * (y0 - y2) / denom
-    return float(min(max(vertex, lag - 1.0), lag + 1.0))
+    flat = denom == 0.0
+    vertex = lag + 0.5 * (y0 - y2) / np.where(flat, 1.0, denom)
+    return np.where(flat, lag, np.minimum(np.maximum(vertex, lag - 1.0), lag + 1.0))

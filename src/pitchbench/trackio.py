@@ -221,7 +221,9 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
     ``confidence`` column is optional. Frames whose confidence is below
     the threshold are forced unvoiced (f0 = 0). The hop is inferred from
     consecutive timestamps, which must be uniform within 1e-6 s; files
-    with fewer than two rows fall back to the canonical 10 ms hop.
+    with fewer than two rows fall back to the canonical 10 ms hop. A time or
+    f0 that is not finite, a negative f0, or a confidence outside [0, 1]
+    raises :class:`TrackFormatError` naming the file and line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -237,10 +239,11 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
         t_col, f_col = columns["time_s"], columns["f0_hz"]
         c_col = columns.get("confidence")
 
-        times, f0s, confs = [], [], []
+        times, f0s, confs, linenos = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            linenos.append(lineno)
             try:
                 times.append(float(row[t_col]))
                 f0s.append(float(row[f_col]))
@@ -251,6 +254,18 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
 
     times = np.asarray(times)
     f0s = np.asarray(f0s, dtype=np.float64)
+    confidence = np.asarray(confs, dtype=np.float64) if c_col is not None else None
+    checks = [
+        (np.isfinite(times), "time_s must be finite", times),
+        (np.isfinite(f0s) & (f0s >= 0), "f0_hz must be finite and >= 0", f0s),
+    ]
+    if confidence is not None:
+        in_range = (confidence >= 0) & (confidence <= 1)
+        checks.append((in_range, "confidence must lie in [0, 1]", confidence))
+    for ok, rule, values in checks:
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise TrackFormatError(f"{path}:{linenos[i]}: {rule}, got {values[i]}")
     if times.size >= 2:
         hops = np.diff(times)
         if np.any(np.abs(hops - hops[0]) > 1e-6):
@@ -261,7 +276,6 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
     else:
         hop = 0.010
 
-    confidence = np.asarray(confs, dtype=np.float64) if c_col is not None else None
     if confidence is not None:
         f0s = np.where(confidence < confidence_threshold, 0.0, f0s)
     return PitchTrack(hop, f0s, confidence)

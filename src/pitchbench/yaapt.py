@@ -27,7 +27,14 @@ import numpy as np
 import scipy.signal
 from scipy.fft import rfft
 
-from .signal import AudioSignal, bandpass_filter, frame_signal, nccf, parabolic_refine
+from .signal import (
+    AudioSignal,
+    bandpass_filter,
+    frame_signal,
+    nccf_rows,
+    parabolic_vertex,
+    row_blocks,
+)
 from .trackio import PitchTrack
 
 _SPECTRAL_TARGET_RATE = 16000.0
@@ -204,13 +211,9 @@ def _decimate_for_spectral(branch: AudioSignal) -> tuple[np.ndarray, float]:
 
 
 def _centered_frames(samples: np.ndarray, centers: np.ndarray, frame_len: int) -> np.ndarray:
-    half = frame_len // 2
-    padded = np.pad(samples, (half, frame_len))
-    starts = centers  # center c maps to padded index c + half - half
-    frames = np.empty((centers.size, frame_len))
-    for i, start in enumerate(starts):
-        frames[i] = padded[start : start + frame_len]
-    return frames
+    # the padded window starting at index c is centered on sample c
+    padded = np.pad(samples, (frame_len // 2, frame_len))
+    return np.lib.stride_tricks.sliding_window_view(padded, frame_len)[centers]
 
 
 def _branch_spectrogram(
@@ -298,6 +301,32 @@ def spectral_pitch_track(signal: AudioSignal, config: YaaptConfig) -> SpectralTr
     return _spectral_from_pair(pair, config, n_frames, hop / rate)
 
 
+def _nccf_peaks(
+    frames: np.ndarray, lag_min: int, lag_max: int, rate: float, config: YaaptConfig
+) -> list[list[NccfCandidate]]:
+    """Per-frame candidates of one branch: the ``n_candidates_per_frame``
+    highest positive NCCF maxima (ties to the shorter lag), refined
+    parabolically."""
+    v = nccf_rows(frames, lag_min, lag_max)
+    inner = v[:, 1:-1]
+    is_max = (inner > v[:, :-2]) & (inner >= v[:, 2:]) & (inner > 0)
+    rows, cols = np.nonzero(is_max)
+    cols += 1
+    merit = v[rows, cols]
+    order = np.lexsort((-merit, rows))  # stable: by frame, then merit descending
+    rows, cols, merit = rows[order], cols[order], merit[order]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    top = rank < config.n_candidates_per_frame
+    rows, cols, merit = rows[top], cols[top], merit[top]
+
+    lags = cols + lag_min
+    refined = parabolic_vertex(v[rows, cols - 1], merit, v[rows, cols + 1], lags)
+    f0 = np.minimum(np.maximum(rate / refined, config.fmin_hz), config.fmax_hz)
+    candidates = list(map(NccfCandidate, f0.tolist(), merit.tolist()))
+    bounds = np.searchsorted(rows, np.arange(frames.shape[0] + 1)).tolist()
+    return [candidates[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def nccf_candidates(
     preprocessed: tuple[AudioSignal, AudioSignal], config: YaaptConfig
 ) -> list[list[NccfCandidate]]:
@@ -317,29 +346,14 @@ def nccf_candidates(
     if lag_min >= lag_max:
         raise ValueError("frame too short for the configured pitch search range")
 
-    per_branch: list[list[list[NccfCandidate]]] = []
+    per_branch = []
     for branch in preprocessed:
         frames, _ = frame_signal(branch, frame_len, hop)
-        branch_cands = []
-        for frame in frames:
-            curve = nccf(frame, lag_min, lag_max)
-            v = curve.values
-            interior = np.arange(1, v.size - 1)
-            is_max = (v[interior] > v[interior - 1]) & (v[interior] >= v[interior + 1])
-            peaks = interior[is_max]
-            peaks = peaks[v[peaks] > 0]
-            if peaks.size > config.n_candidates_per_frame:
-                order = np.argsort(-v[peaks], kind="stable")
-                peaks = peaks[order[: config.n_candidates_per_frame]]
-            cands = []
-            for p in peaks:
-                lag = int(p) + lag_min
-                refined = parabolic_refine(curve, lag)
-                f0 = min(max(rate / refined, config.fmin_hz), config.fmax_hz)
-                merit = float(min(max(v[p], 0.0), 1.0))
-                cands.append(NccfCandidate(f0, merit))
-            branch_cands.append(cands)
-        per_branch.append(branch_cands)
+        per_branch.append([
+            cands
+            for block in row_blocks(frames, lag_max)
+            for cands in _nccf_peaks(block, lag_min, lag_max, rate, config)
+        ])
 
     merged = []
     for frame_lists in zip(*per_branch):

@@ -187,6 +187,32 @@ class TestReadExternalTrack:
         with pytest.raises(TrackFormatError, match="f0_hz"):
             read_external_track(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5.0"])
+    def test_bad_f0_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "ext.csv"
+        path.write_text(f"time_s,f0_hz\n0.00,200\n\n0.01,{value}\n0.02,210\n")
+        with pytest.raises(TrackFormatError, match=rf"ext\.csv:4: f0_hz must be finite and >= 0"):
+            read_external_track(path)
+
+    def test_non_finite_time_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ext.csv"
+        path.write_text("time_s,f0_hz\n0.00,200\nnan,210\n0.02,220\n")
+        with pytest.raises(TrackFormatError, match=r"ext\.csv:3: time_s must be finite"):
+            read_external_track(path)
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_confidence_outside_unit_interval_rejected(self, tmp_path, value):
+        path = tmp_path / "ext.csv"
+        path.write_text(f"time_s,f0_hz,confidence\n0.00,200,0.9\n0.01,210,{value}\n")
+        with pytest.raises(TrackFormatError, match=r"ext\.csv:3: confidence must lie in \[0, 1\]"):
+            read_external_track(path)
+
+    def test_unit_interval_confidence_bounds_accepted(self, tmp_path):
+        path = tmp_path / "ext.csv"
+        path.write_text("time_s,f0_hz,confidence\n0.00,200,0\n0.01,210,1\n")
+        track = read_external_track(path)
+        np.testing.assert_array_equal(track.frames, [0.0, 210.0])
+
 
 class TestWriteTrack:
     def test_two_rows_formatting(self, tmp_path):
