@@ -3,11 +3,12 @@ harness with voicing/gross/fine error accounting and FOM ranking."""
 
 from .signal import (
     AudioSignal,
-    FrameGrid,
     LagCurve,
     bandpass_filter,
     cmnd,
+    frame_centers,
     frame_signal,
+    min_cost_path,
     nccf,
     parabolic_refine,
     yin_difference,
@@ -15,7 +16,6 @@ from .signal import (
 from .trackio import (
     PitchTrack,
     TrackFormatError,
-    TrackSource,
     WavFormatError,
     read_external_track,
     read_reference_track,
@@ -51,9 +51,9 @@ from .yaapt import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioSignal", "FrameGrid", "LagCurve", "frame_signal", "yin_difference",
-    "cmnd", "nccf", "bandpass_filter", "parabolic_refine",
-    "PitchTrack", "TrackSource", "WavFormatError", "TrackFormatError",
+    "AudioSignal", "LagCurve", "frame_centers", "frame_signal", "min_cost_path",
+    "yin_difference", "cmnd", "nccf", "bandpass_filter", "parabolic_refine",
+    "PitchTrack", "WavFormatError", "TrackFormatError",
     "read_wav", "read_reference_track", "read_external_track", "write_track",
     "FrameOutcome", "UtteranceStats", "CorpusStats", "FomScore",
     "classify_frame", "evaluate_pair", "aggregate", "fom_rank",

@@ -12,6 +12,7 @@ outputs are deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -65,8 +66,7 @@ def _engine_config(algo: str, args) -> PyinConfig | YaaptConfig:
     return dataclasses.replace(config, **overrides) if overrides else config
 
 
-def _run_engine(algo: str, wav_path: str, config) -> "PitchTrack":
-    signal = read_wav(wav_path)
+def _run_engine(algo: str, signal, config) -> "PitchTrack":
     if algo == "pyin":
         return pyin_track(signal, config)
     return yaapt_track(signal, config)
@@ -80,7 +80,7 @@ def cmd_detect(args) -> int:
         )
     if args.algo not in ("pyin", "yaapt"):
         raise UsageError(f"unknown algorithm {args.algo!r} (choose pyin or yaapt)")
-    track = _run_engine(args.algo, args.in_wav, _engine_config(args.algo, args))
+    track = _run_engine(args.algo, read_wav(args.in_wav), _engine_config(args.algo, args))
     write_track(track, args.out)
     return 0
 
@@ -128,11 +128,35 @@ def _read_manifest(path) -> list[tuple[str, Path, Path]]:
     return entries
 
 
-def _score_engine_utterance(job) -> tuple[str, UtteranceStats]:
-    algo, utt_id, wav_path, ref_path, config = job
-    track = _run_engine(algo, wav_path, config)
-    ref = read_reference_track(ref_path)
-    return utt_id, evaluate_pair(track, ref)
+@contextlib.contextmanager
+def _naming(utt_id: str, label: str, path):
+    try:
+        yield
+    except (ValueError, OSError) as exc:  # reader errors are ValueErrors too
+        # a plain ValueError carrying the context pickles back from a worker
+        raise ValueError(f"utterance {utt_id} [{label}] {path}: {exc}") from exc
+
+
+def _score_utterance(job) -> list[UtteranceStats]:
+    """Statistics of one utterance for every engine, then every external
+    label, in table order. The reference is read once, and the WAV is
+    decoded once, only when an engine is requested."""
+    utt_id, wav_path, ref_path, engines, externals, confidence_threshold = job
+    with _naming(utt_id, "reference", ref_path):
+        ref = read_reference_track(ref_path)
+    if engines:
+        with _naming(utt_id, "wav", wav_path):
+            signal = read_wav(wav_path)
+    stats = []
+    for algo, config in engines:
+        with _naming(utt_id, algo, wav_path):
+            stats.append(evaluate_pair(_run_engine(algo, signal, config), ref))
+    for label, directory in externals:
+        path = directory / f"{utt_id}.csv"
+        with _naming(utt_id, label, path):
+            est = read_external_track(path, confidence_threshold=confidence_threshold)
+            stats.append(evaluate_pair(est, ref))
+    return stats
 
 
 def format_comparison_csv(rows: list[tuple[str, CorpusStats, FomScore]]) -> str:
@@ -182,27 +206,21 @@ def cmd_compare(args) -> int:
             print(f"missing input: {p}", file=sys.stderr)
         return 1
 
-    rows = []
-    for algo in algos:
-        config = _engine_config(algo, args)
-        jobs = [(algo, utt, str(wav), str(ref)) + (config,) for utt, wav, ref in entries]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                scored = list(pool.map(_score_engine_utterance, jobs))
-        else:
-            scored = [_score_engine_utterance(job) for job in jobs]
-        scored.sort(key=lambda pair: pair[0])
-        corpus = aggregate([stats for _utt, stats in scored])
-        rows.append((algo, corpus, fom_rank(corpus)))
+    engines = [(algo, _engine_config(algo, args)) for algo in algos]
+    jobs = [
+        (utt, wav, ref, engines, externals, args.confidence_threshold)
+        for utt, wav, ref in entries
+    ]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            scored = list(pool.map(_score_utterance, jobs))
+    else:
+        scored = [_score_utterance(job) for job in jobs]
 
-    for label, directory in externals:
-        stats = []
-        for utt, _wav, ref_path in entries:
-            est = read_external_track(
-                directory / f"{utt}.csv", confidence_threshold=args.confidence_threshold
-            )
-            stats.append(evaluate_pair(est, read_reference_track(ref_path)))
-        corpus = aggregate(stats)
+    rows = []
+    labels = algos + [label for label, _directory in externals]
+    for column, label in enumerate(labels):
+        corpus = aggregate([stats[column] for stats in scored])
         rows.append((label, corpus, fom_rank(corpus)))
 
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -9,7 +9,8 @@ single-threshold working point, so most probability mass behaves like
 plain YIN while shallower dips still receive some.
 
 Decoding runs a Viterbi pass over log-spaced pitch bins plus one
-unvoiced state. Voiced-to-voiced transition weights decay triangularly
+unvoiced state, as the shared min-cost trellis over negative log
+weights. Voiced-to-voiced transition weights decay triangularly
 with pitch-bin distance and are deliberately *not* row-normalized:
 normalizing across a hundred-plus bins would make every voiced
 self-transition two orders of magnitude costlier than staying
@@ -32,7 +33,9 @@ from .signal import (
     AudioSignal,
     cmnd,
     cmnd_rows,
+    frame_centers,
     frame_signal,
+    min_cost_path,
     parabolic_vertex,
     row_blocks,
     yin_difference,
@@ -176,8 +179,8 @@ def pyin_candidates(
 # HMM decoding
 # ---------------------------------------------------------------------------
 # State 0 is unvoiced; states 1..n_bins are voiced pitch bins in ascending
-# frequency, so an argmax that keeps the first maximum breaks ties toward
-# the lower-frequency state.
+# frequency, so the decoder's ties to the lowest state index go toward the
+# lower-frequency state.
 
 def _observations(
     candidate_sets: list[list[PitchCandidate]], config: PyinConfig
@@ -237,26 +240,16 @@ def _transition_weights(config: PyinConfig) -> np.ndarray:
 def _decode_observations(obs: np.ndarray, config: PyinConfig) -> np.ndarray:
     """Max-product Viterbi over the observation matrix; returns state indices.
 
-    Scores are compared in the log domain; scaling every observation of
+    Runs as the min-cost trellis over ``-log`` observations and ``-log``
+    transition weights: negation is exact, so every path score is the
+    exact negative of its log-domain product and the first cheapest
+    state is the first most probable one. Scaling every observation of
     a frame by a common positive factor cannot change the decoded path.
     """
-    n_frames, n_states = obs.shape
     with np.errstate(divide="ignore"):
-        log_obs = np.log(obs)
-        log_trans = np.log(_transition_weights(config))
-
-    score = log_obs[0].copy()
-    backptr = np.zeros((n_frames, n_states), dtype=np.int64)
-    for t in range(1, n_frames):
-        stepped = score[:, None] + log_trans
-        backptr[t] = np.argmax(stepped, axis=0)
-        score = stepped[backptr[t], np.arange(n_states)] + log_obs[t]
-
-    states = np.zeros(n_frames, dtype=np.int64)
-    states[-1] = int(np.argmax(score))
-    for t in range(n_frames - 1, 0, -1):
-        states[t - 1] = backptr[t, states[t]]
-    return states
+        costs = -np.log(obs)
+        trans = -np.log(_transition_weights(config))
+    return min_cost_path(costs, lambda _t: trans)
 
 
 def pyin_viterbi(
@@ -287,8 +280,8 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
     config.validate_rate(signal.sample_rate_hz)
     rate = signal.sample_rate_hz
     frame_len = int(round(config.frame_len_ms * rate / 1000.0))
-    hop = int(round(config.hop_ms * rate / 1000.0))
-    frames, _grid = frame_signal(signal, frame_len, hop)
+    centers = frame_centers(len(signal), config.hop_ms, rate)
+    frames = frame_signal(signal.samples, frame_len, centers)
     lag_min, lag_max = _lag_range(config, rate, frame_len)
     if lag_min >= lag_max:
         candidate_sets = [[] for _ in frames]
@@ -297,4 +290,4 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
         for block in row_blocks(frames, lag_max):
             d = cmnd_rows(yin_difference_rows(block, lag_max))
             candidate_sets += _candidate_sets(d, lag_min, config, rate)
-    return pyin_viterbi(candidate_sets, config, hop_seconds=hop / rate)
+    return pyin_viterbi(candidate_sets, config, hop_seconds=config.hop_ms / 1000.0)

@@ -1,10 +1,11 @@
 """Frame-level signal primitives shared by the pitch engines.
 
-Centered framing, windowed-sinc bandpass filtering, parabolic lag
-refinement, and the three lag-domain curves the time-domain estimators
-are built on: the YIN difference function, its cumulative mean
-normalized form (CMND), and the normalized cross-correlation function
-(NCCF).
+Frame placement and centered framing, the min-cost trellis decoder both
+engines smooth their tracks with, windowed-sinc bandpass filtering,
+parabolic lag refinement, and the three lag-domain curves the
+time-domain estimators are built on: the YIN difference function, its
+cumulative mean normalized form (CMND), and the normalized
+cross-correlation function (NCCF).
 
 The lag curves are computed for a 2-D array of frames at once
 (``yin_difference_rows``, ``cmnd_rows``, ``nccf_rows``): window
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.signal
@@ -61,32 +63,6 @@ class AudioSignal:
 
 
 @dataclass
-class FrameGrid:
-    """Layout of centered analysis frames over a signal.
-
-    Frame k is centered on sample k * hop_samples, so its timestamp is
-    k * hop_samples / sample_rate. With centering, a signal of length L
-    yields floor(L / hop) + 1 frames (empty signals yield none).
-    """
-
-    frame_len_samples: int
-    hop_samples: int
-    n_frames: int
-    centered: bool = True
-
-    def __post_init__(self):
-        if self.frame_len_samples <= 0:
-            raise ValueError(f"frame_len_samples must be > 0, got {self.frame_len_samples}")
-        if self.hop_samples <= 0:
-            raise ValueError(f"hop_samples must be > 0, got {self.hop_samples}")
-        if self.n_frames < 0:
-            raise ValueError(f"n_frames must be >= 0, got {self.n_frames}")
-
-    def timestamp_s(self, frame_index: int, sample_rate_hz: float) -> float:
-        return frame_index * self.hop_samples / sample_rate_hz
-
-
-@dataclass
 class LagCurve:
     """A real-valued function of integer lag (in samples).
 
@@ -120,40 +96,74 @@ class LagCurve:
         return np.arange(self.min_lag_samples, self.max_lag_samples + 1)
 
 
-def frame_signal(
-    signal: AudioSignal, frame_len_samples: int, hop_samples: int
-) -> tuple[np.ndarray, FrameGrid]:
-    """Slice a signal into frames centered on multiples of the hop.
+def frame_centers(n_samples: int, hop_ms: float, sample_rate_hz: float) -> np.ndarray:
+    """Sample on which each analysis frame of a signal is centered.
 
-    Frame k spans samples ``k*hop - frame_len//2 .. + frame_len`` of the
-    input, zero-padded where it extends past either edge, so frame k's
-    middle element is sample ``k*hop``. An empty signal yields zero
-    frames.
+    With a hop of ``hop_ms * rate / 1000`` samples (not rounded), frame
+    k is centered on ``round(k * hop)`` for k = 0 .. floor(n / hop),
+    rounding half to even. Frame k thus lies within half a sample of
+    ``k * hop_ms`` ms at every rate, and frames do not drift when the
+    hop is not a whole number of samples. An empty signal has no frames.
+    """
+    hop = hop_ms * sample_rate_hz / 1000.0
+    if not hop > 0:
+        raise ValueError(f"hop must be > 0 samples, got {hop}")
+    n_frames = int(n_samples // hop) + 1 if n_samples else 0
+    return np.round(np.arange(n_frames) * hop).astype(np.int64)
 
-    Returns
-    -------
-    frames : ndarray, shape (n_frames, frame_len_samples)
-    grid : FrameGrid
+
+def frame_signal(samples: np.ndarray, frame_len_samples: int, centers: np.ndarray) -> np.ndarray:
+    """Frames of ``frame_len_samples`` samples centered on ``centers``.
+
+    Row k spans samples ``centers[k] - frame_len//2 .. + frame_len`` of
+    the input, zero-padded where it extends past either edge, so its
+    middle element is sample ``centers[k]``. Returns an array of shape
+    ``(len(centers), frame_len_samples)``.
     """
     if frame_len_samples <= 0:
         raise ValueError(f"frame_len_samples must be > 0, got {frame_len_samples}")
-    if hop_samples <= 0:
-        raise ValueError(f"hop_samples must be > 0, got {hop_samples}")
-
-    x = signal.samples
-    if x.size == 0:
-        grid = FrameGrid(frame_len_samples, hop_samples, 0)
-        return np.zeros((0, frame_len_samples)), grid
-
-    n_frames = x.size // hop_samples + 1
+    centers = np.asarray(centers, dtype=np.int64)
+    if centers.size == 0:
+        return np.zeros((0, frame_len_samples))
+    if centers.min() < 0:
+        raise ValueError(f"frame centers must be >= 0, got {centers.min()}")
+    x = np.asarray(samples, dtype=np.float64)
     half = frame_len_samples // 2
-    # padded start of frame k is k*hop; right pad covers the last frame
-    needed = (n_frames - 1) * hop_samples + frame_len_samples
-    padded = np.pad(x, (half, max(0, needed - half - x.size)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, frame_len_samples)
-    frames = windows[:: hop_samples][:n_frames].copy()
-    grid = FrameGrid(frame_len_samples, hop_samples, n_frames)
-    return frames, grid
+    # the padded window starting at index c is centered on sample c
+    right = max(0, int(centers.max()) + frame_len_samples - half - x.size)
+    padded = np.pad(x, (half, right))
+    return np.lib.stride_tricks.sliding_window_view(padded, frame_len_samples)[centers]
+
+
+def min_cost_path(
+    costs: Sequence[np.ndarray], transition: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Cheapest state sequence through a trellis; returns one state index
+    per frame.
+
+    ``costs[t][j]`` is the cost of state j at frame t and
+    ``transition(t)`` the matrix of costs of moving from each state of
+    frame t-1 (rows) to each state of frame t (columns); a path costs
+    the sum of its state and transition costs. Frames may differ in
+    their number of states, and costs may be infinite. Ties, at every
+    step and at the end, go to the lowest state index.
+    """
+    n_frames = len(costs)
+    if n_frames == 0:
+        return np.zeros(0, dtype=np.int64)
+    cost = np.array(costs[0], dtype=np.float64)
+    backptrs = []
+    for t in range(1, n_frames):
+        stepped = cost[:, None] + transition(t)
+        back = np.argmin(stepped, axis=0)
+        backptrs.append(back)
+        cost = stepped[back, np.arange(back.size)] + costs[t]
+
+    states = np.zeros(n_frames, dtype=np.int64)
+    states[-1] = int(np.argmin(cost))
+    for t in range(n_frames - 1, 0, -1):
+        states[t - 1] = backptrs[t - 1][states[t]]
+    return states
 
 
 # Spectrum bytes one FFT block may hold: small blocks stay in cache, where

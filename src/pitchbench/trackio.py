@@ -22,7 +22,12 @@ class WavFormatError(ValueError):
 
     def __init__(self, message: str, byte_offset: int):
         super().__init__(f"{message} (byte offset {byte_offset})")
+        self.message = message
         self.byte_offset = byte_offset
+
+    def __reduce__(self):
+        # rebuilt from both constructor arguments, so it crosses process pools
+        return type(self), (self.message, self.byte_offset)
 
 
 class TrackFormatError(ValueError):
@@ -67,21 +72,6 @@ class PitchTrack:
     def voiced(self) -> np.ndarray:
         """Boolean mask of voiced frames."""
         return self.frames > 0
-
-
-@dataclass
-class TrackSource:
-    """Provenance of a pitch track: reference, computed here, or external."""
-
-    kind: str  # one of {"reference", "computed", "external"}
-    label: str
-    origin_path: str = ""
-
-    def __post_init__(self):
-        if self.kind not in ("reference", "computed", "external"):
-            raise ValueError(f"unknown track source kind {self.kind!r}")
-        if not self.label:
-            raise ValueError("label must be non-empty")
 
 
 # ---------------------------------------------------------------------------

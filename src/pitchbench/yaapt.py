@@ -30,7 +30,9 @@ from scipy.fft import rfft
 from .signal import (
     AudioSignal,
     bandpass_filter,
+    frame_centers,
     frame_signal,
+    min_cost_path,
     nccf_rows,
     parabolic_vertex,
     row_blocks,
@@ -181,18 +183,14 @@ def compute_shc(
         raise ValueError(
             f"frequency {f_hz} Hz out of range for {n_harm} harmonics within {nyquist} Hz"
         )
-    k = int(math.floor(half_window / freq_resolution_hz))
-    base = np.round(np.arange(1, n_harm + 1) * f_hz / freq_resolution_hz).astype(np.int64)
-    total = 0.0
-    for offset in range(-k, k + 1):
-        total += float(np.prod(spectrum[base + offset]))
-    return total
+    return float(_shc_grid(spectrum, np.array([f_hz]), config, freq_resolution_hz)[0])
 
 
 def _shc_grid(
     spectrum: np.ndarray, grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: float
 ) -> np.ndarray:
-    """Vectorized SHC over a frequency grid (same discretization as compute_shc)."""
+    """SHC at every frequency of a grid; :func:`compute_shc` is its checked
+    one-frequency form."""
     n_harm = config.shc_num_harmonics + 1
     k = int(math.floor(config.shc_window_hz / 2.0 / freq_resolution_hz))
     harmonics = np.arange(1, n_harm + 1)
@@ -202,37 +200,26 @@ def _shc_grid(
     return np.sum(np.prod(spectrum[idx], axis=1), axis=1)
 
 
-def _decimate_for_spectral(branch: AudioSignal) -> tuple[np.ndarray, float]:
-    factor = max(1, int(round(branch.sample_rate_hz / _SPECTRAL_TARGET_RATE)))
+def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
     if factor == 1:
-        return branch.samples, branch.sample_rate_hz
-    samples = scipy.signal.decimate(branch.samples, factor, ftype="fir", zero_phase=True)
-    return samples, branch.sample_rate_hz / factor
-
-
-def _centered_frames(samples: np.ndarray, centers: np.ndarray, frame_len: int) -> np.ndarray:
-    # the padded window starting at index c is centered on sample c
-    padded = np.pad(samples, (frame_len // 2, frame_len))
-    return np.lib.stride_tricks.sliding_window_view(padded, frame_len)[centers]
+        return samples
+    return scipy.signal.decimate(samples, factor, ftype="fir", zero_phase=True)
 
 
 def _branch_spectrogram(
-    branch: AudioSignal,
+    samples: np.ndarray,
+    rate: float,
+    centers: np.ndarray,
     config: YaaptConfig,
-    n_frames: int,
-    hop_seconds: float,
     frame_scale: int = 1,
     n_fft: int = _NLFER_FFT,
 ) -> tuple[np.ndarray, float]:
-    """Hann-windowed magnitude spectrogram on the decimated branch,
-    framed so row k is centered at k * hop_seconds. ``frame_scale``
-    stretches the analysis window (the SHC stage uses 2x frames: the
-    narrower mainlobe keeps near-miss harmonic combs on sidelobes)."""
-    samples, rate = _decimate_for_spectral(branch)
+    """Hann-windowed magnitude spectrogram of a decimated branch, row k
+    centered on sample ``centers[k]``. ``frame_scale`` stretches the
+    analysis window (the SHC stage uses 2x frames: the narrower mainlobe
+    keeps near-miss harmonic combs on sidelobes)."""
     frame_len = frame_scale * int(round(config.frame_len_ms * rate / 1000.0))
-    centers = np.round(np.arange(n_frames) * hop_seconds * rate).astype(np.int64)
-    frames = _centered_frames(samples, centers, frame_len)
-    frames = frames * np.hanning(frame_len)
+    frames = frame_signal(samples, frame_len, centers) * np.hanning(frame_len)
     mags = np.abs(rfft(frames, n=n_fft, axis=1))
     return mags, rate / n_fft
 
@@ -243,20 +230,23 @@ def _grid_frequencies(config: YaaptConfig) -> np.ndarray:
 
 
 def _spectral_from_pair(
-    pair: tuple[AudioSignal, AudioSignal],
-    config: YaaptConfig,
-    n_frames: int,
-    hop_seconds: float,
+    centers: np.ndarray, pair: tuple[AudioSignal, AudioSignal], config: YaaptConfig
 ) -> SpectralTrack:
-    plain, nonlinear = pair
-    mags_nlfer, nlfer_res = _branch_spectrogram(plain, config, n_frames, hop_seconds)
+    """The spectral stage on both branches, decimated to about 16 kHz;
+    frame k is centered on the decimated sample nearest ``centers[k]``."""
+    rate = pair[0].sample_rate_hz
+    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
+    rate /= factor
+    centers = np.round(centers / factor).astype(np.int64)
+    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
+    mags_nlfer, nlfer_res = _branch_spectrogram(plain, rate, centers, config)
     nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
 
     mags_plain, freq_res = _branch_spectrogram(
-        plain, config, n_frames, hop_seconds, frame_scale=2, n_fft=_SHC_FFT
+        plain, rate, centers, config, frame_scale=2, n_fft=_SHC_FFT
     )
     mags_nl, _ = _branch_spectrogram(
-        nonlinear, config, n_frames, hop_seconds, frame_scale=2, n_fft=_SHC_FFT
+        nonlinear, rate, centers, config, frame_scale=2, n_fft=_SHC_FFT
     )
 
     # Combine the branches on equal footing; each branch is scaled by its
@@ -272,7 +262,7 @@ def _spectral_from_pair(
     lo = int(math.ceil(config.fmin_hz / freq_res))
     hi = min(int(math.floor(config.fmax_hz / freq_res)), combined.shape[1] - 1)
 
-    coarse = np.zeros(n_frames)
+    coarse = np.zeros(centers.size)
     gated = nlfer >= config.nlfer_threshold
     for t in np.flatnonzero(gated):
         spectrum = combined[t]
@@ -291,14 +281,18 @@ def _spectral_from_pair(
     return SpectralTrack(coarse, nlfer)
 
 
+def _front_end(
+    signal: AudioSignal, config: YaaptConfig
+) -> tuple[np.ndarray, tuple[AudioSignal, AudioSignal]]:
+    """Rate check, frame centers and the preprocessed branch pair."""
+    config.validate_rate(signal.sample_rate_hz)
+    centers = frame_centers(len(signal), config.hop_ms, signal.sample_rate_hz)
+    return centers, yaapt_preprocess(signal, config)
+
+
 def spectral_pitch_track(signal: AudioSignal, config: YaaptConfig) -> SpectralTrack:
     """Coarse pitch from the spectrogram stage, gated by NLFER."""
-    config.validate_rate(signal.sample_rate_hz)
-    rate = signal.sample_rate_hz
-    hop = int(round(config.hop_ms * rate / 1000.0))
-    n_frames = len(signal) // hop + 1 if len(signal) else 0
-    pair = yaapt_preprocess(signal, config)
-    return _spectral_from_pair(pair, config, n_frames, hop / rate)
+    return _spectral_from_pair(*_front_end(signal, config), config)
 
 
 def _nccf_peaks(
@@ -339,7 +333,7 @@ def nccf_candidates(
     """
     rate = preprocessed[0].sample_rate_hz
     frame_len = int(round(config.frame_len_ms * rate / 1000.0))
-    hop = int(round(config.hop_ms * rate / 1000.0))
+    centers = frame_centers(len(preprocessed[0]), config.hop_ms, rate)
 
     lag_min = max(1, int(math.ceil(rate / config.fmax_hz)))
     lag_max = min(int(math.floor(rate / config.fmin_hz)), (frame_len - 1) // 2)
@@ -348,7 +342,7 @@ def nccf_candidates(
 
     per_branch = []
     for branch in preprocessed:
-        frames, _ = frame_signal(branch, frame_len, hop)
+        frames = frame_signal(branch.samples, frame_len, centers)
         per_branch.append([
             cands
             for block in row_blocks(frames, lag_max)
@@ -400,46 +394,28 @@ def yaapt_dp_select(
     w_switch = config.dp_voicing_switch_cost
 
     # state 0 is unvoiced; voiced states follow in ascending frequency
-    freqs_per_frame = []
-    local_per_frame = []
-    for t in range(n_frames):
-        cands = sorted(candidates[t], key=lambda c: c.f0_hz)
-        freqs = np.array([0.0] + [c.f0_hz for c in cands])
-        local = np.empty(freqs.size)
-        local[0] = max(0.0, spectral.nlfer[t] - config.nlfer_threshold)
+    freqs, costs = [], []
+    for t, cands in enumerate(candidates):
+        cands = sorted(cands, key=lambda c: c.f0_hz)
         coarse = spectral.coarse_f0_hz[t]
-        for j, cand in enumerate(cands, start=1):
-            local[j] = 1.0 - cand.merit
+        local = [max(0.0, spectral.nlfer[t] - config.nlfer_threshold)]
+        for cand in cands:
+            cost = 1.0 - cand.merit
             if coarse > 0:
-                local[j] += w_jump * abs(math.log2(cand.f0_hz / coarse))
-        freqs_per_frame.append(freqs)
-        local_per_frame.append(local)
+                cost += w_jump * abs(math.log2(cand.f0_hz / coarse))
+            local.append(cost)
+        freqs.append(np.array([0.0] + [c.f0_hz for c in cands]))
+        costs.append(np.array(local))
 
-    cost = local_per_frame[0].copy()
-    backptrs = []
-    for t in range(1, n_frames):
-        prev_f = freqs_per_frame[t - 1]
-        cur_f = freqs_per_frame[t]
-        trans = np.empty((prev_f.size, cur_f.size))
-        for i, fi in enumerate(prev_f):
-            for j, fj in enumerate(cur_f):
-                if fi > 0 and fj > 0:
-                    trans[i, j] = w_jump * abs(math.log2(fj / fi))
-                elif fi == 0 and fj == 0:
-                    trans[i, j] = 0.0
-                else:
-                    trans[i, j] = w_switch
-        stepped = cost[:, None] + trans
-        back = np.argmin(stepped, axis=0)
-        backptrs.append(back)
-        cost = stepped[back, np.arange(cur_f.size)] + local_per_frame[t]
+    def transition(t: int) -> np.ndarray:
+        prev, cur = freqs[t - 1][:, None], freqs[t][None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump = w_jump * np.abs(np.log2(cur / prev))
+        unvoiced = (prev == 0) & (cur == 0)
+        return np.where((prev > 0) & (cur > 0), jump, np.where(unvoiced, 0.0, w_switch))
 
-    states = np.zeros(n_frames, dtype=np.int64)
-    states[-1] = int(np.argmin(cost))
-    for t in range(n_frames - 1, 0, -1):
-        states[t - 1] = backptrs[t - 1][states[t]]
-
-    f0 = np.array([freqs_per_frame[t][states[t]] for t in range(n_frames)])
+    states = min_cost_path(costs, transition)
+    f0 = np.array([f[state] for f, state in zip(freqs, states)])
     return PitchTrack(hop_seconds, f0)
 
 
@@ -447,14 +423,10 @@ def yaapt_track(signal: AudioSignal, config: YaaptConfig | None = None) -> Pitch
     """Run the full pipeline: preprocess, spectral track, NCCF, DP."""
     if config is None:
         config = YaaptConfig()
-    config.validate_rate(signal.sample_rate_hz)
-    rate = signal.sample_rate_hz
-    hop = int(round(config.hop_ms * rate / 1000.0))
+    hop_seconds = config.hop_ms / 1000.0
+    centers, pair = _front_end(signal, config)
     if len(signal) == 0:
-        return PitchTrack(hop / rate if hop else 0.010, np.zeros(0))
-    n_frames = len(signal) // hop + 1
-
-    pair = yaapt_preprocess(signal, config)
-    spectral = _spectral_from_pair(pair, config, n_frames, hop / rate)
+        return PitchTrack(hop_seconds, np.zeros(0))
+    spectral = _spectral_from_pair(centers, pair, config)
     candidates = nccf_candidates(pair, config)
-    return yaapt_dp_select(candidates, spectral, config, hop_seconds=hop / rate)
+    return yaapt_dp_select(candidates, spectral, config, hop_seconds=hop_seconds)

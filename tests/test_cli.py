@@ -98,6 +98,27 @@ class TestDetect:
         assert rows[2].split(",")[1] == "0.020000"
 
 
+class TestRates:
+    @pytest.mark.parametrize("rate", [8000, 11025, 22050, 44100])
+    @pytest.mark.parametrize("algo", ["pyin", "yaapt"])
+    def test_detect_then_evaluate_at_any_rate(self, tmp_path, algo, rate):
+        samples = np.concatenate([np.zeros(int(0.2 * rate)), sine(200.0, 0.4, rate)])
+        wav = tmp_path / "tone.wav"
+        write_wav(wav, rate, samples)
+        n_frames = samples.size * 100 // rate + 1
+        ref = tmp_path / "ref.txt"
+        write_reference_for_tone(ref, n_frames, 200.0, (23, n_frames - 4))
+        track, stats = tmp_path / "track.csv", tmp_path / "stats.json"
+        assert main(["detect", "--algo", algo, "--in", str(wav), "--out", str(track)]) == 0
+        rows = track.read_text().splitlines()
+        assert len(rows) == n_frames + 1
+        assert rows[-1].split(",")[1] == f"{(n_frames - 1) / 100:.6f}"
+        assert main(["evaluate", "--est", str(track), "--ref", str(ref), "--out", str(stats)]) == 0
+        payload = json.loads(stats.read_text())
+        assert payload["total_frames"] == n_frames
+        assert payload["gross_errors"] == 0
+
+
 class TestEvaluate:
     def test_identical_tracks_zero_errors(self, tmp_path):
         ref = tmp_path / "ref.txt"
@@ -138,15 +159,15 @@ class TestEvaluate:
 
 
 class TestCompare:
-    def _build_corpus(self, tmp_path, n=3):
-        rate = 16000
+    def _build_corpus(self, tmp_path, n=3, rate=16000):
         manifest = tmp_path / "manifest.csv"
         lines = ["utterance_id,wav_path,reference_path"]
         for i, f0 in enumerate([150.0, 220.0, 300.0][:n]):
-            samples = np.concatenate([np.zeros(2400), sine(f0, 0.6, rate), np.zeros(2400)])
+            silence = np.zeros(int(0.15 * rate))
+            samples = np.concatenate([silence, sine(f0, 0.6, rate), silence])
             wav = tmp_path / f"utt{i}.wav"
             write_wav(wav, rate, samples)
-            n_frames = samples.size // 160 + 1
+            n_frames = samples.size * 100 // rate + 1
             ref = tmp_path / f"utt{i}_f0.txt"
             write_reference_for_tone(ref, n_frames, f0, (17, 73))
             lines.append(f"utt{i},{wav.name},{ref.name}")
@@ -222,6 +243,50 @@ class TestCompare:
             "compare", "--manifest", str(manifest), "--out", str(parallel), "--jobs", "2",
         ]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("rate", [11025, 22050])
+    def test_rates_with_fractional_hop_are_scored(self, tmp_path, rate):
+        manifest = self._build_corpus(tmp_path, n=2, rate=rate)
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+        ref_frames = sum(len((tmp_path / f"utt{i}_f0.txt").read_text().split()) for i in (0, 1))
+        rows = out.read_text().splitlines()
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert int(row.split(",")[1]) == ref_frames  # no frame dropped or lacking
+            fields = row.split(",")
+            assert float(fields[5]) == 0.0  # no voiced frame lost
+            assert int(fields[6]) <= 0.05 * int(fields[4])  # tone edges only
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_wav_names_the_utterance(self, tmp_path, capsys, jobs):
+        manifest = self._build_corpus(tmp_path)
+        (tmp_path / "utt1.wav").write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: utterance utt1 [wav] ")
+        assert str(tmp_path / "utt1.wav") in err[0]
+        assert "missing 'fmt ' chunk" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_external_track_names_utterance_and_label(self, tmp_path, capsys, jobs):
+        manifest = self._build_corpus(tmp_path, n=2)
+        ext_dir = tmp_path / "ext"
+        ext_dir.mkdir()
+        (ext_dir / "utt0.csv").write_text("time_s,f0_hz\n0.00,100\n0.01,100\n")
+        (ext_dir / "utt1.csv").write_text("time_s,f0_hz\n0.00,100\n0.01,-5\n")
+        code = main([
+            "compare", "--manifest", str(manifest), "--algos", "", "--jobs", jobs,
+            "--external", f"crepe={ext_dir}", "--out", str(tmp_path / "table.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: utterance utt1 [crepe] ")
+        assert "utt1.csv:3: f0_hz must be finite and >= 0" in err
 
     def test_published_rows_reproduce_fom_column(self):
         rows = [

@@ -18,6 +18,7 @@ from pitchbench import (
     PyinConfig,
     YaaptConfig,
     cmnd,
+    frame_centers,
     frame_signal,
     nccf,
     nccf_candidates,
@@ -200,12 +201,12 @@ def _per_frame_nccf_candidates(pair, config):
     """Candidate extraction one frame at a time from the one-frame NCCF."""
     rate = pair[0].sample_rate_hz
     frame_len = int(round(config.frame_len_ms * rate / 1000.0))
-    hop = int(round(config.hop_ms * rate / 1000.0))
+    centers = frame_centers(len(pair[0]), config.hop_ms, rate)
     lag_min = max(1, int(math.ceil(rate / config.fmax_hz)))
     lag_max = min(int(math.floor(rate / config.fmin_hz)), (frame_len - 1) // 2)
     per_branch = []
     for branch in pair:
-        frames, _ = frame_signal(branch, frame_len, hop)
+        frames = frame_signal(branch.samples, frame_len, centers)
         branch_cands = []
         for frame in frames:
             curve = nccf(frame, lag_min, lag_max)
@@ -240,10 +241,10 @@ class TestEnginesAgreeWithPerFrameOracles:
         signal = _voiced_signal(seed, rate)
         cfg = PyinConfig()
         frame_len = int(round(cfg.frame_len_ms * rate / 1000.0))
-        hop = int(round(cfg.hop_ms * rate / 1000.0))
-        frames, _ = frame_signal(signal, frame_len, hop)
+        centers = frame_centers(len(signal), cfg.hop_ms, rate)
+        frames = frame_signal(signal.samples, frame_len, centers)
         sets = [pyin_candidates(frame, cfg, rate) for frame in frames]
-        oracle = pyin_viterbi(sets, cfg, hop_seconds=hop / rate)
+        oracle = pyin_viterbi(sets, cfg, hop_seconds=cfg.hop_ms / 1000.0)
         _assert_tracks_agree(pyin_track(signal, cfg), oracle)
 
     @settings(max_examples=6, deadline=None)
@@ -259,9 +260,8 @@ class TestEnginesAgreeWithPerFrameOracles:
         want = np.array([tuple(c) for cs in oracle_cands for c in cs]).reshape(-1, 2)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
-        hop = int(round(cfg.hop_ms * rate / 1000.0))
         spectral = spectral_pitch_track(signal, cfg)
-        oracle = yaapt_dp_select(oracle_cands, spectral, cfg, hop_seconds=hop / rate)
+        oracle = yaapt_dp_select(oracle_cands, spectral, cfg, hop_seconds=cfg.hop_ms / 1000.0)
         _assert_tracks_agree(yaapt_track(signal, cfg), oracle)
 
     def test_empty_signal(self):

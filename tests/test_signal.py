@@ -1,17 +1,28 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pitchbench import (
     AudioSignal,
     LagCurve,
     bandpass_filter,
     cmnd,
+    frame_centers,
     frame_signal,
+    min_cost_path,
     nccf,
     parabolic_refine,
+    pyin_track,
+    yaapt_track,
     yin_difference,
 )
-from conftest import sine
+from conftest import padded_tone, sawtooth, sine
+
+RATES = (8000, 11025, 16000, 22050, 44100, 48000)
 
 
 def brute_force_yin(frame, max_lag):
@@ -56,22 +67,23 @@ class TestAudioSignal:
 class TestFrameSignal:
     def test_two_frames_at_10ms_hop(self):
         sig = AudioSignal(np.ones(480), 48000)
-        frames, grid = frame_signal(sig, 480, 480)
-        assert grid.n_frames == 2
+        centers = frame_centers(len(sig), 10.0, 48000)
+        frames = frame_signal(sig.samples, 480, centers)
+        assert centers.size == 2
         assert frames.shape == (2, 480)
-        assert grid.timestamp_s(0, 48000) == 0.0
-        assert grid.timestamp_s(1, 48000) == pytest.approx(0.01)
+        assert centers[0] / 48000 == 0.0
+        assert centers[1] / 48000 == pytest.approx(0.01)
 
     def test_zero_signal_frame_count(self):
         sig = AudioSignal(np.zeros(16000), 16000)
-        frames, grid = frame_signal(sig, 1024, 160)
-        assert grid.n_frames == 101
+        frames = frame_signal(sig.samples, 1024, frame_centers(len(sig), 10.0, 16000))
+        assert frames.shape[0] == 101
         assert not frames.any()
 
     def test_ramp_frame_centering(self):
         # frame 10 at hop 160 is centered on sample 1600
         sig = AudioSignal(np.arange(10000, dtype=float), 16000)
-        frames, _ = frame_signal(sig, 512, 160)
+        frames = frame_signal(sig.samples, 512, frame_centers(len(sig), 10.0, 16000))
         center = 10 * 160
         assert frames[10][256] == sig.samples[center]
         expected = np.arange(center - 256, center + 256, dtype=float)
@@ -79,21 +91,122 @@ class TestFrameSignal:
 
     def test_edge_zero_padding(self):
         sig = AudioSignal(np.ones(100), 8000)
-        frames, _ = frame_signal(sig, 64, 50)
+        frames = frame_signal(sig.samples, 64, frame_centers(len(sig), 6.25, 8000))
         assert np.all(frames[0][:32] == 0)
         assert np.all(frames[0][32:] == 1)
 
     def test_empty_signal(self):
-        frames, grid = frame_signal(AudioSignal(np.zeros(0), 8000), 64, 32)
-        assert grid.n_frames == 0
+        centers = frame_centers(0, 4.0, 8000)
+        frames = frame_signal(np.zeros(0), 64, centers)
+        assert centers.size == 0
         assert frames.shape == (0, 64)
 
     def test_invalid_lengths(self):
-        sig = AudioSignal(np.zeros(100), 8000)
+        x = np.zeros(100)
         with pytest.raises(ValueError):
-            frame_signal(sig, 0, 10)
+            frame_signal(x, 0, [0, 10])
         with pytest.raises(ValueError):
-            frame_signal(sig, 10, -1)
+            frame_signal(x, 10, [-1])
+        with pytest.raises(ValueError):
+            frame_centers(100, 0.0, 8000)
+
+
+class TestFrameCenters:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(RATES),
+        st.sampled_from([5.0, 10.0, 20.0]),
+        st.integers(0, 4000),
+        st.integers(1, 700),
+    )
+    def test_frames_sit_on_exact_hop_multiples(self, rate, hop_ms, n, frame_len):
+        hop = Fraction(hop_ms) * rate / 1000
+        centers = frame_centers(n, hop_ms, rate)
+        assert centers.size == (int(n // hop) + 1 if n else 0)
+        assert centers.tolist() == [round(k * hop) for k in range(centers.size)]
+
+        x = np.arange(1.0, n + 1.0)  # no sample is zero
+        frames = frame_signal(x, frame_len, centers)
+        assert frames.shape == (centers.size, frame_len)
+        half = frame_len // 2
+        for k, c in enumerate(centers):
+            if c < n:
+                assert frames[k, half] == x[c]
+            index = np.arange(c - half, c - half + frame_len)
+            inside = (index >= 0) & (index < n)
+            np.testing.assert_array_equal(frames[k, inside], x[index[inside]])
+            assert not frames[k, ~inside].any()
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("engine", [pyin_track, yaapt_track])
+    def test_engine_tracks_keep_exact_10ms_hop(self, engine, rate):
+        # 0.5013 s: not a whole number of hops at any of the rates
+        signal = padded_tone(sawtooth(150.0, 0.3, rate), rate, lead_s=0.1, trail_s=0.1013)
+        track = engine(signal)
+        assert track.hop_seconds == 0.010
+        assert len(track) == len(signal) * 100 // rate + 1
+        assert track.voiced[15:35].all()
+
+
+def path_cost(costs, transitions, path):
+    """A path's cost, summed in the decoder's order of additions."""
+    total = costs[0][path[0]]
+    for t in range(1, len(path)):
+        total = total + transitions[t][path[t - 1], path[t]] + costs[t][path[t]]
+    return total
+
+
+def exhaustive_min_cost_path(costs, transitions):
+    """Cheapest cost over all paths and, among the cheapest, the one whose
+    states are lowest when compared from the last frame backwards: the
+    decoder's end-state and back-pointer ties when the minimum is finite."""
+    paths = itertools.product(*(range(len(c)) for c in costs))
+    total, reversed_path = min((path_cost(costs, transitions, p), p[::-1]) for p in paths)
+    return total, reversed_path[::-1]
+
+
+class TestMinCostPath:
+    def _trellis(self, rng, values):
+        n_frames = int(rng.integers(1, 6))
+        sizes = rng.integers(1, 5, n_frames)
+        costs = [rng.choice(values, size) for size in sizes]
+        transitions = [None] + [
+            rng.choice(values, (p, q)) for p, q in zip(sizes, sizes[1:])
+        ]
+        return costs, transitions
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.0, 1.0, 2.0]),  # small integers: many exact ties
+            np.array([0.0, 1.0, np.inf]),
+            np.array([0.0, 1.0, 3.0, -np.inf]),
+            np.linspace(0.0, 5.0, 1000) ** 1.5,
+        ],
+        ids=["ties", "plus_inf", "minus_inf", "continuous"],
+    )
+    def test_matches_exhaustive_enumeration(self, values):
+        rng = np.random.default_rng(len(values))
+        infinite = 0
+        for _ in range(400):
+            costs, transitions = self._trellis(rng, values)
+            path = tuple(min_cost_path(costs, lambda t: transitions[t]).tolist())
+            best, lowest = exhaustive_min_cost_path(costs, transitions)
+            assert path_cost(costs, transitions, path) == best
+            if np.isfinite(best):
+                assert path == lowest  # ties to the lowest state
+            else:
+                infinite += 1
+        if np.isinf(values).any():
+            assert infinite > 0  # the infinite case was exercised
+
+    def test_empty_trellis(self):
+        assert min_cost_path([], lambda t: None).size == 0
+
+    def test_all_infinite_goes_to_lowest_states(self):
+        costs = [np.full(3, np.inf), np.full(2, np.inf)]
+        path = min_cost_path(costs, lambda t: np.zeros((3, 2)))
+        assert path.tolist() == [0, 0]
 
 
 class TestYinDifference:

@@ -1,3 +1,4 @@
+import pickle
 import struct
 
 import numpy as np
@@ -7,7 +8,6 @@ import scipy.io.wavfile
 from pitchbench import (
     PitchTrack,
     TrackFormatError,
-    TrackSource,
     WavFormatError,
     read_external_track,
     read_reference_track,
@@ -96,6 +96,17 @@ class TestReadWav:
         with pytest.raises(WavFormatError) as err:
             read_wav(path)
         assert err.value.byte_offset == 0
+
+    def test_error_survives_pickling(self, tmp_path):
+        # compare's worker processes hand reader errors back pickled
+        path = tmp_path / "garbage.wav"
+        path.write_bytes(b"RIFF" + bytes(4) + b"WAVE")
+        with pytest.raises(WavFormatError) as err:
+            read_wav(path)
+        copy = pickle.loads(pickle.dumps(err.value))
+        assert type(copy) is WavFormatError
+        assert str(copy) == str(err.value) == "missing 'fmt ' chunk (byte offset 12)"
+        assert copy.byte_offset == 12
 
     def test_unsupported_codec_reports_offset(self, tmp_path):
         # format tag 6 = a-law
@@ -277,10 +288,3 @@ class TestTrackTypes:
             PitchTrack(0.0, np.array([100.0]))
         with pytest.raises(ValueError):
             PitchTrack(0.01, np.array([100.0]), np.array([0.5, 0.5]))
-
-    def test_track_source_validation(self):
-        TrackSource("reference", "graz")
-        with pytest.raises(ValueError):
-            TrackSource("guessed", "x")
-        with pytest.raises(ValueError):
-            TrackSource("computed", "")
