@@ -35,6 +35,7 @@ from .signal import (
     cmnd_rows,
     frame_centers,
     frame_signal,
+    lag_frame_len,
     min_cost_path,
     parabolic_vertex,
     row_blocks,
@@ -190,30 +191,61 @@ def _observations(
     obs[t, 0] is the unvoiced mass (1 minus the candidate total);
     obs[t, 1+b] accumulates the probability of candidates mapping to
     bin b. freqs[t, b] remembers the refined frequency of the most
-    probable candidate in that bin, defaulting to the bin center.
+    probable candidate in that bin (the first of equals), defaulting to
+    the bin center. Sums run in candidate order, and invalid input
+    raises the error a frame-by-frame, candidate-by-candidate check
+    would raise first.
     """
     n_frames = len(candidate_sets)
     n_bins = config.n_bins
+    flat = [cand for cands in candidate_sets for cand in cands]
+    f0, prob = np.array(flat, dtype=np.float64).reshape(-1, 2).T
+    rows = np.repeat(np.arange(n_frames), [len(cands) for cands in candidate_sets])
+    ratio = f0 / config.fmin_hz
+
+    total = np.zeros(n_frames)
+    np.add.at(total, rows, prob)  # in candidate order, as a running sum
+    # raise the first failure in frame order; within a frame, candidates
+    # are checked one by one before their total
+    bad = np.flatnonzero(~((prob >= 0.0) & (prob <= 1.0)) | ~((ratio > 0.0) & (ratio < np.inf)))
+    over = np.flatnonzero(total > 1.0 + 1e-9)
+    if bad.size and (not over.size or rows[bad[0]] <= over[0]):
+        cand = flat[bad[0]]
+        if not 0.0 <= cand.probability <= 1.0:
+            raise ValueError(f"candidate probability {cand.probability} outside [0, 1]")
+        config.bin_of(cand.f0_hz)  # raises: the frequency has no bin
+    if over.size:
+        t = over[0]
+        raise ValueError(f"frame {t}: candidate probabilities sum to {total[t]} > 1")
+
+    bins = _bins_of(ratio, config)
     obs = np.zeros((n_frames, n_bins + 1))
+    obs[:, 0] = np.where(total < 1.0, 1.0 - total, 0.0)
+    np.add.at(obs, (rows, 1 + bins), prob)
+
     centers = np.array([config.bin_frequency(b) for b in range(n_bins)])
     freqs = np.tile(centers, (n_frames, 1))
-    best_prob = np.zeros((n_frames, n_bins))
-
-    for t, cands in enumerate(candidate_sets):
-        total = 0.0
-        for cand in cands:
-            if not 0.0 <= cand.probability <= 1.0:
-                raise ValueError(f"candidate probability {cand.probability} outside [0, 1]")
-            total += cand.probability
-            b = config.bin_of(cand.f0_hz)
-            obs[t, 1 + b] += cand.probability
-            if cand.probability > best_prob[t, b]:
-                best_prob[t, b] = cand.probability
-                freqs[t, b] = cand.f0_hz
-        if total > 1.0 + 1e-9:
-            raise ValueError(f"frame {t}: candidate probabilities sum to {total} > 1")
-        obs[t, 0] = max(0.0, 1.0 - total)
+    order = np.lexsort((-prob, bins, rows))  # stable: first most probable per (frame, bin)
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = (np.diff(rows[order]) != 0) | (np.diff(bins[order]) != 0)
+    best = order[lead & (prob[order] > 0.0)]
+    freqs[rows[best], bins[best]] = f0[best]
     return obs, freqs
+
+
+def _bins_of(ratio: np.ndarray, config: PyinConfig) -> np.ndarray:
+    """:meth:`PyinConfig.bin_of` of frequencies given as positive, finite
+    ratios ``f0 / fmin``.
+
+    NumPy's ``log2`` may differ from ``math.log2`` in the last bit, which
+    matters only within a few ulp of a half-bin boundary; values that
+    close are recomputed with ``math.log2``.
+    """
+    steps = 12.0 * config.bins_per_semitone
+    raw = steps * np.log2(ratio)
+    near = np.flatnonzero(np.abs(raw - np.floor(raw) - 0.5) < 1e-9)
+    raw[near] = [steps * math.log2(r) for r in ratio[near].tolist()]
+    return np.clip(np.round(raw), 0, config.n_bins - 1).astype(np.int64)
 
 
 def _transition_weights(config: PyinConfig) -> np.ndarray:
@@ -245,11 +277,27 @@ def _decode_observations(obs: np.ndarray, config: PyinConfig) -> np.ndarray:
     exact negative of its log-domain product and the first cheapest
     state is the first most probable one. Scaling every observation of
     a frame by a common positive factor cannot change the decoded path.
+
+    Each frame is decoded over the unvoiced state and its occupied bins
+    only, the states whose cost can be finite. This is exact: no cost
+    is negative infinity, so a state of infinite cost never wins a
+    step whose best cost is finite, and a step whose best cost is
+    infinite falls to the first state in either form, state 0.
     """
     with np.errstate(divide="ignore"):
         costs = -np.log(obs)
         trans = -np.log(_transition_weights(config))
-    return min_cost_path(costs, lambda _t: trans)
+    live = obs > 0.0
+    live[:, 0] = True
+    rows, states = np.nonzero(live)  # row-major: ascending states per frame
+    bounds = np.searchsorted(rows, np.arange(obs.shape[0] + 1)).tolist()
+    subsets = [states[a:b] for a, b in zip(bounds, bounds[1:])]
+    sparse = costs[rows, states]
+    path = min_cost_path(
+        [sparse[a:b] for a, b in zip(bounds, bounds[1:])],
+        lambda t: trans.take(subsets[t - 1], axis=0).take(subsets[t], axis=1),
+    )
+    return states[np.array(bounds[:-1]) + path]
 
 
 def pyin_viterbi(
@@ -279,7 +327,7 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
         config = PyinConfig()
     config.validate_rate(signal.sample_rate_hz)
     rate = signal.sample_rate_hz
-    frame_len = int(round(config.frame_len_ms * rate / 1000.0))
+    frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
     centers = frame_centers(len(signal), config.hop_ms, rate)
     frames = frame_signal(signal.samples, frame_len, centers)
     lag_min, lag_max = _lag_range(config, rate, frame_len)

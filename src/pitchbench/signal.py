@@ -1,11 +1,11 @@
 """Frame-level signal primitives shared by the pitch engines.
 
-Frame placement and centered framing, the min-cost trellis decoder both
-engines smooth their tracks with, windowed-sinc bandpass filtering,
-parabolic lag refinement, and the three lag-domain curves the
-time-domain estimators are built on: the YIN difference function, its
-cumulative mean normalized form (CMND), and the normalized
-cross-correlation function (NCCF).
+Frame placement, lag-frame sizing and centered framing, the min-cost
+trellis decoder both engines smooth their tracks with, windowed-sinc
+bandpass filtering, parabolic lag refinement, and the three lag-domain
+curves the time-domain estimators are built on: the YIN difference
+function, its cumulative mean normalized form (CMND), and the
+normalized cross-correlation function (NCCF).
 
 The lag curves are computed for a 2-D array of frames at once
 (``yin_difference_rows``, ``cmnd_rows``, ``nccf_rows``): window
@@ -112,6 +112,18 @@ def frame_centers(n_samples: int, hop_ms: float, sample_rate_hz: float) -> np.nd
     return np.round(np.arange(n_frames) * hop).astype(np.int64)
 
 
+def lag_frame_len(frame_len_ms: float, sample_rate_hz: float, fmin_hz: float) -> int:
+    """Samples per frame of a lag search down to ``fmin_hz``.
+
+    The nominal ``frame_len_ms``, grown where needed to ``2 * L + 1``
+    samples with ``L = floor(rate / fmin)``: lag curves need a longest
+    lag below half the frame, so the search then always reaches the
+    period of ``fmin`` instead of being clipped short of it.
+    """
+    nominal = int(round(frame_len_ms * sample_rate_hz / 1000.0))
+    return max(nominal, 2 * int(math.floor(sample_rate_hz / fmin_hz)) + 1)
+
+
 def frame_signal(samples: np.ndarray, frame_len_samples: int, centers: np.ndarray) -> np.ndarray:
     """Frames of ``frame_len_samples`` samples centered on ``centers``.
 
@@ -155,9 +167,9 @@ def min_cost_path(
     backptrs = []
     for t in range(1, n_frames):
         stepped = cost[:, None] + transition(t)
-        back = np.argmin(stepped, axis=0)
+        back = stepped.argmin(axis=0)
         backptrs.append(back)
-        cost = stepped[back, np.arange(back.size)] + costs[t]
+        cost = stepped.min(axis=0) + costs[t]  # the value at ``back``
 
     states = np.zeros(n_frames, dtype=np.int64)
     states[-1] = int(np.argmin(cost))

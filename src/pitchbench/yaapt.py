@@ -32,6 +32,7 @@ from .signal import (
     bandpass_filter,
     frame_centers,
     frame_signal,
+    lag_frame_len,
     min_cost_path,
     nccf_rows,
     parabolic_vertex,
@@ -44,6 +45,12 @@ _NLFER_FFT = 1024
 _SHC_FFT = 2048  # the SHC stage doubles the analysis window, needing more room
 _GRID_STEPS_PER_OCTAVE = 24
 _LINE_FLOOR = 0.05  # fraction of the band maximum a grid point's own line must reach
+# Cap on the spectral stage's temporaries per block of frames, so a long
+# utterance is never transformed or scored all at once: complex spectrum
+# bytes per spectrogram block (16 frames of the 2048-point SHC transform)
+# and gathered SHC product bytes per scoring block (49 frames at the
+# defaults)
+_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,8 @@ def compute_nlfer(
     ``spectra`` is the utterance's magnitude spectrogram, one frame per
     row. Each frame's energy in [fmin, fmax] is divided by the mean of
     that band energy over all frames, so the returned values average to
-    1; an all-silent utterance returns all zeros.
+    1; an all-silent utterance returns all zeros, and one without
+    frames an empty array.
     """
     spectra = np.asarray(spectra, dtype=np.float64)
     if spectra.ndim != 2:
@@ -159,7 +167,7 @@ def compute_nlfer(
         raise ValueError("search band is empty at this frequency resolution")
     band = spectra[:, lo : hi + 1]
     energy = np.sum(band * band, axis=1)
-    mean = energy.mean()
+    mean = energy.mean() if energy.size else 0.0
     if mean == 0.0:
         return np.zeros(spectra.shape[0])
     return energy / mean
@@ -187,17 +195,27 @@ def compute_shc(
 
 
 def _shc_grid(
-    spectrum: np.ndarray, grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: float
+    spectra: np.ndarray, grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: float
 ) -> np.ndarray:
-    """SHC at every frequency of a grid; :func:`compute_shc` is its checked
+    """SHC at every frequency of a grid, of one spectrum or of every row of
+    a 2-D array of spectra; :func:`compute_shc` is its checked
     one-frequency form."""
     n_harm = config.shc_num_harmonics + 1
-    k = int(math.floor(config.shc_window_hz / 2.0 / freq_resolution_hz))
+    k = _shc_half_window(config, freq_resolution_hz)
     harmonics = np.arange(1, n_harm + 1)
     base = np.round(grid_hz[:, None] * harmonics[None, :] / freq_resolution_hz).astype(np.int64)
     offsets = np.arange(-k, k + 1)
     idx = base[:, :, None] + offsets[None, None, :]
-    return np.sum(np.prod(spectrum[idx], axis=1), axis=1)
+    # NumPy sums a contiguous axis pairwise and a strided one in sequence;
+    # summing over contiguous offsets, as for one spectrum, gives every
+    # row the same bits as a one-spectrum call
+    products = np.ascontiguousarray(np.prod(spectra[..., idx], axis=-2))
+    return np.sum(products, axis=-1)
+
+
+def _shc_half_window(config: YaaptConfig, freq_resolution_hz: float) -> int:
+    """Spectrum bins the SHC window reaches on each side of a harmonic."""
+    return int(math.floor(config.shc_window_hz / 2.0 / freq_resolution_hz))
 
 
 def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
@@ -217,10 +235,20 @@ def _branch_spectrogram(
     """Hann-windowed magnitude spectrogram of a decimated branch, row k
     centered on sample ``centers[k]``. ``frame_scale`` stretches the
     analysis window (the SHC stage uses 2x frames: the narrower mainlobe
-    keeps near-miss harmonic combs on sidelobes)."""
-    frame_len = frame_scale * int(round(config.frame_len_ms * rate / 1000.0))
-    frames = frame_signal(samples, frame_len, centers) * np.hanning(frame_len)
-    mags = np.abs(rfft(frames, n=n_fft, axis=1))
+    keeps near-miss harmonic combs on sidelobes). The transform grows to
+    the frame length if the frame is longer. Frames are windowed and
+    transformed in blocks, so no complex spectrum is held for the whole
+    utterance; a block is a multiple of 16 rows, so the FFT's SIMD row
+    groups fall as they would in one transform of all rows."""
+    frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
+    n_fft = max(n_fft, frame_len)
+    frames = frame_signal(samples, frame_len, centers)
+    window = np.hanning(frame_len)
+    mags = np.empty((centers.size, n_fft // 2 + 1))
+    step = 16 * max(1, _BLOCK_BYTES // (16 * 16 * mags.shape[1]))
+    for start in range(0, centers.size, step):
+        block = frames[start : start + step] * window
+        mags[start : start + step] = np.abs(rfft(block, n=n_fft, axis=1))
     return mags, rate / n_fft
 
 
@@ -253,31 +281,33 @@ def _spectral_from_pair(
     # own utterance-wide maximum so absolute gain cancels.
     combined = np.zeros_like(mags_plain)
     for mags in (mags_plain, mags_nl):
-        peak = mags.max()
+        peak = mags.max(initial=0.0)  # 0 for an utterance without frames
         if peak > 0:
-            combined += mags / peak
+            mags /= peak
+            combined += mags
 
     grid = _grid_frequencies(config)
     grid_bins = np.round(grid / freq_res).astype(np.int64)
     lo = int(math.ceil(config.fmin_hz / freq_res))
     hi = min(int(math.floor(config.fmax_hz / freq_res)), combined.shape[1] - 1)
 
+    # Absent harmonics enter the SHC product at a fixed floor rather than
+    # at the leakage level: a spectrum with two real lines then always
+    # outscores one with a single line, instead of the argmax drifting on
+    # leakage noise when the signal is harmonic-poor.
     coarse = np.zeros(centers.size)
-    gated = nlfer >= config.nlfer_threshold
-    for t in np.flatnonzero(gated):
-        spectrum = combined[t]
-        band_peak = spectrum[lo : hi + 1].max()
-        line_ok = spectrum[grid_bins] >= _LINE_FLOOR * band_peak
-        if not np.any(line_ok):
-            line_ok = np.ones_like(line_ok)  # degenerate; fall back to the full grid
-        # Absent harmonics enter the SHC product at a fixed floor rather
-        # than at the leakage level: a spectrum with two real lines then
-        # always outscores one with a single line, instead of the argmax
-        # drifting on leakage noise when the signal is harmonic-poor.
-        floored = np.maximum(spectrum, _LINE_FLOOR * spectrum.max())
-        shc = _shc_grid(floored, grid, config, freq_res)
-        shc = np.where(line_ok, shc, -1.0)
-        coarse[t] = grid[int(np.argmax(shc))]
+    gated = np.flatnonzero(nlfer >= config.nlfer_threshold)
+    terms = (config.shc_num_harmonics + 1) * (2 * _shc_half_window(config, freq_res) + 1)
+    step = max(1, _BLOCK_BYTES // (8 * grid.size * terms))
+    for start in range(0, gated.size, step):
+        rows = gated[start : start + step]
+        spectra = combined[rows]
+        band_peak = spectra[:, lo : hi + 1].max(axis=1, keepdims=True)
+        line_ok = spectra[:, grid_bins] >= _LINE_FLOOR * band_peak
+        line_ok[~line_ok.any(axis=1)] = True  # degenerate; fall back to the full grid
+        floored = np.maximum(spectra, _LINE_FLOOR * spectra.max(axis=1, keepdims=True))
+        shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
+        coarse[rows] = grid[np.argmax(shc, axis=1)]
     return SpectralTrack(coarse, nlfer)
 
 
@@ -297,10 +327,10 @@ def spectral_pitch_track(signal: AudioSignal, config: YaaptConfig) -> SpectralTr
 
 def _nccf_peaks(
     frames: np.ndarray, lag_min: int, lag_max: int, rate: float, config: YaaptConfig
-) -> list[list[NccfCandidate]]:
-    """Per-frame candidates of one branch: the ``n_candidates_per_frame``
-    highest positive NCCF maxima (ties to the shorter lag), refined
-    parabolically."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates of one branch as (frame, f0, merit) arrays, by frame and
+    then merit: each frame's ``n_candidates_per_frame`` highest positive
+    NCCF maxima (ties to the shorter lag), refined parabolically."""
     v = nccf_rows(frames, lag_min, lag_max)
     inner = v[:, 1:-1]
     is_max = (inner > v[:, :-2]) & (inner >= v[:, 2:]) & (inner > 0)
@@ -309,16 +339,51 @@ def _nccf_peaks(
     merit = v[rows, cols]
     order = np.lexsort((-merit, rows))  # stable: by frame, then merit descending
     rows, cols, merit = rows[order], cols[order], merit[order]
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    top = rank < config.n_candidates_per_frame
+    top = _rank_in_frame(rows) < config.n_candidates_per_frame
     rows, cols, merit = rows[top], cols[top], merit[top]
 
     lags = cols + lag_min
     refined = parabolic_vertex(v[rows, cols - 1], merit, v[rows, cols + 1], lags)
     f0 = np.minimum(np.maximum(rate / refined, config.fmin_hz), config.fmax_hz)
-    candidates = list(map(NccfCandidate, f0.tolist(), merit.tolist()))
-    bounds = np.searchsorted(rows, np.arange(frames.shape[0] + 1)).tolist()
-    return [candidates[a:b] for a, b in zip(bounds, bounds[1:])]
+    return rows, f0, merit
+
+
+def _rank_in_frame(rows: np.ndarray) -> np.ndarray:
+    """Position of each entry within its frame, for entries grouped by frame."""
+    return np.arange(rows.size) - np.searchsorted(rows, rows)
+
+
+def _merge_close(
+    rows: np.ndarray, f0: np.ndarray, merit: np.ndarray, n_frames: int
+) -> list[list[NccfCandidate]]:
+    """Per frame, collapse candidates within 2% in frequency.
+
+    Each frame's pool is taken in order of frequency, then merit
+    descending, then input order. A candidate less than 2% above the
+    first member of the current group joins it; otherwise it starts a
+    new group. A group keeps its first member's frequency and the
+    highest merit among its members (merits are positive NCCF values).
+    The scan runs one pool position at a time over all frames at once.
+    """
+    order = np.lexsort((-merit, f0, rows))  # stable: ties keep input order
+    rows, f0, merit = rows[order], f0[order], merit[order]
+    pos = _rank_in_frame(rows)
+    width = int(pos.max()) + 1 if pos.size else 0
+    pool = np.full((n_frames, width), np.nan)  # nan: past the end of the pool
+    pool[rows, pos] = f0
+
+    starts = np.zeros((n_frames, width), dtype=bool)
+    lead = np.full(n_frames, np.nan)  # first frequency of each frame's current group
+    for j in range(width):
+        cand = pool[:, j]
+        starts[:, j] = ~(cand / lead < 1.02) & ~np.isnan(cand)
+        lead = np.where(starts[:, j], cand, lead)
+
+    first = np.flatnonzero(starts[rows, pos])
+    best = np.maximum.reduceat(merit, first) if first.size else merit
+    kept = list(map(NccfCandidate, f0[first].tolist(), best.tolist()))
+    bounds = np.searchsorted(rows[first], np.arange(n_frames + 1)).tolist()
+    return [kept[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def nccf_candidates(
@@ -332,37 +397,29 @@ def nccf_candidates(
     the higher merit. Silent frames yield empty lists.
     """
     rate = preprocessed[0].sample_rate_hz
-    frame_len = int(round(config.frame_len_ms * rate / 1000.0))
+    frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
     centers = frame_centers(len(preprocessed[0]), config.hop_ms, rate)
 
     lag_min = max(1, int(math.ceil(rate / config.fmax_hz)))
-    lag_max = min(int(math.floor(rate / config.fmin_hz)), (frame_len - 1) // 2)
+    lag_max = int(math.floor(rate / config.fmin_hz))
     if lag_min >= lag_max:
-        raise ValueError("frame too short for the configured pitch search range")
+        raise ValueError(
+            f"pitch search range {config.fmin_hz}-{config.fmax_hz} Hz spans less than"
+            f" two lags at {rate} Hz"
+        )
 
-    per_branch = []
+    # (frame, f0, merit) arrays per block of each branch; the empty first
+    # entry stands in for an utterance without frames
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     for branch in preprocessed:
         frames = frame_signal(branch.samples, frame_len, centers)
-        per_branch.append([
-            cands
-            for block in row_blocks(frames, lag_max)
-            for cands in _nccf_peaks(block, lag_min, lag_max, rate, config)
-        ])
-
-    merged = []
-    for frame_lists in zip(*per_branch):
-        pool = sorted(
-            (c for cands in frame_lists for c in cands), key=lambda c: (c.f0_hz, -c.merit)
-        )
-        frame_merged: list[NccfCandidate] = []
-        for cand in pool:
-            if frame_merged and cand.f0_hz / frame_merged[-1].f0_hz < 1.02:
-                if cand.merit > frame_merged[-1].merit:
-                    frame_merged[-1] = NccfCandidate(frame_merged[-1].f0_hz, cand.merit)
-            else:
-                frame_merged.append(cand)
-        merged.append(frame_merged)
-    return merged
+        start = 0
+        for block in row_blocks(frames, lag_max):
+            rows, f0, merit = _nccf_peaks(block, lag_min, lag_max, rate, config)
+            parts.append((rows + start, f0, merit))
+            start += block.shape[0]
+    rows, f0, merit = (np.concatenate(column) for column in zip(*parts))
+    return _merge_close(rows, f0, merit, centers.size)
 
 
 def yaapt_dp_select(
@@ -393,30 +450,41 @@ def yaapt_dp_select(
     w_jump = config.dp_freq_jump_weight
     w_switch = config.dp_voicing_switch_cost
 
-    # state 0 is unvoiced; voiced states follow in ascending frequency
-    freqs, costs = [], []
-    for t, cands in enumerate(candidates):
-        cands = sorted(cands, key=lambda c: c.f0_hz)
-        coarse = spectral.coarse_f0_hz[t]
-        local = [max(0.0, spectral.nlfer[t] - config.nlfer_threshold)]
-        for cand in cands:
-            cost = 1.0 - cand.merit
-            if coarse > 0:
-                cost += w_jump * abs(math.log2(cand.f0_hz / coarse))
-            local.append(cost)
-        freqs.append(np.array([0.0] + [c.f0_hz for c in cands]))
-        costs.append(np.array(local))
+    # state 0 is unvoiced; voiced states follow in ascending frequency,
+    # padded with zeros to the largest frame
+    sizes = [len(cands) + 1 for cands in candidates]
+    flat = [cand for cands in candidates for cand in cands]
+    f0, merit = np.array(flat, dtype=np.float64).reshape(-1, 2).T
+    rows = np.repeat(np.arange(n_frames), [n - 1 for n in sizes])
+    order = np.lexsort((f0, rows))  # stable: each frame's candidates by frequency
+    rows, f0, merit = rows[order], f0[order], merit[order]
+    cols = 1 + _rank_in_frame(rows)
+    freqs = np.zeros((n_frames, max(sizes)))
+    freqs[rows, cols] = f0
 
-    def transition(t: int) -> np.ndarray:
-        prev, cur = freqs[t - 1][:, None], freqs[t][None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jump = w_jump * np.abs(np.log2(cur / prev))
-        unvoiced = (prev == 0) & (cur == 0)
-        return np.where((prev > 0) & (cur > 0), jump, np.where(unvoiced, 0.0, w_switch))
+    costs = np.zeros_like(freqs)
+    margin = spectral.nlfer - config.nlfer_threshold
+    costs[:, 0] = np.where(margin > 0.0, margin, 0.0)
+    local = 1.0 - merit
+    coarse = spectral.coarse_f0_hz[rows]
+    near = np.flatnonzero(coarse > 0)
+    # math.log2 keeps the costs of the scalar definition bit for bit
+    octaves = map(math.log2, (f0[near] / coarse[near]).tolist())
+    local[near] += w_jump * np.abs(np.fromiter(octaves, np.float64, near.size))
+    costs[rows, cols] = local
 
-    states = min_cost_path(costs, transition)
-    f0 = np.array([f[state] for f, state in zip(freqs, states)])
-    return PitchTrack(hop_seconds, f0)
+    # every transition matrix at once; frame t's is trans[t - 1]
+    prev, cur = freqs[:-1, :, None], freqs[1:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jump = w_jump * np.abs(np.log2(cur / prev))
+    unvoiced = (prev == 0) & (cur == 0)
+    trans = np.where((prev > 0) & (cur > 0), jump, np.where(unvoiced, 0.0, w_switch))
+
+    states = min_cost_path(
+        [costs[t, :n] for t, n in enumerate(sizes)],
+        lambda t: trans[t - 1, : sizes[t - 1], : sizes[t]],
+    )
+    return PitchTrack(hop_seconds, freqs[np.arange(n_frames), states])
 
 
 def yaapt_track(signal: AudioSignal, config: YaaptConfig | None = None) -> PitchTrack:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,14 @@ class TestNlfer:
     def test_all_zero_utterance(self):
         values = compute_nlfer(np.zeros((8, 513)), YaaptConfig(), 15.625)
         np.testing.assert_array_equal(values, 0.0)
+
+    def test_no_frames_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = compute_nlfer(np.zeros((0, 513)), YaaptConfig(), 15.625)
+            track = spectral_pitch_track(AudioSignal(np.zeros(0), 16000), YaaptConfig())
+        assert values.shape == (0,)
+        assert len(track) == 0
 
     def test_mean_is_one(self, rng):
         spectra = np.abs(rng.standard_normal((40, 513)))
@@ -339,3 +348,20 @@ class TestYaaptTrack:
         track = yaapt_track(AudioSignal(sawtooth(150.0, 1.0, 16000), 16000.0))
         interior = track.frames[3:-3]
         assert np.mean(np.abs(interior / 150.0 - 1) < 0.01) >= 0.95
+
+
+class TestToneEdges:
+    """Known defect, pinned until it is fixed: on the ``TestCompare`` tones
+    (16 kHz, 0.6 s between 0.15 s of silence) frames 16-17 and 73-74,
+    the first two and last two voiced ones, read about half the pitch."""
+
+    @pytest.mark.xfail(strict=True, reason="half pitch on the edge frames of a clean tone")
+    @pytest.mark.parametrize("f0", [150.0, 220.0])
+    def test_edge_frames_carry_the_tone_pitch(self, f0):
+        rate = 16000
+        silence = np.zeros(int(0.15 * rate))
+        samples = np.concatenate([silence, sine(f0, 0.6, rate), silence])
+        track = yaapt_track(AudioSignal(samples, rate))
+        voiced = np.flatnonzero(track.voiced)
+        assert voiced.size > 50
+        np.testing.assert_allclose(track.frames[voiced], f0, rtol=0.2)
