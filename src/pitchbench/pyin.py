@@ -31,14 +31,15 @@ from scipy.stats import beta as beta_dist
 
 from .signal import (
     AudioSignal,
+    check_search_band,
     cmnd,
     cmnd_rows,
+    frame_blocks,
     frame_centers,
     frame_signal,
     lag_frame_len,
     min_cost_path,
     parabolic_vertex,
-    row_blocks,
     yin_difference,
     yin_difference_rows,
 )
@@ -322,20 +323,21 @@ def pyin_viterbi(
 
 
 def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTrack:
-    """Run the full engine on a signal: framing, candidates, decoding."""
+    """Run the full engine on a signal: framing, candidates, decoding.
+
+    Raises ``ValueError`` if the search band holds fewer than two lags
+    at the signal's rate, where no frame could ever be voiced.
+    """
     if config is None:
         config = PyinConfig()
     config.validate_rate(signal.sample_rate_hz)
     rate = signal.sample_rate_hz
     frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
-    centers = frame_centers(len(signal), config.hop_ms, rate)
-    frames = frame_signal(signal.samples, frame_len, centers)
     lag_min, lag_max = _lag_range(config, rate, frame_len)
-    if lag_min >= lag_max:
-        candidate_sets = [[] for _ in frames]
-    else:
-        candidate_sets = []
-        for block in row_blocks(frames, lag_max):
-            d = cmnd_rows(yin_difference_rows(block, lag_max))
-            candidate_sets += _candidate_sets(d, lag_min, config, rate)
+    check_search_band(lag_min, lag_max, config.fmin_hz, config.fmax_hz, rate)
+    centers = frame_centers(len(signal), config.hop_ms, rate)
+    candidate_sets = []
+    for frames in frame_blocks(signal.samples, frame_len, centers, lag_max, frame_signal):
+        d = cmnd_rows(yin_difference_rows(frames, lag_max))
+        candidate_sets += _candidate_sets(d, lag_min, config, rate)
     return pyin_viterbi(candidate_sets, config, hop_seconds=config.hop_ms / 1000.0)

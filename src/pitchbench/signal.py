@@ -12,8 +12,9 @@ The lag curves are computed for a 2-D array of frames at once
 energies come from one cumulative sum along each row, and the
 cross-correlation from one FFT round trip per block of rows, blocks
 being capped at a fixed spectrum size so they stay in cache. The
-engines run their per-frame chains over ``row_blocks`` of an
-utterance's frames, so temporaries stay per block. The one-frame
+engines run their per-frame chains over the ``frame_blocks`` of an
+utterance, which cuts frames a chunk of whole blocks at a time, so
+frames stay per chunk and temporaries per block. The one-frame
 functions ``yin_difference``, ``cmnd`` and ``nccf`` run the same code
 on a single row.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.signal
@@ -141,10 +142,16 @@ def frame_signal(samples: np.ndarray, frame_len_samples: int, centers: np.ndarra
         raise ValueError(f"frame centers must be >= 0, got {centers.min()}")
     x = np.asarray(samples, dtype=np.float64)
     half = frame_len_samples // 2
-    # the padded window starting at index c is centered on sample c
-    right = max(0, int(centers.max()) + frame_len_samples - half - x.size)
-    padded = np.pad(x, (half, right))
-    return np.lib.stride_tricks.sliding_window_view(padded, frame_len_samples)[centers]
+    # window only the span the frames cover, copied only to pad an edge, so
+    # framing costs what it returns however long the signal; span[i] is
+    # sample first + i
+    first = int(centers.min()) - half
+    stop = int(centers.max()) - half + frame_len_samples
+    inner = x[max(first, 0) : stop]
+    pad = (max(0, -first), stop - max(first, 0) - inner.size)
+    span = np.pad(inner, pad) if any(pad) else inner
+    windows = np.lib.stride_tricks.sliding_window_view(span, frame_len_samples)
+    return windows[centers - half - first]
 
 
 def min_cost_path(
@@ -183,14 +190,16 @@ def min_cost_path(
 _BLOCK_SPECTRUM_BYTES = 512 * 1024
 
 
-def _fft_size(size: int, max_lag: int) -> int:
-    # room for the linear (not circular) correlation of a frame with its head
-    return next_fast_len(2 * size - max_lag)
-
-
 def _block_rows(size: int, max_lag: int) -> int:
-    """Rows per FFT block of :func:`_lag_terms` for frames of ``size`` samples."""
-    return max(1, _BLOCK_SPECTRUM_BYTES // (16 * (_fft_size(size, max_lag) // 2 + 1)))
+    """Rows per FFT block of :func:`_lag_terms` for frames of ``size`` samples.
+
+    As many rows as keep ``_BLOCK_SPECTRUM_BYTES`` of spectrum at the
+    linear-correlation length ``2 * size - max_lag``; the circular
+    transform :func:`_lag_terms` runs is shorter, so its spectra stay
+    well inside the cap.
+    """
+    n = next_fast_len(2 * size - max_lag)
+    return max(1, _BLOCK_SPECTRUM_BYTES // (16 * (n // 2 + 1)))
 
 
 def row_blocks(frames: np.ndarray, max_lag: int) -> list[np.ndarray]:
@@ -201,6 +210,33 @@ def row_blocks(frames: np.ndarray, max_lag: int) -> list[np.ndarray]:
     return [frames[start : start + step] for start in range(0, frames.shape[0], step)]
 
 
+# Frame bytes the lag stage cuts at a time, in whole FFT blocks: long
+# inputs are framed piecewise, a short utterance at once. Framing every
+# block on its own measured slower at 48 kHz: without one sizeable
+# allocation per utterance, the allocator hands each block's temporaries
+# back to the system and faults them in again (2-3x the minor faults).
+_CHUNK_FRAME_BYTES = 4 * 1024 * 1024
+
+
+def frame_blocks(
+    samples: np.ndarray,
+    frame_len: int,
+    centers: np.ndarray,
+    max_lag: int,
+    frame: Callable[[np.ndarray, int, np.ndarray], np.ndarray] = frame_signal,
+) -> Iterator[np.ndarray]:
+    """The frames of ``centers`` in consecutive FFT blocks of the lag
+    stage, the :func:`row_blocks` of frames cut a chunk of at most
+    ``_CHUNK_FRAME_BYTES`` at a time, so the stage's memory is bounded
+    by a chunk rather than by the utterance. ``frame`` cuts a chunk with
+    :func:`frame_signal`'s signature; the engines pass the name they
+    import, which the benchmark's tracer wraps."""
+    rows = _block_rows(frame_len, max_lag)
+    rows *= max(1, _CHUNK_FRAME_BYTES // (8 * frame_len * rows))
+    for start in range(0, len(centers), rows):
+        yield from row_blocks(frame(samples, frame_len, centers[start : start + rows]), max_lag)
+
+
 def _lag_terms(frames: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy and correlation terms of every row's lag curves.
 
@@ -208,17 +244,20 @@ def _lag_terms(frames: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray
     energy ``sum_{j<width} x[j]^2``, the lagged-window energies
     ``sum_{j<width} x[j+tau]^2`` and the cross-correlation
     ``sum_{j<width} x[j] x[j+tau]`` for tau in 0..max_lag. The
-    correlation runs one FFT round trip per block of rows, with blocks
-    capped at ``_BLOCK_SPECTRUM_BYTES`` of spectrum.
+    correlation runs one FFT round trip per block of rows. Its terms
+    reach sample ``width - 1 + max_lag = size - 1`` at most, so a
+    circular correlation over ``size`` points or more never wraps
+    around: the transform is the fastest length of at least ``size``.
     """
     n_rows, size = frames.shape
     width = size - max_lag
     energy = np.zeros((n_rows, size + 1))
-    np.cumsum(frames * frames, axis=1, out=energy[:, 1:])
+    np.multiply(frames, frames, out=energy[:, 1:])
+    np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
     head = energy[:, width]
     lagged = energy[:, width : width + max_lag + 1] - energy[:, : max_lag + 1]
 
-    n = _fft_size(size, max_lag)
+    n = next_fast_len(size, real=True)
     step = _block_rows(size, max_lag)
     cross = np.empty((n_rows, max_lag + 1))
     for start in range(0, n_rows, step):
@@ -236,14 +275,32 @@ def _check_lags(size: int, min_lag: int, max_lag: int) -> None:
         raise ValueError(f"max_lag {max_lag} must be < half the frame length {size}")
 
 
+def check_search_band(
+    lag_min: int, lag_max: int, fmin_hz: float, fmax_hz: float, sample_rate_hz: float
+) -> None:
+    """Reject a pitch search whose lags ``lag_min .. lag_max`` hold no
+    interior lag, where no curve extremum can be found."""
+    if lag_min >= lag_max:
+        raise ValueError(
+            f"pitch search range {fmin_hz}-{fmax_hz} Hz spans less than"
+            f" two lags at {sample_rate_hz} Hz"
+        )
+
+
+# The row functions below finish the lag terms in place, with the
+# operations of their textbook forms in the same order, so each value has
+# the bits the out-of-place expression would give it.
+
 def yin_difference_rows(frames: np.ndarray, max_lag: int) -> np.ndarray:
     """:func:`yin_difference` of every row of a 2-D frame array."""
     frames = np.asarray(frames, dtype=np.float64)
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     _check_lags(frames.shape[1], 1, max_lag)
-    head, lagged, cross = _lag_terms(frames, max_lag)
-    d = head[:, None] + lagged - 2.0 * cross
+    head, d, cross = _lag_terms(frames, max_lag)
+    d += head[:, None]  # head + lagged - 2 cross
+    cross *= 2.0
+    d -= cross
     np.maximum(d, 0.0, out=d)  # clip FFT round-off below zero
     d[:, 0] = 0.0
     return d
@@ -251,10 +308,14 @@ def yin_difference_rows(frames: np.ndarray, max_lag: int) -> np.ndarray:
 
 def cmnd_rows(diff: np.ndarray) -> np.ndarray:
     """:func:`cmnd` of every row of a 2-D array of difference curves."""
-    out = np.ones_like(diff)
+    out = np.empty_like(diff)
+    out[:, 0] = 1.0
     running = np.cumsum(diff[:, 1:], axis=1)
-    taus = np.arange(1, diff.shape[1])
-    np.divide(diff[:, 1:] * taus, running, out=out[:, 1:], where=running > 0)
+    tail = out[:, 1:]
+    np.multiply(diff[:, 1:], np.arange(1, diff.shape[1]), out=tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail /= running
+    tail[~(running > 0)] = 1.0
     return out
 
 
@@ -265,9 +326,13 @@ def nccf_rows(frames: np.ndarray, min_lag: int, max_lag: int) -> np.ndarray:
         raise ValueError(f"min_lag must be >= 1, got {min_lag}")
     _check_lags(frames.shape[1], min_lag, max_lag)
     head, lagged, cross = _lag_terms(frames, max_lag)
-    denom_sq = head[:, None] * lagged[:, min_lag:]
-    values = np.zeros_like(denom_sq)
-    np.divide(cross[:, min_lag:], np.sqrt(denom_sq), out=values, where=denom_sq > 0)
+    denom = lagged[:, min_lag:]
+    denom *= head[:, None]
+    values = cross[:, min_lag:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(denom, out=denom)  # nan where round-off left it negative
+        values /= denom
+    values[~(denom > 0)] = 0.0  # either energy term vanishes
     np.clip(values, -1.0, 1.0, out=values)
     return values
 

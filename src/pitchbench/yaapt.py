@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.signal
@@ -30,13 +30,14 @@ from scipy.fft import rfft
 from .signal import (
     AudioSignal,
     bandpass_filter,
+    check_search_band,
+    frame_blocks,
     frame_centers,
     frame_signal,
     lag_frame_len,
     min_cost_path,
     nccf_rows,
     parabolic_vertex,
-    row_blocks,
 )
 from .trackio import PitchTrack
 
@@ -47,7 +48,7 @@ _GRID_STEPS_PER_OCTAVE = 24
 _LINE_FLOOR = 0.05  # fraction of the band maximum a grid point's own line must reach
 # Cap on the spectral stage's temporaries per block of frames, so a long
 # utterance is never transformed or scored all at once: complex spectrum
-# bytes per spectrogram block (16 frames of the 2048-point SHC transform)
+# bytes per spectrogram block (31 frames of the 2048-point SHC transform)
 # and gathered SHC product bytes per scoring block (49 frames at the
 # defaults)
 _BLOCK_BYTES = 512 * 1024
@@ -224,6 +225,31 @@ def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
     return scipy.signal.decimate(samples, factor, ftype="fir", zero_phase=True)
 
 
+def _frame_and_fft_len(
+    rate: float, config: YaaptConfig, frame_scale: int, n_fft: int
+) -> tuple[int, int]:
+    """Frame and transform lengths of a spectrogram of a decimated
+    branch. ``frame_scale`` stretches the analysis window (the SHC stage
+    uses 2x frames: the narrower mainlobe keeps near-miss harmonic combs
+    on sidelobes); the transform grows to the frame length if the frame
+    is longer."""
+    frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
+    return frame_len, max(n_fft, frame_len)
+
+
+def _windowed_blocks(
+    samples: np.ndarray, frame_len: int, centers: np.ndarray, n_fft: int
+) -> Iterator[np.ndarray]:
+    """Hann-windowed frames of a decimated branch, row k centered on
+    sample ``centers[k]``, in consecutive blocks whose ``n_fft``-point
+    complex spectra fill at most ``_BLOCK_BYTES`` (and so do the frames,
+    ``n_fft`` being at least the frame length)."""
+    window = np.hanning(frame_len)
+    step = max(1, _BLOCK_BYTES // (16 * (n_fft // 2 + 1)))
+    for start in range(0, centers.size, step):
+        yield frame_signal(samples, frame_len, centers[start : start + step]) * window
+
+
 def _branch_spectrogram(
     samples: np.ndarray,
     rate: float,
@@ -232,24 +258,46 @@ def _branch_spectrogram(
     frame_scale: int = 1,
     n_fft: int = _NLFER_FFT,
 ) -> tuple[np.ndarray, float]:
-    """Hann-windowed magnitude spectrogram of a decimated branch, row k
-    centered on sample ``centers[k]``. ``frame_scale`` stretches the
-    analysis window (the SHC stage uses 2x frames: the narrower mainlobe
-    keeps near-miss harmonic combs on sidelobes). The transform grows to
-    the frame length if the frame is longer. Frames are windowed and
-    transformed in blocks, so no complex spectrum is held for the whole
-    utterance; a block is a multiple of 16 rows, so the FFT's SIMD row
-    groups fall as they would in one transform of all rows."""
-    frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
-    n_fft = max(n_fft, frame_len)
-    frames = frame_signal(samples, frame_len, centers)
-    window = np.hanning(frame_len)
+    """Magnitude spectra of the :func:`_windowed_blocks` of a branch, and
+    their frequency resolution. Neither frames nor complex spectra are
+    held for the whole utterance. Rows are transformed independently: a
+    frame's spectrum has the same bits whichever frames share its
+    block."""
+    frame_len, n_fft = _frame_and_fft_len(rate, config, frame_scale, n_fft)
     mags = np.empty((centers.size, n_fft // 2 + 1))
-    step = 16 * max(1, _BLOCK_BYTES // (16 * 16 * mags.shape[1]))
-    for start in range(0, centers.size, step):
-        block = frames[start : start + step] * window
-        mags[start : start + step] = np.abs(rfft(block, n=n_fft, axis=1))
+    start = 0
+    for block in _windowed_blocks(samples, frame_len, centers, n_fft):
+        mags[start : start + block.shape[0]] = np.abs(rfft(block, n=n_fft, axis=1))
+        start += block.shape[0]
     return mags, rate / n_fft
+
+
+def _scaled_shc_spectra(
+    samples: np.ndarray, rate: float, centers: np.ndarray, gated: np.ndarray, config: YaaptConfig
+) -> tuple[np.ndarray, float]:
+    """SHC-stage magnitude spectra of the ``gated`` frames of a branch,
+    divided by the branch's peak magnitude over all frames unless that
+    peak is 0, and their frequency resolution.
+
+    A frame's windowed L1 norm ``sum |w x|`` bounds every magnitude of
+    its spectrum, so a frame outside ``gated`` can raise the peak only
+    if its norm reaches the peak so far; only such frames are
+    transformed, block by block. The 1e-9 relative margin covers the
+    round-off of the norm and of the transform, so the peak is the
+    all-frames maximum bit for bit.
+    """
+    mags, freq_res = _branch_spectrogram(samples, rate, centers[gated], config, 2, _SHC_FFT)
+    peak = mags.max(initial=0.0)
+    frame_len, n_fft = _frame_and_fft_len(rate, config, 2, _SHC_FFT)
+    rest = np.delete(centers, gated)
+    for block in _windowed_blocks(samples, frame_len, rest, n_fft):
+        norms = np.abs(block).sum(axis=1)
+        loud = block[(norms > 0.0) & (norms >= peak * (1.0 - 1e-9))]
+        if loud.size:
+            peak = max(peak, np.abs(rfft(loud, n=n_fft, axis=1)).max())
+    if peak > 0:
+        mags /= peak
+    return mags, freq_res
 
 
 def _grid_frequencies(config: YaaptConfig) -> np.ndarray:
@@ -269,22 +317,16 @@ def _spectral_from_pair(
     plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
     mags_nlfer, nlfer_res = _branch_spectrogram(plain, rate, centers, config)
     nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
-
-    mags_plain, freq_res = _branch_spectrogram(
-        plain, rate, centers, config, frame_scale=2, n_fft=_SHC_FFT
-    )
-    mags_nl, _ = _branch_spectrogram(
-        nonlinear, rate, centers, config, frame_scale=2, n_fft=_SHC_FFT
-    )
+    coarse = np.zeros(centers.size)
+    gated = np.flatnonzero(nlfer >= config.nlfer_threshold)
+    if not gated.size:
+        return SpectralTrack(coarse, nlfer)
 
     # Combine the branches on equal footing; each branch is scaled by its
-    # own utterance-wide maximum so absolute gain cancels.
-    combined = np.zeros_like(mags_plain)
-    for mags in (mags_plain, mags_nl):
-        peak = mags.max(initial=0.0)  # 0 for an utterance without frames
-        if peak > 0:
-            mags /= peak
-            combined += mags
+    # own utterance-wide maximum so absolute gain cancels. Only gated
+    # frames are scored, so only theirs are combined.
+    combined, freq_res = _scaled_shc_spectra(plain, rate, centers, gated, config)
+    combined += _scaled_shc_spectra(nonlinear, rate, centers, gated, config)[0]
 
     grid = _grid_frequencies(config)
     grid_bins = np.round(grid / freq_res).astype(np.int64)
@@ -295,19 +337,16 @@ def _spectral_from_pair(
     # at the leakage level: a spectrum with two real lines then always
     # outscores one with a single line, instead of the argmax drifting on
     # leakage noise when the signal is harmonic-poor.
-    coarse = np.zeros(centers.size)
-    gated = np.flatnonzero(nlfer >= config.nlfer_threshold)
     terms = (config.shc_num_harmonics + 1) * (2 * _shc_half_window(config, freq_res) + 1)
     step = max(1, _BLOCK_BYTES // (8 * grid.size * terms))
     for start in range(0, gated.size, step):
-        rows = gated[start : start + step]
-        spectra = combined[rows]
+        spectra = combined[start : start + step]
         band_peak = spectra[:, lo : hi + 1].max(axis=1, keepdims=True)
         line_ok = spectra[:, grid_bins] >= _LINE_FLOOR * band_peak
         line_ok[~line_ok.any(axis=1)] = True  # degenerate; fall back to the full grid
         floored = np.maximum(spectra, _LINE_FLOOR * spectra.max(axis=1, keepdims=True))
         shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
-        coarse[rows] = grid[np.argmax(shc, axis=1)]
+        coarse[gated[start : start + step]] = grid[np.argmax(shc, axis=1)]
     return SpectralTrack(coarse, nlfer)
 
 
@@ -402,22 +441,17 @@ def nccf_candidates(
 
     lag_min = max(1, int(math.ceil(rate / config.fmax_hz)))
     lag_max = int(math.floor(rate / config.fmin_hz))
-    if lag_min >= lag_max:
-        raise ValueError(
-            f"pitch search range {config.fmin_hz}-{config.fmax_hz} Hz spans less than"
-            f" two lags at {rate} Hz"
-        )
+    check_search_band(lag_min, lag_max, config.fmin_hz, config.fmax_hz, rate)
 
     # (frame, f0, merit) arrays per block of each branch; the empty first
     # entry stands in for an utterance without frames
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     for branch in preprocessed:
-        frames = frame_signal(branch.samples, frame_len, centers)
         start = 0
-        for block in row_blocks(frames, lag_max):
-            rows, f0, merit = _nccf_peaks(block, lag_min, lag_max, rate, config)
+        for frames in frame_blocks(branch.samples, frame_len, centers, lag_max, frame_signal):
+            rows, f0, merit = _nccf_peaks(frames, lag_min, lag_max, rate, config)
             parts.append((rows + start, f0, merit))
-            start += block.shape[0]
+            start += frames.shape[0]
     rows, f0, merit = (np.concatenate(column) for column in zip(*parts))
     return _merge_close(rows, f0, merit, centers.size)
 

@@ -19,6 +19,7 @@ from pitchbench import (
     SpectralTrack,
     YaaptConfig,
     min_cost_path,
+    pyin_candidates,
     pyin_track,
     spectral_pitch_track,
     yaapt_dp_select,
@@ -448,3 +449,12 @@ class TestLagFrameLength:
         signal = padded_tone(sawtooth(390.0, 0.2, 8000), 8000, 0.1, 0.1)
         with pytest.raises(ValueError, match="spans less than two lags"):
             yaapt_track(signal, YaaptConfig(fmin_hz=385.0, fmax_hz=400.0))
+
+    def test_pyin_band_narrower_than_a_lag_step_is_reported(self):
+        # the same single lag: pYIN has no interior lag to find a minimum at
+        cfg = PyinConfig(fmin_hz=385.0, fmax_hz=400.0)
+        signal = padded_tone(sawtooth(390.0, 0.2, 8000), 8000, 0.1, 0.1)
+        with pytest.raises(ValueError, match="spans less than two lags at 8000.0 Hz"):
+            pyin_track(signal, cfg)
+        frame = signal.samples[800 : 800 + lag_frame_len(cfg.frame_len_ms, 8000, cfg.fmin_hz)]
+        assert pyin_candidates(frame, cfg, 8000) == []

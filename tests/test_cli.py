@@ -87,6 +87,17 @@ class TestDetect:
         f0 = [float(r.split(",")[2]) for r in out.read_text().splitlines()[1:]]
         assert all(v == 0.0 or v >= 280.0 for v in f0)
 
+    @pytest.mark.parametrize("algo", ["pyin", "yaapt"])
+    def test_band_of_one_lag_is_a_runtime_error(self, tmp_path, algo, capsys):
+        wav = tmp_path / "tone8k.wav"
+        write_wav(wav, 8000, sine(390.0, 0.5, 8000))
+        code = main([
+            "detect", "--algo", algo, "--in", str(wav), "--out", str(tmp_path / "t.csv"),
+            "--fmin", "385", "--fmax", "400",
+        ])
+        assert code == 1
+        assert "spans less than two lags" in capsys.readouterr().err
+
     def test_hop_flag_changes_timebase(self, tmp_path, tone_wav):
         out = tmp_path / "hop20.csv"
         code = main([

@@ -1,0 +1,201 @@
+"""The engines' trimmed FFT work against direct formulations.
+
+The lag stage correlates each frame with its head by a circular FFT
+only as long as the frame; direct dot products show no term wraps
+around. The spectral stage transforms only the frames that are scored
+or that can hold a branch's peak; a literal all-frames stage shows the
+coarse track and the NLFER keep every bit.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len, rfft
+
+from pitchbench import AudioSignal, YaaptConfig, frame_signal, spectral_pitch_track
+from pitchbench.signal import _block_rows, _lag_terms, frame_blocks, lag_frame_len
+from pitchbench.yaapt import (
+    _LINE_FLOOR,
+    _NLFER_FFT,
+    _SHC_FFT,
+    _SPECTRAL_TARGET_RATE,
+    _decimate_for_spectral,
+    _front_end,
+    _grid_frequencies,
+    _shc_grid,
+    compute_nlfer,
+)
+from conftest import padded_tone, sawtooth
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Lag stage: no wrap-around
+# ---------------------------------------------------------------------------
+
+# frame lengths of the engines at 44.1 and 22.05 kHz, whose fastest
+# transform is longer than the frame, and odd lengths
+PADDED_SIZES = [1544, 772]
+assert all(next_fast_len(size, real=True) > size for size in PADDED_SIZES)
+
+
+@st.composite
+def lag_problems(draw):
+    size = draw(st.one_of(
+        st.sampled_from(PADDED_SIZES + [1920, 1680, 640, 560]),
+        st.integers(3, 2000).map(lambda n: n | 1),
+        st.integers(3, 2000),
+    ))
+    max_lag = draw(st.integers(1, (size - 1) // 2))  # below half the frame
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(1, 3))
+    t = np.arange(size)
+    frames = rng.standard_normal((n_rows, size)) * 10.0 ** rng.uniform(-3, 1, (n_rows, 1))
+    # a strong periodic part, so wrapped-around tail terms would not cancel
+    frames += np.sin(2 * np.pi * t / rng.uniform(2.5, max(3.0, size / 3)))
+    return frames, max_lag
+
+
+class TestLagTermsDoNotWrap:
+    @settings(max_examples=80, deadline=None)
+    @given(lag_problems())
+    def test_terms_match_direct_sums(self, problem):
+        frames, max_lag = problem
+        head, lagged, cross = _lag_terms(frames, max_lag)
+        width = frames.shape[1] - max_lag
+        for r, x in enumerate(frames):
+            energy = np.dot(x, x)
+            tol = 1e-12 * energy
+            window = x[:width]
+            assert abs(head[r] - np.dot(window, window)) <= tol
+            for tau in range(max_lag + 1):
+                shifted = x[tau : tau + width]
+                assert abs(lagged[r, tau] - np.dot(shifted, shifted)) <= tol
+                assert abs(cross[r, tau] - np.dot(window, shifted)) <= tol
+
+
+class TestFrameBlocks:
+    def test_blocks_are_the_frames_in_order_across_chunks(self):
+        # pYIN's 48 kHz frames, over enough centers for several chunks
+        frame_len, max_lag = 1920, 800
+        x = np.random.default_rng(3).standard_normal(300_000)
+        centers = np.arange(0, x.size, 480)
+        cut = []
+        blocks = list(frame_blocks(
+            x, frame_len, centers, max_lag,
+            lambda *args: cut.append(args[2].size) or frame_signal(*args),
+        ))
+        assert len(cut) > 1  # the chunk callable did the framing, piecewise
+        assert sum(cut) == centers.size
+        step = _block_rows(frame_len, max_lag)
+        assert all(block.shape[0] == step for block in blocks[:-1])
+        assert same_bits(np.concatenate(blocks), frame_signal(x, frame_len, centers))
+
+    def test_no_centers_no_blocks(self):
+        assert list(frame_blocks(np.ones(100), 40, np.zeros(0, dtype=np.int64), 10)) == []
+
+
+# ---------------------------------------------------------------------------
+# Spectral stage: SHC spectra only where they can matter
+# ---------------------------------------------------------------------------
+
+def all_frames_spectral(signal, config):
+    """The spectral stage transforming every frame of both branches: the
+    coarse track, the NLFER, and per branch the frame holding its peak
+    (None for a silent branch)."""
+    centers, pair = _front_end(signal, config)
+    rate = pair[0].sample_rate_hz
+    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
+    rate /= factor
+    centers = np.round(centers / factor).astype(np.int64)
+    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
+
+    def spectrogram(samples, frame_scale, n_fft):
+        frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
+        n_fft = max(n_fft, frame_len)
+        frames = frame_signal(samples, frame_len, centers) * np.hanning(frame_len)
+        return np.abs(rfft(frames, n=n_fft, axis=1)), rate / n_fft
+
+    mags_nlfer, nlfer_res = spectrogram(plain, 1, _NLFER_FFT)
+    nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
+    combined = None
+    peak_frames = []
+    for branch in (plain, nonlinear):
+        mags, freq_res = spectrogram(branch, 2, _SHC_FFT)
+        if combined is None:
+            combined = np.zeros_like(mags)
+        peak = mags.max(initial=0.0)
+        peak_frames.append(int(np.argmax(mags.max(axis=1))) if peak > 0 else None)
+        if peak > 0:
+            combined += mags / peak
+
+    grid = _grid_frequencies(config)
+    grid_bins = np.round(grid / freq_res).astype(np.int64)
+    lo = int(math.ceil(config.fmin_hz / freq_res))
+    hi = min(int(math.floor(config.fmax_hz / freq_res)), combined.shape[1] - 1)
+    coarse = np.zeros(centers.size)
+    for t in np.flatnonzero(nlfer >= config.nlfer_threshold):
+        spectrum = combined[t]
+        line_ok = spectrum[grid_bins] >= _LINE_FLOOR * spectrum[lo : hi + 1].max()
+        if not np.any(line_ok):
+            line_ok = np.ones_like(line_ok)
+        floored = np.maximum(spectrum, _LINE_FLOOR * spectrum.max())
+        shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
+        coarse[t] = grid[int(np.argmax(shc))]
+    return coarse, nlfer, peak_frames
+
+
+def assert_stage_matches(signal, config):
+    track = spectral_pitch_track(signal, config)
+    coarse, nlfer, peak_frames = all_frames_spectral(signal, config)
+    assert same_bits(track.coarse_f0_hz, coarse)
+    assert same_bits(track.nlfer, nlfer)
+    return nlfer >= config.nlfer_threshold, peak_frames
+
+
+RATES = [8000, 16000, 22050, 48000]
+
+
+class TestShcSpectraOnlyWhereNeeded:
+    @pytest.mark.parametrize("rate", RATES)
+    def test_loud_ungated_burst_sets_the_peak(self, rate):
+        # quiet voicing, then a loud 1.2 kHz burst: its frames carry little
+        # band energy, so they are not gated, yet they hold the peak of the
+        # plain branch and cannot be skipped
+        voiced = 0.05 * sawtooth(140.0, 0.5, rate)
+        t = np.arange(int(round(0.3 * rate))) / rate
+        burst = 0.9 * np.sin(2 * np.pi * 1200.0 * t)
+        signal = padded_tone(np.concatenate([voiced, burst]), rate, 0.1, 0.1)
+        gated, peak_frames = assert_stage_matches(signal, YaaptConfig())
+        assert gated.any()
+        assert peak_frames[0] is not None and not gated[peak_frames[0]]
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_no_frame_gated(self, rate):
+        signal = padded_tone(sawtooth(150.0, 0.4, rate), rate, 0.1, 0.1)
+        gated, _ = assert_stage_matches(signal, YaaptConfig(nlfer_threshold=1000.0))
+        assert not gated.any()
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_every_frame_gated(self, rate):
+        rng = np.random.default_rng(rate)
+        tone = sawtooth(180.0, 0.6, rate) + 0.05 * rng.standard_normal(int(round(0.6 * rate)))
+        gated, _ = assert_stage_matches(AudioSignal(tone, rate), YaaptConfig(nlfer_threshold=1e-6))
+        assert gated.all()
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_silence(self, rate):
+        gated, peak_frames = assert_stage_matches(AudioSignal(np.zeros(rate // 2), rate),
+                                                  YaaptConfig())
+        assert not gated.any() and peak_frames == [None, None]
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_empty_signal(self, rate):
+        track = spectral_pitch_track(AudioSignal(np.zeros(0), rate), YaaptConfig())
+        assert len(track) == 0
