@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc
 
 from .signal import (
     AudioSignal,
@@ -64,17 +64,23 @@ class PyinConfig:
         if not 0 < self.fmin_hz < self.fmax_hz:
             raise ValueError(f"need 0 < fmin < fmax, got ({self.fmin_hz}, {self.fmax_hz})")
         if self.frame_len_ms <= 0 or self.hop_ms <= 0:
-            raise ValueError("frame_len_ms and hop_ms must be > 0")
+            raise ValueError(
+                f"frame_len_ms and hop_ms must be > 0, got ({self.frame_len_ms}, {self.hop_ms})"
+            )
         if self.n_thresholds < 1:
             raise ValueError(f"n_thresholds must be >= 1, got {self.n_thresholds}")
         if not 0 < self.threshold_prior_mean < 1:
-            raise ValueError(f"threshold_prior_mean must be in (0,1)")
+            raise ValueError(
+                f"threshold_prior_mean must be in (0,1), got {self.threshold_prior_mean}"
+            )
         if self.bins_per_semitone < 1:
-            raise ValueError(f"bins_per_semitone must be >= 1")
+            raise ValueError(f"bins_per_semitone must be >= 1, got {self.bins_per_semitone}")
         if not 0 < self.switch_prob < 1:
             raise ValueError(f"switch_prob must be in (0,1), got {self.switch_prob}")
         if self.max_transition_semitones <= 0:
-            raise ValueError("max_transition_semitones must be > 0")
+            raise ValueError(
+                f"max_transition_semitones must be > 0, got {self.max_transition_semitones}"
+            )
 
     def validate_rate(self, sample_rate_hz: float) -> None:
         if not self.fmax_hz < sample_rate_hz / 2:
@@ -111,7 +117,7 @@ def _threshold_weights(config: PyinConfig) -> tuple[np.ndarray, np.ndarray]:
     a = 2.0
     b = a * (1.0 - config.threshold_prior_mean) / config.threshold_prior_mean
     grid = np.arange(0, config.n_thresholds + 1) / config.n_thresholds
-    cdf = beta_dist.cdf(grid, a, b)
+    cdf = betainc(a, b, grid)  # the Beta(a, b) CDF
     thresholds, weights = grid[1:], np.diff(cdf)
     thresholds.flags.writeable = False
     weights.flags.writeable = False

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import scipy.signal
 from scipy.fft import next_fast_len, rfft, irfft
 
 
@@ -375,13 +375,41 @@ def nccf(frame: np.ndarray, min_lag: int, max_lag: int) -> LagCurve:
     return LagCurve(nccf_rows(frame[None], min_lag, max_lag)[0], min_lag, max_lag)
 
 
+# a process needs a few designs: one bandpass per band and rate, one
+# low-pass per decimation factor
+@lru_cache(maxsize=32)
+def _fir_taps(numtaps: int, low: float, high: float | None = None) -> np.ndarray:
+    """Hamming-windowed sinc FIR taps, band edges as fractions of Nyquist.
+
+    A low-pass to ``low`` when ``high`` is None, else a bandpass from
+    ``low`` to ``high``; scaled to unit gain at DC or at the band centre.
+    The steps are ``scipy.signal.firwin``'s, in its order, so the taps
+    have its bits. Computed once per design; the array is read-only.
+    """
+    left, right = (0.0, low) if high is None else (low, high)
+    m = np.arange(numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
+    h = np.zeros(numtaps)
+    h += right * np.sinc(right * m)
+    h -= left * np.sinc(left * m)
+    # the symmetric window as a cosine sum; np.hamming rounds differently
+    window = np.zeros(numtaps)
+    window += 0.54
+    window += (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps))
+    h *= window
+    centre = 0.5 * (left + right) if left else 0.0
+    h /= np.sum(h * np.cos(np.pi * m * centre))
+    h.flags.writeable = False
+    return h
+
+
 def _bandpass_taps(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
     # Hamming windowed sinc; transition width ~ low edge so a tone one
     # octave below the edge already sits in the stopband. Odd tap count
     # keeps the group delay an integer number of samples.
     numtaps = int(math.ceil(3.3 * sample_rate_hz / low_hz))
     numtaps |= 1
-    return scipy.signal.firwin(numtaps, [low_hz, high_hz], pass_zero=False, fs=sample_rate_hz)
+    nyquist = 0.5 * sample_rate_hz
+    return _fir_taps(numtaps, low_hz / nyquist, high_hz / nyquist)
 
 
 def bandpass_filter(signal: AudioSignal, low_hz: float, high_hz: float) -> AudioSignal:
@@ -402,7 +430,15 @@ def bandpass_filter(signal: AudioSignal, low_hz: float, high_hz: float) -> Audio
         return AudioSignal(x.copy(), rate)
     taps = _bandpass_taps(low_hz, high_hz, rate)
     delay = taps.size // 2
-    y = scipy.signal.fftconvolve(x, taps, mode="full")[delay : delay + x.size]
+    # the full linear convolution as scipy.signal.fftconvolve computes it,
+    # for its bits: one FFT round trip at the fastest length, in this
+    # operand order, or a plain product for a one-sample input
+    if x.size == 1:
+        full = x * taps
+    else:
+        n = next_fast_len(x.size + taps.size - 1, True)
+        full = irfft(rfft(x, n) * rfft(taps, n), n)
+    y = full[delay : delay + x.size]
     return AudioSignal(y, rate)
 
 

@@ -274,9 +274,11 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
 def write_track(track: PitchTrack, path) -> None:
     """Write a track as canonical CSV: ``frame,time_s,f0_hz[,confidence]``.
 
-    Times carry six decimal places, f0 (and confidence) six significant
-    digits, so a write/read cycle preserves voicing exactly and f0 to
-    well within 1e-4 relative.
+    Times carry six decimal places and f0 six significant digits, so a
+    write/read cycle preserves voicing exactly and f0 to within 5e-6
+    relative. Confidence is written with the shortest digits that read
+    back to the same float: rounded, a confidence just below the
+    reader's threshold could read back at it and voice its frame.
     """
     with_conf = track.confidence is not None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -284,5 +286,5 @@ def write_track(track: PitchTrack, path) -> None:
         for i, f0 in enumerate(track.frames):
             row = f"{i},{i * track.hop_seconds:.6f},{f0:.6g}"
             if with_conf:
-                row += f",{track.confidence[i]:.6g}"
+                row += f",{float(track.confidence[i])!r}"
             fh.write(row + "\n")

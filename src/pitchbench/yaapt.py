@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy.signal
 from scipy.fft import rfft
 
 from .signal import (
     AudioSignal,
+    _fir_taps,
     bandpass_filter,
     check_search_band,
     frame_blocks,
@@ -78,17 +78,24 @@ class YaaptConfig:
         if not 0 < self.bp_low_hz < self.bp_high_hz:
             raise ValueError(f"bad band ({self.bp_low_hz}, {self.bp_high_hz})")
         if self.frame_len_ms <= 0 or self.hop_ms <= 0:
-            raise ValueError("frame_len_ms and hop_ms must be > 0")
+            raise ValueError(
+                f"frame_len_ms and hop_ms must be > 0, got ({self.frame_len_ms}, {self.hop_ms})"
+            )
         if self.shc_num_harmonics < 1:
-            raise ValueError("shc_num_harmonics must be >= 1")
+            raise ValueError(f"shc_num_harmonics must be >= 1, got {self.shc_num_harmonics}")
         if self.shc_window_hz <= 0:
-            raise ValueError("shc_window_hz must be > 0")
+            raise ValueError(f"shc_window_hz must be > 0, got {self.shc_window_hz}")
         if self.nlfer_threshold <= 0:
-            raise ValueError("nlfer_threshold must be > 0")
+            raise ValueError(f"nlfer_threshold must be > 0, got {self.nlfer_threshold}")
         if self.n_candidates_per_frame < 1:
-            raise ValueError("n_candidates_per_frame must be >= 1")
+            raise ValueError(
+                f"n_candidates_per_frame must be >= 1, got {self.n_candidates_per_frame}"
+            )
         if self.dp_freq_jump_weight < 0 or self.dp_voicing_switch_cost < 0:
-            raise ValueError("dynamic-programming weights must be >= 0")
+            raise ValueError(
+                "dynamic-programming weights must be >= 0, got"
+                f" ({self.dp_freq_jump_weight}, {self.dp_voicing_switch_cost})"
+            )
         if self.nonlinearity not in ("square", "abs"):
             raise ValueError(f"nonlinearity must be 'square' or 'abs', got {self.nonlinearity!r}")
 
@@ -220,9 +227,32 @@ def _shc_half_window(config: YaaptConfig, freq_resolution_hz: float) -> int:
 
 
 def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
+    """Every ``factor``-th sample after a zero-phase low-pass to the new
+    Nyquist (Hamming-windowed sinc, ``20 * factor + 1`` taps).
+
+    Output m is centred on input sample ``m * factor``. Each output sums
+    its terms from +0.0 in increasing input order, as the polyphase
+    filter of ``scipy.signal.decimate(..., ftype="fir")`` does, so the
+    bits are that function's.
+    """
     if factor == 1:
         return samples
-    return scipy.signal.decimate(samples, factor, ftype="fir", zero_phase=True)
+    half = 10 * factor
+    taps = _fir_taps(2 * half + 1, 1.0 / factor)
+    n_out = -(-samples.size // factor)
+    # padded[half + j] is samples[j]; phases[r, i] is padded[i * factor + r],
+    # so input offset u = a * factor + r of output m is phases[r, m + a]
+    rows = n_out + 2 * half // factor
+    padded = np.zeros(rows * factor)
+    padded[half : half + samples.size] = samples
+    phases = np.ascontiguousarray(padded.reshape(rows, factor).T)
+    out = np.zeros(n_out)
+    term = np.empty(n_out)
+    for u in range(2 * half + 1):
+        a, r = divmod(u, factor)
+        np.multiply(phases[r, a : a + n_out], taps[2 * half - u], out=term)
+        out += term
+    return out
 
 
 def _frame_and_fft_len(

@@ -1,0 +1,37 @@
+"""Configuration errors name the value that was rejected."""
+import pytest
+
+from pitchbench import PyinConfig, YaaptConfig
+
+# one distinctive bad value per check, so finding it in the message
+# cannot happen by accident
+BAD_VALUES = [
+    (PyinConfig, "fmin_hz", -3.5),
+    (PyinConfig, "frame_len_ms", -40.25),
+    (PyinConfig, "hop_ms", -0.125),
+    (PyinConfig, "n_thresholds", -7),
+    (PyinConfig, "threshold_prior_mean", 1.375),
+    (PyinConfig, "bins_per_semitone", -3),
+    (PyinConfig, "switch_prob", 1.625),
+    (PyinConfig, "max_transition_semitones", -12.5),
+    (YaaptConfig, "fmin_hz", -3.5),
+    (YaaptConfig, "bp_low_hz", -50.5),
+    (YaaptConfig, "frame_len_ms", -35.25),
+    (YaaptConfig, "hop_ms", -0.125),
+    (YaaptConfig, "shc_num_harmonics", -2),
+    (YaaptConfig, "shc_window_hz", -40.5),
+    (YaaptConfig, "nlfer_threshold", -0.875),
+    (YaaptConfig, "n_candidates_per_frame", -4),
+    (YaaptConfig, "dp_freq_jump_weight", -0.375),
+    (YaaptConfig, "dp_voicing_switch_cost", -0.625),
+    (YaaptConfig, "nonlinearity", "cube"),
+]
+
+
+@pytest.mark.parametrize(
+    "config_type, field, value", BAD_VALUES, ids=[f"{t.__name__}.{f}" for t, f, _ in BAD_VALUES]
+)
+def test_error_names_the_bad_value(config_type, field, value):
+    with pytest.raises(ValueError) as err:
+        config_type(**{field: value})
+    assert str(value) in str(err.value)

@@ -1,0 +1,112 @@
+"""The package's own FIR design, bandpass, decimation and Beta prior
+against the SciPy functions they replace, bit for bit, and the import
+graph they leave behind.
+
+The package imports only ``scipy.fft`` and ``scipy.special`` at run
+time: ``scipy.signal`` pulls in ``scipy.stats``, ``scipy.interpolate``
+and ``scipy.optimize`` and costs most of a second of start-up. These
+tests may import the SciPy functions; the package may not.
+"""
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.io.wavfile
+from scipy.signal import decimate, fftconvolve, firwin
+from scipy.stats import beta
+
+import pitchbench
+from pitchbench import AudioSignal, PyinConfig, bandpass_filter
+from pitchbench.pyin import _threshold_weights
+from pitchbench.signal import _bandpass_taps
+from pitchbench.yaapt import _decimate_for_spectral
+
+RATES = [8000, 11025, 16000, 22050, 44100, 48000]
+BANDS = [(50.0, 1500.0), (60.0, 400.0)]  # YAAPT's default band, and a narrow one
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rate", RATES)
+@pytest.mark.parametrize("band", BANDS)
+class TestBandpass:
+    def test_taps_match_firwin(self, rate, band):
+        low, high = band
+        numtaps = int(math.ceil(3.3 * rate / low)) | 1
+        expected = firwin(numtaps, [low, high], pass_zero=False, fs=rate)
+        assert same_bits(_bandpass_taps(low, high, rate), expected)
+
+    def test_filter_matches_fftconvolve(self, rate, band, rng):
+        low, high = band
+        taps = firwin(int(math.ceil(3.3 * rate / low)) | 1, [low, high], pass_zero=False, fs=rate)
+        delay = taps.size // 2
+        for n in (1, 2, rate // 5 + 3):
+            x = rng.standard_normal(n)
+            expected = fftconvolve(x, taps, mode="full")[delay : delay + n]
+            assert same_bits(bandpass_filter(AudioSignal(x, rate), low, high).samples, expected)
+
+
+def test_bandpass_taps_are_cached_and_read_only():
+    taps = _bandpass_taps(50.0, 1500.0, 48000.0)
+    assert taps is _bandpass_taps(50.0, 1500.0, 48000.0)
+    with pytest.raises(ValueError):
+        taps[0] = 0.0
+
+
+@pytest.mark.parametrize("factor", [2, 3, 6])
+def test_decimation_matches_scipy(factor, rng):
+    # empty, one and two samples, then every residue mod the factor
+    lengths = [0, 1, 2] + [10 * factor + r for r in range(factor)] + [16000 + 1]
+    for n in lengths:
+        x = rng.standard_normal(n)
+        expected = decimate(x, factor, ftype="fir", zero_phase=True)
+        assert same_bits(_decimate_for_spectral(x, factor), expected), n
+
+
+@pytest.mark.parametrize("n_thresholds, mean", [(100, 0.1), (100, 0.3), (17, 0.5), (1, 0.05)])
+def test_threshold_prior_matches_beta_cdf(n_thresholds, mean):
+    config = PyinConfig(n_thresholds=n_thresholds, threshold_prior_mean=mean)
+    a = 2.0
+    b = a * (1.0 - mean) / mean
+    grid = np.arange(0, n_thresholds + 1) / n_thresholds
+    thresholds, weights = _threshold_weights(config)
+    assert same_bits(thresholds, grid[1:])
+    assert same_bits(weights, np.diff(beta.cdf(grid, a, b)))
+
+
+HEAVY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+
+GUARD = """
+import sys
+from pitchbench.cli import main
+
+wav, out = sys.argv[1], sys.argv[2]
+for algo in ("pyin", "yaapt"):
+    assert main(["detect", "--algo", algo, "--in", wav, "--out", out]) == 0
+print(",".join(sorted(m for m in sys.modules if m.split(".")[:2] in {prefixes})))
+"""
+
+
+def test_detect_imports_no_heavy_scipy_module(tmp_path):
+    """A fresh interpreter runs ``detect`` with both engines, so imports
+    made lazily inside functions are caught too."""
+    rate = 48000
+    t = np.arange(rate // 2) / rate
+    wav = tmp_path / "tone.wav"
+    scipy.io.wavfile.write(wav, rate, np.round(0.5 * np.sin(2 * np.pi * 150 * t) * 32767).astype(np.int16))
+    src = str(Path(pitchbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    prefixes = [name.split(".") for name in HEAVY_SCIPY]
+    result = subprocess.run(
+        [sys.executable, "-c", GUARD.format(prefixes=prefixes), str(wav), str(tmp_path / "track.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

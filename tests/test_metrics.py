@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pitchbench import (
     CorpusStats,
@@ -144,6 +146,24 @@ class TestEvaluatePair:
             assert s.ref_unvoiced_frames + s.ref_voiced_frames == s.total_frames
             assert s.v2u_errors + s.gross_errors + s.fine_frames == s.ref_voiced_frames
             assert s.both_voiced_frames == s.gross_errors + s.fine_frames
+
+
+track_frames = st.lists(st.one_of(st.just(0.0), st.floats(20.0, 2000.0)), max_size=150).map(
+    lambda f0: np.array(f0, dtype=np.float64)
+)
+
+
+class TestEvaluatePairProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(est=track_frames, ref=track_frames)
+    def test_counter_identities(self, est, ref):
+        s = evaluate_pair(PitchTrack(0.01, est), PitchTrack(0.01, ref))
+        assert s.total_frames == min(est.size, ref.size)
+        assert s.ref_voiced_frames + s.ref_unvoiced_frames == s.total_frames
+        assert s.gross_errors + s.fine_frames == s.both_voiced_frames
+        assert s.u2v_errors <= s.ref_unvoiced_frames
+        assert s.v2u_errors <= s.ref_voiced_frames
+        assert len(s.fine_errors_samples) == s.fine_frames
 
 
 class TestAggregate:

@@ -1,9 +1,13 @@
 import pickle
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pitchbench import (
     PitchTrack,
@@ -278,6 +282,49 @@ class TestWriteTrack:
         assert header == "frame,time_s,f0_hz,confidence"
         back = read_external_track(path, confidence_threshold=0.5)
         np.testing.assert_array_equal(back.frames, [0.0, 200.0])
+
+
+HOP_S = 0.010  # the engines' hop
+
+
+@st.composite
+def written_tracks(draw):
+    """A track at the engines' hop, with or without confidence, and a
+    confidence threshold to read it back with."""
+    n = draw(st.integers(0, 120))
+    f0 = st.one_of(st.just(0.0), st.floats(1e-3, 2e4))
+    frames = np.array(draw(st.lists(f0, min_size=n, max_size=n)), dtype=np.float64)
+    confidence = None
+    if draw(st.booleans()):
+        conf = st.floats(0.0, 1.0)
+        confidence = np.array(draw(st.lists(conf, min_size=n, max_size=n)), dtype=np.float64)
+    return PitchTrack(HOP_S, frames, confidence), draw(st.floats(0.0, 1.0))
+
+
+class TestWriteReadProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(written_tracks())
+    # a confidence that six significant digits would round up to the threshold
+    @example((PitchTrack(HOP_S, np.array([200.0, 200.0]), np.array([0.4999996, 0.5])), 0.5))
+    def test_round_trip(self, case):
+        track, threshold = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "track.csv"
+            write_track(track, path)
+            back = read_external_track(path, confidence_threshold=threshold)
+        expected_voiced = track.frames > 0
+        if track.confidence is not None:
+            expected_voiced &= track.confidence >= threshold
+        np.testing.assert_array_equal(back.frames > 0, expected_voiced)
+        if track.confidence is None:
+            assert back.confidence is None
+        else:
+            np.testing.assert_array_equal(back.confidence, track.confidence)
+        # six significant digits: within half a unit of the sixth digit,
+        # plus the rounding of reading the decimal back
+        f0, f0_back = track.frames[expected_voiced], back.frames[expected_voiced]
+        assert np.all(np.abs(f0_back - f0) <= 5e-6 * f0 + np.spacing(f0))
+        assert back.hop_seconds == HOP_S
 
 
 class TestTrackTypes:
