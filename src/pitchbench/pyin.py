@@ -31,17 +31,18 @@ from scipy.special import betainc
 
 from .signal import (
     AudioSignal,
+    _block_rows,
+    _yin_block,
     check_search_band,
     cmnd,
     cmnd_rows,
-    frame_blocks,
     frame_centers,
     frame_signal,
     lag_frame_len,
     min_cost_path,
     parabolic_vertex,
+    workspace,
     yin_difference,
-    yin_difference_rows,
 )
 from .trackio import PitchTrack
 
@@ -276,6 +277,16 @@ def _transition_weights(config: PyinConfig) -> np.ndarray:
     return weights
 
 
+@lru_cache(maxsize=None)
+def _transition_costs(config: PyinConfig) -> np.ndarray:
+    """``-log`` of :func:`_transition_weights`, computed once per config;
+    read-only."""
+    with np.errstate(divide="ignore"):
+        costs = -np.log(_transition_weights(config))
+    costs.flags.writeable = False
+    return costs
+
+
 def _decode_observations(obs: np.ndarray, config: PyinConfig) -> np.ndarray:
     """Max-product Viterbi over the observation matrix; returns state indices.
 
@@ -291,15 +302,14 @@ def _decode_observations(obs: np.ndarray, config: PyinConfig) -> np.ndarray:
     step whose best cost is finite, and a step whose best cost is
     infinite falls to the first state in either form, state 0.
     """
-    with np.errstate(divide="ignore"):
-        costs = -np.log(obs)
-        trans = -np.log(_transition_weights(config))
     live = obs > 0.0
     live[:, 0] = True
     rows, states = np.nonzero(live)  # row-major: ascending states per frame
     bounds = np.searchsorted(rows, np.arange(obs.shape[0] + 1)).tolist()
     subsets = [states[a:b] for a, b in zip(bounds, bounds[1:])]
-    sparse = costs[rows, states]
+    with np.errstate(divide="ignore"):
+        sparse = -np.log(obs[rows, states])
+    trans = _transition_costs(config)
     path = min_cost_path(
         [sparse[a:b] for a, b in zip(bounds, bounds[1:])],
         lambda t: trans.take(subsets[t - 1], axis=0).take(subsets[t], axis=1),
@@ -342,8 +352,11 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
     lag_min, lag_max = _lag_range(config, rate, frame_len)
     check_search_band(lag_min, lag_max, config.fmin_hz, config.fmax_hz, rate)
     centers = frame_centers(len(signal), config.hop_ms, rate)
+    step = _block_rows(frame_len, lag_max)
     candidate_sets = []
-    for frames in frame_blocks(signal.samples, frame_len, centers, lag_max, frame_signal):
-        d = cmnd_rows(yin_difference_rows(frames, lag_max))
+    for start in range(0, centers.size, step):
+        frames = frame_signal(signal.samples, frame_len, centers[start : start + step])
+        with workspace() as take:
+            d = cmnd_rows(_yin_block(frames, lag_max, take))
         candidate_sets += _candidate_sets(d, lag_min, config, rate)
     return pyin_viterbi(candidate_sets, config, hop_seconds=config.hop_ms / 1000.0)

@@ -10,23 +10,26 @@ normalized cross-correlation function (NCCF).
 The lag curves are computed for a 2-D array of frames at once
 (``yin_difference_rows``, ``cmnd_rows``, ``nccf_rows``): window
 energies come from one cumulative sum along each row, and the
-cross-correlation from one FFT round trip per block of rows, blocks
-being capped at a fixed spectrum size so they stay in cache. The
-engines run their per-frame chains over the ``frame_blocks`` of an
-utterance, which cuts frames a chunk of whole blocks at a time, so
-frames stay per chunk and temporaries per block. The one-frame
-functions ``yin_difference``, ``cmnd`` and ``nccf`` run the same code
-on a single row.
+cross-correlation from one FFT round trip per block of rows. One block
+budget sizes every block: the engines frame an utterance a block at a
+time (frames are views of the signal) and run each block's transforms
+in a :func:`workspace`, a per-thread buffer kept across calls, so the
+hot stages allocate no large temporaries. The one-frame functions
+``yin_difference``, ``cmnd`` and ``nccf`` run the same code on a
+single row.
 """
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
+from numpy.fft import irfft, rfft
+from scipy.fft import next_fast_len
 
 
 @dataclass
@@ -130,28 +133,44 @@ def frame_signal(samples: np.ndarray, frame_len_samples: int, centers: np.ndarra
 
     Row k spans samples ``centers[k] - frame_len//2 .. + frame_len`` of
     the input, zero-padded where it extends past either edge, so its
-    middle element is sample ``centers[k]``. Returns an array of shape
-    ``(len(centers), frame_len_samples)``.
+    middle element is sample ``centers[k]``. Returns a read-only array of
+    shape ``(len(centers), frame_len_samples)``: a strided view of the
+    input when the centers rise by a whole hop, copying only to pad an
+    edge, else a copy.
     """
     if frame_len_samples <= 0:
         raise ValueError(f"frame_len_samples must be > 0, got {frame_len_samples}")
     centers = np.asarray(centers, dtype=np.int64)
     if centers.size == 0:
-        return np.zeros((0, frame_len_samples))
-    if centers.min() < 0:
-        raise ValueError(f"frame centers must be >= 0, got {centers.min()}")
-    x = np.asarray(samples, dtype=np.float64)
-    half = frame_len_samples // 2
+        frames = np.zeros((0, frame_len_samples))
+        frames.flags.writeable = False
+        return frames
+    step = int(centers[1] - centers[0]) if centers.size > 1 else 1
+    even = step > 0 and bool((centers[1:] - centers[:-1] == step).all())
+    low, high = (centers[0], centers[-1]) if even else (centers.min(), centers.max())
+    low, high = int(low), int(high)
+    if low < 0:
+        raise ValueError(f"frame centers must be >= 0, got {low}")
+    x = np.ascontiguousarray(samples, dtype=np.float64)
     # window only the span the frames cover, copied only to pad an edge, so
     # framing costs what it returns however long the signal; span[i] is
     # sample first + i
-    first = int(centers.min()) - half
-    stop = int(centers.max()) - half + frame_len_samples
-    inner = x[max(first, 0) : stop]
-    pad = (max(0, -first), stop - max(first, 0) - inner.size)
-    span = np.pad(inner, pad) if any(pad) else inner
-    windows = np.lib.stride_tricks.sliding_window_view(span, frame_len_samples)
-    return windows[centers - half - first]
+    first = low - frame_len_samples // 2
+    stop = high - frame_len_samples // 2 + frame_len_samples
+    span = x[max(first, 0) : stop]
+    if first < 0 or stop > x.size:
+        padded = np.zeros(stop - first)
+        padded[max(0, -first) : max(0, -first) + span.size] = span
+        span = padded
+    if even:
+        shape, strides = (centers.size, frame_len_samples), (8 * step, 8)
+    else:
+        shape, strides = (span.size - frame_len_samples + 1, frame_len_samples), (8, 8)
+    frames = np.ndarray(shape, np.float64, span, 0, strides)
+    if not even:
+        frames = frames[centers - low]
+    frames.flags.writeable = False
+    return frames
 
 
 def min_cost_path(
@@ -185,87 +204,106 @@ def min_cost_path(
     return states
 
 
-# Spectrum bytes one FFT block may hold: small blocks stay in cache, where
-# a whole utterance's 2-D transform at 48 kHz is slower than a frame loop.
-_BLOCK_SPECTRUM_BYTES = 512 * 1024
+# Workspace bytes one block of rows may take, all its arrays together: a
+# block this size stays in cache, where a whole utterance's 2-D transform
+# at 48 kHz is slower than a loop over blocks. It gives the lag stage the
+# row counts its old spectrum cap gave (21 pYIN frames at 48 kHz, 63 at
+# 16 kHz), and holds a 1 s utterance's bandpass spectrum with its squared
+# branch, and its decimation phases at 48 kHz.
+_BLOCK_BYTES = 960 * 1024
+_ALIGN = 64  # bytes; each workspace array starts on a cache line
+
+
+def budget_rows(row_bytes: int) -> int:
+    """Rows per block when each row takes ``row_bytes`` of workspace."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
+class _Arena(threading.local):
+    """The calling thread's workspace: one byte buffer of the block budget,
+    kept across calls and utterances, handed out front to back."""
+
+    def __init__(self):
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self.used = 0
+
+
+_arena = _Arena()
+
+
+@contextmanager
+def workspace() -> Iterator[Callable[..., np.ndarray]]:
+    """A ``take(shape, dtype)`` that hands out uninitialised arrays, like
+    ``np.empty``, from the thread's reusable buffer; they stay valid until
+    the ``with`` block ends. Arrays that no longer fit the buffer are
+    allocated afresh. Nothing that leaves the package may be a view of
+    one: public functions copy their results out."""
+    arena = _arena
+    if not arena.buffer.size:
+        # room for the alignment padding of a block's arrays
+        arena.buffer = np.empty(_BLOCK_BYTES + 16 * _ALIGN, dtype=np.uint8)
+    mark = arena.used
+
+    def take(shape, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        start = -(-arena.used // _ALIGN) * _ALIGN
+        arena.used = start + math.prod(shape) * dtype.itemsize
+        if arena.used > arena.buffer.size:
+            return np.empty(shape, dtype)
+        return arena.buffer[start : arena.used].view(dtype).reshape(shape)
+
+    try:
+        yield take
+    finally:
+        arena.used = mark
 
 
 def _block_rows(size: int, max_lag: int) -> int:
-    """Rows per FFT block of :func:`_lag_terms` for frames of ``size`` samples.
-
-    As many rows as keep ``_BLOCK_SPECTRUM_BYTES`` of spectrum at the
-    linear-correlation length ``2 * size - max_lag``; the circular
-    transform :func:`_lag_terms` runs is shorter, so its spectra stay
-    well inside the cap.
-    """
-    n = next_fast_len(2 * size - max_lag)
-    return max(1, _BLOCK_SPECTRUM_BYTES // (16 * (n // 2 + 1)))
+    """Rows per block of the lag stage for frames of ``size`` samples: as
+    many as its workspace (energies and two spectra) keeps within the
+    block budget."""
+    n = next_fast_len(size, real=True)
+    return budget_rows(8 * (size + 1) + 32 * (n // 2 + 1))
 
 
 def row_blocks(frames: np.ndarray, max_lag: int) -> list[np.ndarray]:
-    """Consecutive row blocks of ``frames``, each one FFT block of the lag
-    stage. Running a per-frame chain block by block keeps its temporaries
-    per block rather than per utterance."""
+    """Consecutive row blocks of ``frames``, each one block of the lag
+    stage."""
     step = _block_rows(frames.shape[1], max_lag)
     return [frames[start : start + step] for start in range(0, frames.shape[0], step)]
 
 
-# Frame bytes the lag stage cuts at a time, in whole FFT blocks: long
-# inputs are framed piecewise, a short utterance at once. Framing every
-# block on its own measured slower at 48 kHz: without one sizeable
-# allocation per utterance, the allocator hands each block's temporaries
-# back to the system and faults them in again (2-3x the minor faults).
-_CHUNK_FRAME_BYTES = 4 * 1024 * 1024
-
-
-def frame_blocks(
-    samples: np.ndarray,
-    frame_len: int,
-    centers: np.ndarray,
-    max_lag: int,
-    frame: Callable[[np.ndarray, int, np.ndarray], np.ndarray] = frame_signal,
-) -> Iterator[np.ndarray]:
-    """The frames of ``centers`` in consecutive FFT blocks of the lag
-    stage, the :func:`row_blocks` of frames cut a chunk of at most
-    ``_CHUNK_FRAME_BYTES`` at a time, so the stage's memory is bounded
-    by a chunk rather than by the utterance. ``frame`` cuts a chunk with
-    :func:`frame_signal`'s signature; the engines pass the name they
-    import, which the benchmark's tracer wraps."""
-    rows = _block_rows(frame_len, max_lag)
-    rows *= max(1, _CHUNK_FRAME_BYTES // (8 * frame_len * rows))
-    for start in range(0, len(centers), rows):
-        yield from row_blocks(frame(samples, frame_len, centers[start : start + rows]), max_lag)
-
-
-def _lag_terms(frames: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lag_terms(
+    frames: np.ndarray, max_lag: int, take: Callable[..., np.ndarray] = np.empty
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy and correlation terms of every row's lag curves.
 
     With ``width = frames.shape[1] - max_lag``, row r yields its head
     energy ``sum_{j<width} x[j]^2``, the lagged-window energies
     ``sum_{j<width} x[j+tau]^2`` and the cross-correlation
-    ``sum_{j<width} x[j] x[j+tau]`` for tau in 0..max_lag. The
-    correlation runs one FFT round trip per block of rows. Its terms
-    reach sample ``width - 1 + max_lag = size - 1`` at most, so a
-    circular correlation over ``size`` points or more never wraps
-    around: the transform is the fastest length of at least ``size``.
+    ``sum_{j<width} x[j] x[j+tau]`` for tau in 0..max_lag, in arrays
+    from ``take``: the inverse transform overwrites the head's spectrum,
+    and the lagged energies the frames' spectrum, once each is spent.
+    The correlation is one FFT round trip. Its terms reach sample
+    ``width - 1 + max_lag = size - 1`` at most, so a circular
+    correlation over ``size`` points or more never wraps around: the
+    transform is the fastest length of at least ``size``.
     """
     n_rows, size = frames.shape
     width = size - max_lag
-    energy = np.zeros((n_rows, size + 1))
+    energy = take((n_rows, size + 1))
+    energy[:, 0] = 0.0
     np.multiply(frames, frames, out=energy[:, 1:])
     np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
-    head = energy[:, width]
-    lagged = energy[:, width : width + max_lag + 1] - energy[:, : max_lag + 1]
 
     n = next_fast_len(size, real=True)
-    step = _block_rows(size, max_lag)
-    cross = np.empty((n_rows, max_lag + 1))
-    for start in range(0, n_rows, step):
-        block = frames[start : start + step]
-        spec = rfft(block, n, axis=1)
-        spec *= np.conj(rfft(block[:, :width], n, axis=1))
-        cross[start : start + step] = irfft(spec, n, axis=1)[:, : max_lag + 1]
-    return head, lagged, cross
+    spec = rfft(frames, n, axis=1, out=take((n_rows, n // 2 + 1), np.complex128))
+    head_spec = rfft(frames[:, :width], n, axis=1, out=take(spec.shape, np.complex128))
+    spec *= np.conjugate(head_spec, out=head_spec)
+    cross = irfft(spec, n, axis=1, out=head_spec.view(np.float64)[:, :n])
+    lagged = spec.view(np.float64)[:, : max_lag + 1]
+    np.subtract(energy[:, width : width + max_lag + 1], energy[:, : max_lag + 1], out=lagged)
+    return energy[:, width], lagged, cross[:, : max_lag + 1]
 
 
 def _check_lags(size: int, min_lag: int, max_lag: int) -> None:
@@ -287,23 +325,63 @@ def check_search_band(
         )
 
 
-# The row functions below finish the lag terms in place, with the
+# The block functions below finish the lag terms in place, with the
 # operations of their textbook forms in the same order, so each value has
-# the bits the out-of-place expression would give it.
+# the bits the out-of-place expression would give it. Their results live
+# in arrays from ``take``; the engines run them on one block of frames at
+# a time, and the public row functions copy them out block by block.
 
-def yin_difference_rows(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """:func:`yin_difference` of every row of a 2-D frame array."""
-    frames = np.asarray(frames, dtype=np.float64)
+def _yin_block(frames: np.ndarray, max_lag: int, take: Callable[..., np.ndarray]) -> np.ndarray:
+    """:func:`yin_difference` of every row of a block of frames."""
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     _check_lags(frames.shape[1], 1, max_lag)
-    head, d, cross = _lag_terms(frames, max_lag)
+    head, d, cross = _lag_terms(frames, max_lag, take)
     d += head[:, None]  # head + lagged - 2 cross
     cross *= 2.0
     d -= cross
     np.maximum(d, 0.0, out=d)  # clip FFT round-off below zero
     d[:, 0] = 0.0
     return d
+
+
+def _nccf_block(
+    frames: np.ndarray, min_lag: int, max_lag: int, take: Callable[..., np.ndarray]
+) -> np.ndarray:
+    """:func:`nccf` values of every row of a block of frames."""
+    if min_lag < 1:
+        raise ValueError(f"min_lag must be >= 1, got {min_lag}")
+    _check_lags(frames.shape[1], min_lag, max_lag)
+    head, lagged, cross = _lag_terms(frames, max_lag, take)
+    denom = lagged[:, min_lag:]
+    denom *= head[:, None]
+    values = cross[:, min_lag:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(denom, out=denom)  # nan where round-off left it negative
+        values /= denom
+    values[~(denom > 0)] = 0.0  # either energy term vanishes
+    np.clip(values, -1.0, 1.0, out=values)
+    return values
+
+
+def _rows_by_block(
+    frames: np.ndarray, max_lag: int, block: Callable[[np.ndarray, Callable], np.ndarray]
+) -> np.ndarray:
+    """``block(rows, take)`` of each of the :func:`row_blocks` of a 2-D
+    frame array, copied out of the workspace into one new array. An
+    empty array still makes one (empty) call, so its arguments are
+    checked."""
+    frames = np.asarray(frames, dtype=np.float64)
+    parts = []
+    for rows in row_blocks(frames, max_lag) or [frames]:
+        with workspace() as take:
+            parts.append(block(rows, take).copy())
+    return np.concatenate(parts)
+
+
+def yin_difference_rows(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """:func:`yin_difference` of every row of a 2-D frame array."""
+    return _rows_by_block(frames, max_lag, lambda rows, take: _yin_block(rows, max_lag, take))
 
 
 def cmnd_rows(diff: np.ndarray) -> np.ndarray:
@@ -321,20 +399,9 @@ def cmnd_rows(diff: np.ndarray) -> np.ndarray:
 
 def nccf_rows(frames: np.ndarray, min_lag: int, max_lag: int) -> np.ndarray:
     """:func:`nccf` values of every row of a 2-D frame array."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if min_lag < 1:
-        raise ValueError(f"min_lag must be >= 1, got {min_lag}")
-    _check_lags(frames.shape[1], min_lag, max_lag)
-    head, lagged, cross = _lag_terms(frames, max_lag)
-    denom = lagged[:, min_lag:]
-    denom *= head[:, None]
-    values = cross[:, min_lag:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.sqrt(denom, out=denom)  # nan where round-off left it negative
-        values /= denom
-    values[~(denom > 0)] = 0.0  # either energy term vanishes
-    np.clip(values, -1.0, 1.0, out=values)
-    return values
+    return _rows_by_block(
+        frames, max_lag, lambda rows, take: _nccf_block(rows, min_lag, max_lag, take)
+    )
 
 
 def yin_difference(frame: np.ndarray, max_lag: int) -> LagCurve:
@@ -434,12 +501,23 @@ def bandpass_filter(signal: AudioSignal, low_hz: float, high_hz: float) -> Audio
     # for its bits: one FFT round trip at the fastest length, in this
     # operand order, or a plain product for a one-sample input
     if x.size == 1:
-        full = x * taps
-    else:
-        n = next_fast_len(x.size + taps.size - 1, True)
-        full = irfft(rfft(x, n) * rfft(taps, n), n)
-    y = full[delay : delay + x.size]
-    return AudioSignal(y, rate)
+        return AudioSignal((x * taps)[delay : delay + 1], rate)
+    n = next_fast_len(x.size + taps.size - 1, True)
+    with workspace() as take:
+        spectrum = rfft(x, n, out=take((n // 2 + 1,), np.complex128))
+        spectrum *= _taps_spectrum(low_hz, high_hz, rate, n)
+        full = irfft(spectrum, n)
+    return AudioSignal(full[delay : delay + x.size], rate)
+
+
+# the two branches of a YAAPT call share one, and so do files of one length
+@lru_cache(maxsize=2)
+def _taps_spectrum(low_hz: float, high_hz: float, sample_rate_hz: float, n: int) -> np.ndarray:
+    """``n``-point spectrum of the bandpass taps, computed once per design
+    and transform length; read-only."""
+    spectrum = rfft(_bandpass_taps(low_hz, high_hz, sample_rate_hz), n)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def parabolic_refine(curve: LagCurve, lag: int) -> float:

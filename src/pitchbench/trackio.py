@@ -87,7 +87,8 @@ def _decode_pcm(raw: bytes, bits: int, fmt: int, data_offset: int) -> np.ndarray
     if fmt == _WAVE_FORMAT_IEEE_FLOAT:
         if bits != 32:
             raise WavFormatError(f"unsupported float bit depth {bits}", data_offset)
-        return np.frombuffer(raw[: len(raw) // 4 * 4], dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # signalling NaNs; read_wav rejects them
+            return np.frombuffer(raw[: len(raw) // 4 * 4], dtype="<f4").astype(np.float64)
     if bits == 16:
         ints = np.frombuffer(raw[: len(raw) // 2 * 2], dtype="<i2")
         return ints.astype(np.float64) / 32768.0
@@ -121,6 +122,7 @@ def read_wav(path) -> AudioSignal:
 
     fmt_fields = None
     fmt_offset = 12
+    fmt_size = 0
     pcm_raw = None
     data_offset = 12
     pos = 12
@@ -137,6 +139,7 @@ def read_wav(path) -> AudioSignal:
                 raise WavFormatError("'fmt ' chunk shorter than 16 bytes", pos)
             fmt_fields = struct.unpack_from("<HHIIHH", body, 0)
             fmt_offset = pos + 8
+            fmt_size = chunk_size
         elif chunk_id == b"data":
             pcm_raw = body
             data_offset = pos + 8
@@ -150,8 +153,8 @@ def read_wav(path) -> AudioSignal:
     audio_format, n_channels, sample_rate, _byte_rate, _block_align, bits = fmt_fields
     if audio_format == _WAVE_FORMAT_EXTENSIBLE:
         # actual format is the first word of the SubFormat GUID
-        if len(data) < fmt_offset + 26:
-            raise WavFormatError("extensible 'fmt ' chunk truncated", fmt_offset)
+        if fmt_size < 26:
+            raise WavFormatError("extensible 'fmt ' chunk shorter than 26 bytes", fmt_offset)
         (audio_format,) = struct.unpack_from("<H", data, fmt_offset + 24)
     if audio_format not in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT):
         raise WavFormatError(
@@ -167,6 +170,12 @@ def read_wav(path) -> AudioSignal:
     if n_channels > 1:
         samples = samples[: samples.size // n_channels * n_channels]
         samples = samples.reshape(-1, n_channels)[:, 0].copy()
+    bad = np.flatnonzero(~np.isfinite(samples))  # only float data can hold any
+    if bad.size:
+        k = int(bad[0])
+        raise WavFormatError(
+            f"sample {k} is {samples[k]}, not finite", data_offset + k * n_channels * bits // 8
+        )
     return AudioSignal(samples, float(sample_rate))
 
 

@@ -21,23 +21,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.fft import rfft
+from numpy.fft import rfft
 
 from .signal import (
     AudioSignal,
+    _block_rows,
     _fir_taps,
+    _nccf_block,
     bandpass_filter,
+    budget_rows,
     check_search_band,
-    frame_blocks,
     frame_centers,
     frame_signal,
     lag_frame_len,
     min_cost_path,
-    nccf_rows,
     parabolic_vertex,
+    workspace,
 )
 from .trackio import PitchTrack
 
@@ -46,12 +48,6 @@ _NLFER_FFT = 1024
 _SHC_FFT = 2048  # the SHC stage doubles the analysis window, needing more room
 _GRID_STEPS_PER_OCTAVE = 24
 _LINE_FLOOR = 0.05  # fraction of the band maximum a grid point's own line must reach
-# Cap on the spectral stage's temporaries per block of frames, so a long
-# utterance is never transformed or scored all at once: complex spectrum
-# bytes per spectrogram block (31 frames of the 2048-point SHC transform)
-# and gathered SHC product bytes per scoring block (49 frames at the
-# defaults)
-_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -145,13 +141,15 @@ def yaapt_preprocess(signal: AudioSignal, config: YaaptConfig) -> tuple[AudioSig
     """
     config.validate_rate(signal.sample_rate_hz)
     plain = bandpass_filter(signal, config.bp_low_hz, config.bp_high_hz)
-    if config.nonlinearity == "square":
-        warped = signal.samples * signal.samples
-    else:
-        warped = np.abs(signal.samples)
-    nonlinear = bandpass_filter(
-        AudioSignal(warped, signal.sample_rate_hz), config.bp_low_hz, config.bp_high_hz
-    )
+    with workspace() as take:
+        warped = take(signal.samples.shape)
+        if config.nonlinearity == "square":
+            np.multiply(signal.samples, signal.samples, out=warped)
+        else:
+            np.abs(signal.samples, out=warped)
+        nonlinear = bandpass_filter(
+            AudioSignal(warped, signal.sample_rate_hz), config.bp_low_hz, config.bp_high_hz
+        )
     return plain, nonlinear
 
 
@@ -203,32 +201,41 @@ def compute_shc(
 
 
 def _shc_grid(
-    spectra: np.ndarray, grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: float
+    spectra: np.ndarray,
+    grid_hz: np.ndarray,
+    config: YaaptConfig,
+    freq_resolution_hz: float,
+    take: Callable[..., np.ndarray] = np.empty,
 ) -> np.ndarray:
     """SHC at every frequency of a grid, of one spectrum or of every row of
-    a 2-D array of spectra; :func:`compute_shc` is its checked
-    one-frequency form."""
-    n_harm = config.shc_num_harmonics + 1
-    k = _shc_half_window(config, freq_resolution_hz)
-    harmonics = np.arange(1, n_harm + 1)
-    base = np.round(grid_hz[:, None] * harmonics[None, :] / freq_resolution_hz).astype(np.int64)
-    offsets = np.arange(-k, k + 1)
-    idx = base[:, :, None] + offsets[None, None, :]
+    a 2-D array of spectra, its temporaries from ``take``;
+    :func:`compute_shc` is its checked one-frequency form."""
+    idx = _shc_bins(grid_hz, config, freq_resolution_hz)
+    if idx.max() >= spectra.shape[-1]:
+        raise IndexError(f"SHC bin {idx.max()} is past the {spectra.shape[-1]} bins of a spectrum")
+    # as spectra[..., idx], negative bins counting from the end
+    gathered = take(spectra.shape[:-1] + idx.shape)
+    np.take(spectra, idx, axis=-1, out=gathered, mode="wrap")
     # NumPy sums a contiguous axis pairwise and a strided one in sequence;
     # summing over contiguous offsets, as for one spectrum, gives every
     # row the same bits as a one-spectrum call
-    products = np.ascontiguousarray(np.prod(spectra[..., idx], axis=-2))
+    products = np.prod(gathered, axis=-2, out=take(gathered.shape[:-2] + idx.shape[-1:]))
     return np.sum(products, axis=-1)
 
 
-def _shc_half_window(config: YaaptConfig, freq_resolution_hz: float) -> int:
-    """Spectrum bins the SHC window reaches on each side of a harmonic."""
-    return int(math.floor(config.shc_window_hz / 2.0 / freq_resolution_hz))
+def _shc_bins(grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: float) -> np.ndarray:
+    """Spectrum bin of each SHC term: ``[grid point, harmonic, window
+    offset]``."""
+    k = int(math.floor(config.shc_window_hz / 2.0 / freq_resolution_hz))
+    harmonics = np.arange(1, config.shc_num_harmonics + 2)
+    base = np.round(grid_hz[:, None] * harmonics[None, :] / freq_resolution_hz).astype(np.int64)
+    return base[:, :, None] + np.arange(-k, k + 1)[None, None, :]
 
 
-def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
+def _decimate_for_spectral(samples: np.ndarray, factor: int, margin: int = 0) -> np.ndarray:
     """Every ``factor``-th sample after a zero-phase low-pass to the new
-    Nyquist (Hamming-windowed sinc, ``20 * factor + 1`` taps).
+    Nyquist (Hamming-windowed sinc, ``20 * factor + 1`` taps), with
+    ``margin`` zeros before and after.
 
     Output m is centred on input sample ``m * factor``. Each output sums
     its terms from +0.0 in increasing input order, as the polyphase
@@ -236,23 +243,28 @@ def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
     bits are that function's.
     """
     if factor == 1:
-        return samples
+        return np.pad(samples, margin) if margin else samples
     half = 10 * factor
     taps = _fir_taps(2 * half + 1, 1.0 / factor)
     n_out = -(-samples.size // factor)
     # padded[half + j] is samples[j]; phases[r, i] is padded[i * factor + r],
     # so input offset u = a * factor + r of output m is phases[r, m + a]
     rows = n_out + 2 * half // factor
-    padded = np.zeros(rows * factor)
-    padded[half : half + samples.size] = samples
-    phases = np.ascontiguousarray(padded.reshape(rows, factor).T)
-    out = np.zeros(n_out)
-    term = np.empty(n_out)
-    for u in range(2 * half + 1):
-        a, r = divmod(u, factor)
-        np.multiply(phases[r, a : a + n_out], taps[2 * half - u], out=term)
-        out += term
-    return out
+    decimated = np.zeros(n_out + 2 * margin)
+    out = decimated[margin : margin + n_out]
+    with workspace() as take:
+        padded = take((rows * factor,))
+        padded[:half] = 0.0
+        padded[half : half + samples.size] = samples
+        padded[half + samples.size :] = 0.0
+        phases = take((factor, rows))
+        phases[...] = padded.reshape(rows, factor).T
+        term = take((n_out,))
+        for u in range(2 * half + 1):
+            a, r = divmod(u, factor)
+            np.multiply(phases[r, a : a + n_out], taps[2 * half - u], out=term)
+            out += term
+    return decimated
 
 
 def _frame_and_fft_len(
@@ -268,16 +280,25 @@ def _frame_and_fft_len(
 
 
 def _windowed_blocks(
-    samples: np.ndarray, frame_len: int, centers: np.ndarray, n_fft: int
-) -> Iterator[np.ndarray]:
-    """Hann-windowed frames of a decimated branch, row k centered on
-    sample ``centers[k]``, in consecutive blocks whose ``n_fft``-point
-    complex spectra fill at most ``_BLOCK_BYTES`` (and so do the frames,
-    ``n_fft`` being at least the frame length)."""
+    samples: np.ndarray, frame_len: int, centers: np.ndarray, rows: np.ndarray, row_bytes: int
+) -> Iterator[tuple[int, np.ndarray, Callable[..., np.ndarray]]]:
+    """Hann-windowed frames ``rows`` (ascending) of a decimated branch,
+    frame k centered on sample ``centers[k]``, in consecutive blocks:
+    ``(first row, frames, take)``, the frames and the caller's
+    ``row_bytes`` per frame taken for the block living in one workspace
+    within the block budget."""
     window = np.hanning(frame_len)
-    step = max(1, _BLOCK_BYTES // (16 * (n_fft // 2 + 1)))
-    for start in range(0, centers.size, step):
-        yield frame_signal(samples, frame_len, centers[start : start + step]) * window
+    step = budget_rows(8 * frame_len + row_bytes)
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        with workspace() as take:
+            out = take((block.size, frame_len))
+            # the frames of a run of consecutive rows are one view of the branch
+            cuts = [0, *(np.flatnonzero(np.diff(block) != 1) + 1).tolist(), block.size]
+            for a, b in zip(cuts, cuts[1:]):
+                frames = frame_signal(samples, frame_len, centers[block[a] : block[b - 1] + 1])
+                np.multiply(frames, window, out=out[a:b])
+            yield start, out, take
 
 
 def _branch_spectrogram(
@@ -287,27 +308,40 @@ def _branch_spectrogram(
     config: YaaptConfig,
     frame_scale: int = 1,
     n_fft: int = _NLFER_FFT,
+    rows: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    max_hz: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Magnitude spectra of the :func:`_windowed_blocks` of a branch, and
-    their frequency resolution. Neither frames nor complex spectra are
-    held for the whole utterance. Rows are transformed independently: a
-    frame's spectrum has the same bits whichever frames share its
-    block."""
+    """Magnitude spectra of the :func:`_windowed_blocks` of a branch (of
+    every frame, or of ``rows``; in a new array or in ``out``; of every
+    bin, or of those up to ``max_hz``), and their frequency
+    resolution. Neither frames nor complex spectra are held for the
+    whole utterance. Rows are transformed independently: a frame's
+    spectrum has the same bits whichever frames share its block."""
     frame_len, n_fft = _frame_and_fft_len(rate, config, frame_scale, n_fft)
-    mags = np.empty((centers.size, n_fft // 2 + 1))
-    start = 0
-    for block in _windowed_blocks(samples, frame_len, centers, n_fft):
-        mags[start : start + block.shape[0]] = np.abs(rfft(block, n=n_fft, axis=1))
-        start += block.shape[0]
-    return mags, rate / n_fft
+    freq_res = rate / n_fft
+    bins = n_fft // 2 if max_hz is None else min(int(math.floor(max_hz / freq_res)), n_fft // 2)
+    rows = np.arange(centers.size) if rows is None else rows
+    mags = np.empty((rows.size, bins + 1)) if out is None else out
+    row_bytes = 16 * (n_fft // 2 + 1)
+    for start, frames, take in _windowed_blocks(samples, frame_len, centers, rows, row_bytes):
+        spectra = rfft(frames, n_fft, axis=1, out=take((len(frames), n_fft // 2 + 1), complex))
+        np.abs(spectra[:, : bins + 1], out=mags[start : start + len(frames)])
+    return mags, freq_res
 
 
-def _scaled_shc_spectra(
-    samples: np.ndarray, rate: float, centers: np.ndarray, gated: np.ndarray, config: YaaptConfig
+def _combined_shc_spectra(
+    branches: tuple[np.ndarray, np.ndarray],
+    rate: float,
+    centers: np.ndarray,
+    gated: np.ndarray,
+    config: YaaptConfig,
 ) -> tuple[np.ndarray, float]:
-    """SHC-stage magnitude spectra of the ``gated`` frames of a branch,
-    divided by the branch's peak magnitude over all frames unless that
-    peak is 0, and their frequency resolution.
+    """SHC-stage magnitude spectra of the ``gated`` frames, each branch's
+    divided by its peak magnitude over all frames unless that peak is 0,
+    summed over the branches; and their frequency resolution. Both
+    branches' spectra are held in one array, the stage's one large
+    allocation per utterance.
 
     A frame's windowed L1 norm ``sum |w x|`` bounds every magnitude of
     its spectrum, so a frame outside ``gated`` can raise the peak only
@@ -316,18 +350,22 @@ def _scaled_shc_spectra(
     round-off of the norm and of the transform, so the peak is the
     all-frames maximum bit for bit.
     """
-    mags, freq_res = _branch_spectrogram(samples, rate, centers[gated], config, 2, _SHC_FFT)
-    peak = mags.max(initial=0.0)
     frame_len, n_fft = _frame_and_fft_len(rate, config, 2, _SHC_FFT)
-    rest = np.delete(centers, gated)
-    for block in _windowed_blocks(samples, frame_len, rest, n_fft):
-        norms = np.abs(block).sum(axis=1)
-        loud = block[(norms > 0.0) & (norms >= peak * (1.0 - 1e-9))]
-        if loud.size:
-            peak = max(peak, np.abs(rfft(loud, n=n_fft, axis=1)).max())
-    if peak > 0:
-        mags /= peak
-    return mags, freq_res
+    rest = np.delete(np.arange(centers.size), gated)
+    mags = np.empty((2, gated.size, n_fft // 2 + 1))
+    for samples, scaled in zip(branches, mags):
+        _branch_spectrogram(samples, rate, centers, config, 2, _SHC_FFT, gated, scaled)
+        peak = scaled.max(initial=0.0)
+        for _, frames, take in _windowed_blocks(samples, frame_len, centers, rest, 8 * frame_len):
+            norms = np.abs(frames, out=take(frames.shape)).sum(axis=1)
+            loud = frames[(norms > 0.0) & (norms >= peak * (1.0 - 1e-9))]
+            if loud.size:
+                peak = max(peak, np.abs(rfft(loud, n=n_fft, axis=1)).max())
+        if peak > 0:
+            scaled /= peak
+    combined, nonlinear = mags
+    combined += nonlinear
+    return combined, rate / n_fft
 
 
 def _grid_frequencies(config: YaaptConfig) -> np.ndarray:
@@ -343,10 +381,14 @@ def _spectral_from_pair(
     rate = pair[0].sample_rate_hz
     factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
     rate /= factor
-    centers = np.round(centers / factor).astype(np.int64)
-    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
-    mags_nlfer, nlfer_res = _branch_spectrogram(plain, rate, centers, config)
-    nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
+    # zeros a frame long on either side, so that every frame of the stage
+    # is a view of its branch
+    margin = _frame_and_fft_len(rate, config, 2, _SHC_FFT)[0]
+    centers = np.round(centers / factor).astype(np.int64) + margin
+    plain, nonlinear = (_decimate_for_spectral(b.samples, factor, margin) for b in pair)
+    # NLFER reads no bin above fmax
+    mags_nlfer, res = _branch_spectrogram(plain, rate, centers, config, max_hz=config.fmax_hz)
+    nlfer = compute_nlfer(mags_nlfer, config, res)
     coarse = np.zeros(centers.size)
     gated = np.flatnonzero(nlfer >= config.nlfer_threshold)
     if not gated.size:
@@ -355,8 +397,7 @@ def _spectral_from_pair(
     # Combine the branches on equal footing; each branch is scaled by its
     # own utterance-wide maximum so absolute gain cancels. Only gated
     # frames are scored, so only theirs are combined.
-    combined, freq_res = _scaled_shc_spectra(plain, rate, centers, gated, config)
-    combined += _scaled_shc_spectra(nonlinear, rate, centers, gated, config)[0]
+    combined, freq_res = _combined_shc_spectra((plain, nonlinear), rate, centers, gated, config)
 
     grid = _grid_frequencies(config)
     grid_bins = np.round(grid / freq_res).astype(np.int64)
@@ -366,16 +407,20 @@ def _spectral_from_pair(
     # Absent harmonics enter the SHC product at a fixed floor rather than
     # at the leakage level: a spectrum with two real lines then always
     # outscores one with a single line, instead of the argmax drifting on
-    # leakage noise when the signal is harmonic-poor.
-    terms = (config.shc_num_harmonics + 1) * (2 * _shc_half_window(config, freq_res) + 1)
-    step = max(1, _BLOCK_BYTES // (8 * grid.size * terms))
+    # leakage noise when the signal is harmonic-poor. A block's workspace
+    # per frame holds its floored spectrum, gathered SHC terms and their
+    # products over harmonics.
+    terms = _shc_bins(grid, config, freq_res)
+    step = budget_rows(8 * (combined.shape[1] + terms.size + grid.size * terms.shape[-1]))
     for start in range(0, gated.size, step):
         spectra = combined[start : start + step]
         band_peak = spectra[:, lo : hi + 1].max(axis=1, keepdims=True)
         line_ok = spectra[:, grid_bins] >= _LINE_FLOOR * band_peak
         line_ok[~line_ok.any(axis=1)] = True  # degenerate; fall back to the full grid
-        floored = np.maximum(spectra, _LINE_FLOOR * spectra.max(axis=1, keepdims=True))
-        shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
+        with workspace() as take:
+            floor = _LINE_FLOOR * spectra.max(axis=1, keepdims=True)
+            floored = np.maximum(spectra, floor, out=take(spectra.shape))
+            shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res, take), -1.0)
         coarse[gated[start : start + step]] = grid[np.argmax(shc, axis=1)]
     return SpectralTrack(coarse, nlfer)
 
@@ -395,12 +440,19 @@ def spectral_pitch_track(signal: AudioSignal, config: YaaptConfig) -> SpectralTr
 
 
 def _nccf_peaks(
-    frames: np.ndarray, lag_min: int, lag_max: int, rate: float, config: YaaptConfig
+    frames: np.ndarray,
+    lag_min: int,
+    lag_max: int,
+    rate: float,
+    config: YaaptConfig,
+    take: Callable[..., np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates of one branch as (frame, f0, merit) arrays, by frame and
-    then merit: each frame's ``n_candidates_per_frame`` highest positive
-    NCCF maxima (ties to the shorter lag), refined parabolically."""
-    v = nccf_rows(frames, lag_min, lag_max)
+    """Candidates of a block of frames of one branch as (frame, f0, merit)
+    arrays, by frame and then merit: each frame's
+    ``n_candidates_per_frame`` highest positive NCCF maxima (ties to the
+    shorter lag), refined parabolically. The NCCF lives in ``take``'s
+    arrays; the results do not."""
+    v = _nccf_block(frames, lag_min, lag_max, take)
     inner = v[:, 1:-1]
     is_max = (inner > v[:, :-2]) & (inner >= v[:, 2:]) & (inner > 0)
     rows, cols = np.nonzero(is_max)
@@ -476,12 +528,13 @@ def nccf_candidates(
     # (frame, f0, merit) arrays per block of each branch; the empty first
     # entry stands in for an utterance without frames
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+    step = _block_rows(frame_len, lag_max)
     for branch in preprocessed:
-        start = 0
-        for frames in frame_blocks(branch.samples, frame_len, centers, lag_max, frame_signal):
-            rows, f0, merit = _nccf_peaks(frames, lag_min, lag_max, rate, config)
+        for start in range(0, centers.size, step):
+            frames = frame_signal(branch.samples, frame_len, centers[start : start + step])
+            with workspace() as take:
+                rows, f0, merit = _nccf_peaks(frames, lag_min, lag_max, rate, config, take)
             parts.append((rows + start, f0, merit))
-            start += frames.shape[0]
     rows, f0, merit = (np.concatenate(column) for column in zip(*parts))
     return _merge_close(rows, f0, merit, centers.size)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len, rfft
 
 from pitchbench import AudioSignal, YaaptConfig, frame_signal, spectral_pitch_track
-from pitchbench.signal import _block_rows, _lag_terms, frame_blocks, lag_frame_len
+from pitchbench.signal import _lag_terms, lag_frame_len
 from pitchbench.yaapt import (
     _LINE_FLOOR,
     _NLFER_FFT,
@@ -78,27 +78,6 @@ class TestLagTermsDoNotWrap:
                 shifted = x[tau : tau + width]
                 assert abs(lagged[r, tau] - np.dot(shifted, shifted)) <= tol
                 assert abs(cross[r, tau] - np.dot(window, shifted)) <= tol
-
-
-class TestFrameBlocks:
-    def test_blocks_are_the_frames_in_order_across_chunks(self):
-        # pYIN's 48 kHz frames, over enough centers for several chunks
-        frame_len, max_lag = 1920, 800
-        x = np.random.default_rng(3).standard_normal(300_000)
-        centers = np.arange(0, x.size, 480)
-        cut = []
-        blocks = list(frame_blocks(
-            x, frame_len, centers, max_lag,
-            lambda *args: cut.append(args[2].size) or frame_signal(*args),
-        ))
-        assert len(cut) > 1  # the chunk callable did the framing, piecewise
-        assert sum(cut) == centers.size
-        step = _block_rows(frame_len, max_lag)
-        assert all(block.shape[0] == step for block in blocks[:-1])
-        assert same_bits(np.concatenate(blocks), frame_signal(x, frame_len, centers))
-
-    def test_no_centers_no_blocks(self):
-        assert list(frame_blocks(np.ones(100), 40, np.zeros(0, dtype=np.int64), 10)) == []
 
 
 # ---------------------------------------------------------------------------
