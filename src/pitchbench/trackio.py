@@ -10,7 +10,10 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -183,30 +186,59 @@ def read_wav(path) -> AudioSignal:
 # Reference trajectories (plain text, one frame per line)
 # ---------------------------------------------------------------------------
 
+_CHUNK_ROWS = 1024  # lines or CSV rows a track reader converts at a time
+
+
+def _chunks(rows) -> Iterator[list]:
+    """Successive lists of up to ``_CHUNK_ROWS`` items of ``rows``; a decode
+    or CSV error comes after the items read before it, as item by item."""
+    while True:
+        chunk = []
+        try:
+            chunk.extend(islice(rows, _CHUNK_ROWS))
+        except (ValueError, csv.Error):
+            yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
 def read_reference_track(path, hop_seconds: float = 0.010) -> PitchTrack:
     """Read a reference pitch trajectory: one frame per line, first
     whitespace-separated field is f0 in Hz (0 = unvoiced), any further
     columns ignored, blank lines skipped.
     """
-    values = []
+    parts, lineno = [np.empty(0)], 1
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            token = stripped.split()[0]
+        for lines in _chunks(fh):
+            tokens = [fields[0] for fields in map(str.split, lines) if fields]
             try:
-                f0 = float(token)
+                f0 = np.fromiter(map(float, tokens), np.float64, len(tokens))
+                ok = np.all((f0 >= 0) & (f0 < np.inf))
             except ValueError:
-                raise TrackFormatError(
-                    f"{path}:{lineno}: non-numeric f0 field {token!r}"
-                ) from None
-            if not np.isfinite(f0):
-                raise TrackFormatError(f"{path}:{lineno}: non-finite f0 {token!r}")
-            if f0 < 0:
-                raise TrackFormatError(f"{path}:{lineno}: negative f0 {f0}")
-            values.append(f0)
-    return PitchTrack(hop_seconds, np.asarray(values, dtype=np.float64))
+                ok = False
+            if not ok:
+                _raise_first_bad_line(path, lines, lineno)
+            parts.append(f0)
+            lineno += len(lines)
+    return PitchTrack(hop_seconds, np.concatenate(parts))
+
+
+def _raise_first_bad_line(path, lines: list[str], lineno: int) -> None:
+    """Raise for the first of ``lines`` (numbered from ``lineno``) with a bad f0."""
+    for lineno, fields in enumerate(map(str.split, lines), start=lineno):
+        token = fields[0] if fields else "0"
+        try:
+            f0 = float(token)
+        except ValueError:
+            raise TrackFormatError(
+                f"{path}:{lineno}: non-numeric f0 field {token!r}"
+            ) from None
+        if not np.isfinite(f0):
+            raise TrackFormatError(f"{path}:{lineno}: non-finite f0 {token!r}")
+        if f0 < 0:
+            raise TrackFormatError(f"{path}:{lineno}: negative f0 {f0}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +269,32 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
             raise TrackFormatError(f"{path}: missing 'time_s' column in header {header}")
         t_col, f_col = columns["time_s"], columns["f0_hz"]
         c_col = columns.get("confidence")
+        cols = [t_col, f_col] if c_col is None else [t_col, f_col, c_col]
 
-        times, f0s, confs, linenos = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            linenos.append(lineno)
+        def convert(rows):
+            return [np.fromiter(map(float, map(itemgetter(c), rows)), np.float64, len(rows))
+                    for c in cols]
+
+        parts, skipped, lineno = [convert([])], [], 2
+        for rows in _chunks(reader):
             try:
-                times.append(float(row[t_col]))
-                f0s.append(float(row[f_col]))
-                if c_col is not None:
-                    confs.append(float(row[c_col]))
-            except (ValueError, IndexError):
-                raise TrackFormatError(f"{path}:{lineno}: malformed row {row}") from None
+                parts.append(convert(rows))
+            except (ValueError, IndexError):  # blank or malformed rows: one at a time
+                kept = []
+                for n, row in enumerate(rows, start=lineno):
+                    if not any(map(str.strip, row)):
+                        skipped.append(n)
+                        continue
+                    try:
+                        convert([row])
+                    except (ValueError, IndexError):
+                        raise TrackFormatError(f"{path}:{n}: malformed row {row}") from None
+                    kept.append(row)
+                parts.append(convert(kept))
+            lineno += len(rows)
 
-    times = np.asarray(times)
-    f0s = np.asarray(f0s, dtype=np.float64)
-    confidence = np.asarray(confs, dtype=np.float64) if c_col is not None else None
+    times, f0s, *confs = (np.concatenate(column) for column in zip(*parts))
+    confidence = confs[0] if confs else None
     checks = [
         (np.isfinite(times), "time_s must be finite", times),
         (np.isfinite(f0s) & (f0s >= 0), "f0_hz must be finite and >= 0", f0s),
@@ -264,7 +305,10 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
     for ok, rule, values in checks:
         if not ok.all():
             i = int(np.argmin(ok))
-            raise TrackFormatError(f"{path}:{linenos[i]}: {rule}, got {values[i]}")
+            lineno = i + 2
+            for n in skipped:  # each blank row up to it moves it down a row
+                lineno += n <= lineno
+            raise TrackFormatError(f"{path}:{lineno}: {rule}, got {values[i]}")
     if times.size >= 2:
         hops = np.diff(times)
         if np.any(np.abs(hops - hops[0]) > 1e-6):

@@ -81,6 +81,10 @@ class YaaptConfig:
             raise ValueError(f"shc_num_harmonics must be >= 1, got {self.shc_num_harmonics}")
         if self.shc_window_hz <= 0:
             raise ValueError(f"shc_window_hz must be > 0, got {self.shc_window_hz}")
+        if self.fmin_hz < self.shc_window_hz / 2:  # SHC terms would read below 0 Hz
+            raise ValueError(
+                f"fmin {self.fmin_hz} Hz is below half the SHC window {self.shc_window_hz} Hz"
+            )
         if self.nlfer_threshold <= 0:
             raise ValueError(f"nlfer_threshold must be > 0, got {self.nlfer_threshold}")
         if self.n_candidates_per_frame < 1:
@@ -101,6 +105,14 @@ class YaaptConfig:
             raise ValueError(f"fmax {self.fmax_hz} Hz must be below Nyquist {nyquist} Hz")
         if not self.bp_high_hz < nyquist:
             raise ValueError(f"band edge {self.bp_high_hz} Hz must be below Nyquist {nyquist} Hz")
+        # compute_shc's range rule, at the rate of the spectral stage
+        shc_top = (self.shc_num_harmonics + 1) * self.fmax_hz + self.shc_window_hz / 2
+        shc_nyquist = sample_rate_hz / _spectral_factor(sample_rate_hz) / 2
+        if shc_top > shc_nyquist:
+            raise ValueError(
+                f"SHC reaches {shc_top} Hz ((shc_num_harmonics + 1) * fmax + shc_window / 2),"
+                f" past the spectral stage's Nyquist {shc_nyquist} Hz"
+            )
 
 
 @dataclass
@@ -368,6 +380,11 @@ def _combined_shc_spectra(
     return combined, rate / n_fft
 
 
+def _spectral_factor(rate: float) -> int:
+    """Decimation factor that brings ``rate`` nearest the spectral stage's 16 kHz."""
+    return max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
+
+
 def _grid_frequencies(config: YaaptConfig) -> np.ndarray:
     n_steps = int(math.floor(math.log2(config.fmax_hz / config.fmin_hz) * _GRID_STEPS_PER_OCTAVE))
     return config.fmin_hz * 2.0 ** (np.arange(n_steps + 1) / _GRID_STEPS_PER_OCTAVE)
@@ -379,7 +396,7 @@ def _spectral_from_pair(
     """The spectral stage on both branches, decimated to about 16 kHz;
     frame k is centered on the decimated sample nearest ``centers[k]``."""
     rate = pair[0].sample_rate_hz
-    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
+    factor = _spectral_factor(rate)
     rate /= factor
     # zeros a frame long on either side, so that every frame of the stage
     # is a view of its branch
