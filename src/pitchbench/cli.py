@@ -172,7 +172,22 @@ def format_comparison_csv(rows: list[tuple[str, CorpusStats, FomScore]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _worker_count(args) -> int:
+    """``--jobs``, else ``$PITCHBENCH_JOBS``, else 1; a positive integer."""
+    source, value = "--jobs", args.jobs
+    if value is None:
+        source, value = "PITCHBENCH_JOBS", os.environ.get("PITCHBENCH_JOBS", "1")
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(f"{source} must be a positive integer, got {value!r}")
+    return jobs
+
+
 def cmd_compare(args) -> int:
+    n_workers = _worker_count(args)
     entries = _read_manifest(args.manifest)
     if not entries:
         raise UsageError(f"manifest {args.manifest} lists no utterances")
@@ -211,8 +226,8 @@ def cmd_compare(args) -> int:
         (utt, wav, ref, engines, externals, args.confidence_threshold)
         for utt, wav, ref in entries
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             scored = list(pool.map(_score_utterance, jobs))
     else:
         scored = [_score_utterance(job) for job in jobs]
@@ -274,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--out", required=True, help="output comparison CSV")
     compare.add_argument("--confidence-threshold", type=float, default=0.5)
     compare.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("PITCHBENCH_JOBS", "1")),
+        "--jobs", default=None,
         help="utterance-level worker processes (default: $PITCHBENCH_JOBS or 1)",
     )
     compare.add_argument("--fmin", type=float, default=None)

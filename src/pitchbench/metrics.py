@@ -169,7 +169,7 @@ class CorpusStats:
     v2u_pct_defined: bool = True
 
 
-def aggregate(stats: list[UtteranceStats], norm_rate_hz: float = NORM_RATE_HZ) -> CorpusStats:
+def aggregate(stats: list[UtteranceStats]) -> CorpusStats:
     """Fold per-utterance counters into corpus statistics.
 
     Fine-error mean and standard deviation (population) are computed

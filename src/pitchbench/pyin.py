@@ -32,7 +32,6 @@ from scipy.special import betainc
 from .signal import (
     AudioSignal,
     _block_rows,
-    _yin_block,
     check_search_band,
     cmnd,
     cmnd_rows,
@@ -41,8 +40,8 @@ from .signal import (
     lag_frame_len,
     min_cost_path,
     parabolic_vertex,
-    workspace,
     yin_difference,
+    yin_difference_rows,
 )
 from .trackio import PitchTrack
 
@@ -352,11 +351,10 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
     lag_min, lag_max = _lag_range(config, rate, frame_len)
     check_search_band(lag_min, lag_max, config.fmin_hz, config.fmax_hz, rate)
     centers = frame_centers(len(signal), config.hop_ms, rate)
-    step = _block_rows(frame_len, lag_max)
+    step = _block_rows(frame_len)
     candidate_sets = []
     for start in range(0, centers.size, step):
         frames = frame_signal(signal.samples, frame_len, centers[start : start + step])
-        with workspace() as take:
-            d = cmnd_rows(_yin_block(frames, lag_max, take))
+        d = cmnd_rows(yin_difference_rows(frames, lag_max))
         candidate_sets += _candidate_sets(d, lag_min, config, rate)
     return pyin_viterbi(candidate_sets, config, hop_seconds=config.hop_ms / 1000.0)

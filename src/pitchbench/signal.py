@@ -10,13 +10,19 @@ normalized cross-correlation function (NCCF).
 The lag curves are computed for a 2-D array of frames at once
 (``yin_difference_rows``, ``cmnd_rows``, ``nccf_rows``): window
 energies come from one cumulative sum along each row, and the
-cross-correlation from one FFT round trip per block of rows. One block
-budget sizes every block: the engines frame an utterance a block at a
-time (frames are views of the signal) and run each block's transforms
-in a :func:`workspace`, a per-thread buffer kept across calls, so the
-hot stages allocate no large temporaries. The one-frame functions
-``yin_difference``, ``cmnd`` and ``nccf`` run the same code on a
-single row.
+cross-correlation from one FFT round trip. The engines call these row
+functions one block of frames at a time (frames are views of the
+signal), and the one-frame functions ``yin_difference``, ``cmnd`` and
+``nccf`` call them on a single row.
+
+One block budget sizes every block. The lag stage allocates its block
+arrays: they come one after another in the same few sizes, which the
+allocator serves again without new page faults. The bandpass spectrum,
+the squared branch, the decimation phases, the spectral stage's frames
+and spectra and SHC scoring take theirs from a :func:`workspace`, a
+per-thread buffer kept across calls: allocated afresh, the first three
+let the allocator hand memory back to the system after some utterances
+and fault it in again.
 """
 from __future__ import annotations
 
@@ -61,10 +67,6 @@ class AudioSignal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass
 class LagCurve:
@@ -90,14 +92,6 @@ class LagCurve:
         if values.size != expected:
             raise ValueError(f"expected {expected} values, got {values.size}")
         self.values = values
-
-    def value_at(self, lag: int) -> float:
-        if not self.min_lag_samples <= lag <= self.max_lag_samples:
-            raise ValueError(f"lag {lag} outside [{self.min_lag_samples}, {self.max_lag_samples}]")
-        return float(self.values[lag - self.min_lag_samples])
-
-    def lags(self) -> np.ndarray:
-        return np.arange(self.min_lag_samples, self.max_lag_samples + 1)
 
 
 def frame_centers(n_samples: int, hop_ms: float, sample_rate_hz: float) -> np.ndarray:
@@ -204,7 +198,7 @@ def min_cost_path(
     return states
 
 
-# Workspace bytes one block of rows may take, all its arrays together: a
+# Bytes one block of rows may take, all its arrays together: a
 # block this size stays in cache, where a whole utterance's 2-D transform
 # at 48 kHz is slower than a loop over blocks. It gives the lag stage the
 # row counts its old spectrum cap gave (21 pYIN frames at 48 kHz, 63 at
@@ -215,7 +209,7 @@ _ALIGN = 64  # bytes; each workspace array starts on a cache line
 
 
 def budget_rows(row_bytes: int) -> int:
-    """Rows per block when each row takes ``row_bytes`` of workspace."""
+    """Rows per block when each row takes ``row_bytes``."""
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
@@ -258,47 +252,38 @@ def workspace() -> Iterator[Callable[..., np.ndarray]]:
         arena.used = mark
 
 
-def _block_rows(size: int, max_lag: int) -> int:
+def _block_rows(size: int) -> int:
     """Rows per block of the lag stage for frames of ``size`` samples: as
-    many as its workspace (energies and two spectra) keeps within the
-    block budget."""
+    many as its arrays (energies and two spectra) keep within the block
+    budget."""
     n = next_fast_len(size, real=True)
     return budget_rows(8 * (size + 1) + 32 * (n // 2 + 1))
 
 
-def row_blocks(frames: np.ndarray, max_lag: int) -> list[np.ndarray]:
-    """Consecutive row blocks of ``frames``, each one block of the lag
-    stage."""
-    step = _block_rows(frames.shape[1], max_lag)
-    return [frames[start : start + step] for start in range(0, frames.shape[0], step)]
-
-
-def _lag_terms(
-    frames: np.ndarray, max_lag: int, take: Callable[..., np.ndarray] = np.empty
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lag_terms(frames: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy and correlation terms of every row's lag curves.
 
     With ``width = frames.shape[1] - max_lag``, row r yields its head
     energy ``sum_{j<width} x[j]^2``, the lagged-window energies
     ``sum_{j<width} x[j+tau]^2`` and the cross-correlation
-    ``sum_{j<width} x[j] x[j+tau]`` for tau in 0..max_lag, in arrays
-    from ``take``: the inverse transform overwrites the head's spectrum,
-    and the lagged energies the frames' spectrum, once each is spent.
-    The correlation is one FFT round trip. Its terms reach sample
+    ``sum_{j<width} x[j] x[j+tau]`` for tau in 0..max_lag, in one energy
+    array and two spectra: the inverse transform overwrites the head's
+    spectrum, and the lagged energies the frames' spectrum, once each is
+    spent. The correlation is one FFT round trip. Its terms reach sample
     ``width - 1 + max_lag = size - 1`` at most, so a circular
     correlation over ``size`` points or more never wraps around: the
     transform is the fastest length of at least ``size``.
     """
     n_rows, size = frames.shape
     width = size - max_lag
-    energy = take((n_rows, size + 1))
+    energy = np.empty((n_rows, size + 1))
     energy[:, 0] = 0.0
     np.multiply(frames, frames, out=energy[:, 1:])
     np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
 
     n = next_fast_len(size, real=True)
-    spec = rfft(frames, n, axis=1, out=take((n_rows, n // 2 + 1), np.complex128))
-    head_spec = rfft(frames[:, :width], n, axis=1, out=take(spec.shape, np.complex128))
+    spec = rfft(frames, n, axis=1)
+    head_spec = rfft(frames[:, :width], n, axis=1)
     spec *= np.conjugate(head_spec, out=head_spec)
     cross = irfft(spec, n, axis=1, out=head_spec.view(np.float64)[:, :n])
     lagged = spec.view(np.float64)[:, : max_lag + 1]
@@ -325,63 +310,23 @@ def check_search_band(
         )
 
 
-# The block functions below finish the lag terms in place, with the
-# operations of their textbook forms in the same order, so each value has
-# the bits the out-of-place expression would give it. Their results live
-# in arrays from ``take``; the engines run them on one block of frames at
-# a time, and the public row functions copy them out block by block.
+# The row functions finish the lag terms in place, with the operations of
+# their textbook forms in the same order, so each value has the bits the
+# out-of-place expression would give it.
 
-def _yin_block(frames: np.ndarray, max_lag: int, take: Callable[..., np.ndarray]) -> np.ndarray:
-    """:func:`yin_difference` of every row of a block of frames."""
+def yin_difference_rows(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """:func:`yin_difference` of every row of a 2-D frame array."""
+    frames = np.asarray(frames, dtype=np.float64)
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     _check_lags(frames.shape[1], 1, max_lag)
-    head, d, cross = _lag_terms(frames, max_lag, take)
+    head, d, cross = _lag_terms(frames, max_lag)
     d += head[:, None]  # head + lagged - 2 cross
     cross *= 2.0
     d -= cross
     np.maximum(d, 0.0, out=d)  # clip FFT round-off below zero
     d[:, 0] = 0.0
     return d
-
-
-def _nccf_block(
-    frames: np.ndarray, min_lag: int, max_lag: int, take: Callable[..., np.ndarray]
-) -> np.ndarray:
-    """:func:`nccf` values of every row of a block of frames."""
-    if min_lag < 1:
-        raise ValueError(f"min_lag must be >= 1, got {min_lag}")
-    _check_lags(frames.shape[1], min_lag, max_lag)
-    head, lagged, cross = _lag_terms(frames, max_lag, take)
-    denom = lagged[:, min_lag:]
-    denom *= head[:, None]
-    values = cross[:, min_lag:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.sqrt(denom, out=denom)  # nan where round-off left it negative
-        values /= denom
-    values[~(denom > 0)] = 0.0  # either energy term vanishes
-    np.clip(values, -1.0, 1.0, out=values)
-    return values
-
-
-def _rows_by_block(
-    frames: np.ndarray, max_lag: int, block: Callable[[np.ndarray, Callable], np.ndarray]
-) -> np.ndarray:
-    """``block(rows, take)`` of each of the :func:`row_blocks` of a 2-D
-    frame array, copied out of the workspace into one new array. An
-    empty array still makes one (empty) call, so its arguments are
-    checked."""
-    frames = np.asarray(frames, dtype=np.float64)
-    parts = []
-    for rows in row_blocks(frames, max_lag) or [frames]:
-        with workspace() as take:
-            parts.append(block(rows, take).copy())
-    return np.concatenate(parts)
-
-
-def yin_difference_rows(frames: np.ndarray, max_lag: int) -> np.ndarray:
-    """:func:`yin_difference` of every row of a 2-D frame array."""
-    return _rows_by_block(frames, max_lag, lambda rows, take: _yin_block(rows, max_lag, take))
 
 
 def cmnd_rows(diff: np.ndarray) -> np.ndarray:
@@ -399,9 +344,20 @@ def cmnd_rows(diff: np.ndarray) -> np.ndarray:
 
 def nccf_rows(frames: np.ndarray, min_lag: int, max_lag: int) -> np.ndarray:
     """:func:`nccf` values of every row of a 2-D frame array."""
-    return _rows_by_block(
-        frames, max_lag, lambda rows, take: _nccf_block(rows, min_lag, max_lag, take)
-    )
+    frames = np.asarray(frames, dtype=np.float64)
+    if min_lag < 1:
+        raise ValueError(f"min_lag must be >= 1, got {min_lag}")
+    _check_lags(frames.shape[1], min_lag, max_lag)
+    head, lagged, cross = _lag_terms(frames, max_lag)
+    denom = lagged[:, min_lag:]
+    denom *= head[:, None]
+    values = cross[:, min_lag:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.sqrt(denom, out=denom)  # nan where round-off left it negative
+        values /= denom
+    values[~(denom > 0)] = 0.0  # either energy term vanishes
+    np.clip(values, -1.0, 1.0, out=values)
+    return values
 
 
 def yin_difference(frame: np.ndarray, max_lag: int) -> LagCurve:

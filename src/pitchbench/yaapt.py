@@ -30,7 +30,6 @@ from .signal import (
     AudioSignal,
     _block_rows,
     _fir_taps,
-    _nccf_block,
     bandpass_filter,
     budget_rows,
     check_search_band,
@@ -38,6 +37,7 @@ from .signal import (
     frame_signal,
     lag_frame_len,
     min_cost_path,
+    nccf_rows,
     parabolic_vertex,
     workspace,
 )
@@ -445,8 +445,7 @@ def _spectral_from_pair(
 def _front_end(
     signal: AudioSignal, config: YaaptConfig
 ) -> tuple[np.ndarray, tuple[AudioSignal, AudioSignal]]:
-    """Rate check, frame centers and the preprocessed branch pair."""
-    config.validate_rate(signal.sample_rate_hz)
+    """Frame centers and the preprocessed branch pair."""
     centers = frame_centers(len(signal), config.hop_ms, signal.sample_rate_hz)
     return centers, yaapt_preprocess(signal, config)
 
@@ -457,19 +456,13 @@ def spectral_pitch_track(signal: AudioSignal, config: YaaptConfig) -> SpectralTr
 
 
 def _nccf_peaks(
-    frames: np.ndarray,
-    lag_min: int,
-    lag_max: int,
-    rate: float,
-    config: YaaptConfig,
-    take: Callable[..., np.ndarray],
+    frames: np.ndarray, lag_min: int, lag_max: int, rate: float, config: YaaptConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates of a block of frames of one branch as (frame, f0, merit)
     arrays, by frame and then merit: each frame's
     ``n_candidates_per_frame`` highest positive NCCF maxima (ties to the
-    shorter lag), refined parabolically. The NCCF lives in ``take``'s
-    arrays; the results do not."""
-    v = _nccf_block(frames, lag_min, lag_max, take)
+    shorter lag), refined parabolically."""
+    v = nccf_rows(frames, lag_min, lag_max)
     inner = v[:, 1:-1]
     is_max = (inner > v[:, :-2]) & (inner >= v[:, 2:]) & (inner > 0)
     rows, cols = np.nonzero(is_max)
@@ -545,12 +538,11 @@ def nccf_candidates(
     # (frame, f0, merit) arrays per block of each branch; the empty first
     # entry stands in for an utterance without frames
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
-    step = _block_rows(frame_len, lag_max)
+    step = _block_rows(frame_len)
     for branch in preprocessed:
         for start in range(0, centers.size, step):
             frames = frame_signal(branch.samples, frame_len, centers[start : start + step])
-            with workspace() as take:
-                rows, f0, merit = _nccf_peaks(frames, lag_min, lag_max, rate, config, take)
+            rows, f0, merit = _nccf_peaks(frames, lag_min, lag_max, rate, config)
             parts.append((rows + start, f0, merit))
     rows, f0, merit = (np.concatenate(column) for column in zip(*parts))
     return _merge_close(rows, f0, merit, centers.size)

@@ -255,6 +255,49 @@ class TestCompare:
         ]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1", "abc", "1.5"])
+    def test_bad_jobs_flag_is_a_usage_error(self, tmp_path, capsys, jobs):
+        manifest = self._build_corpus(tmp_path, n=1)
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--manifest", str(manifest), "--out", str(out), "--jobs", jobs])
+        assert code == 2
+        assert f"--jobs must be a positive integer, got '{jobs}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", ""])
+    def test_bad_jobs_variable_is_a_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("PITCHBENCH_JOBS", value)
+        manifest = self._build_corpus(tmp_path, n=1)
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert f"PITCHBENCH_JOBS must be a positive integer, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, flag, workers", [("2", [], [2]), ("2", ["--jobs", "1"], [])])
+    def test_jobs_variable_is_the_default_of_the_flag(self, tmp_path, monkeypatch, value, flag,
+                                                      workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("pitchbench.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("PITCHBENCH_JOBS", value)
+        manifest = self._build_corpus(tmp_path, n=1)
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out), *flag]) == 0
+        assert started == workers
+
     @pytest.mark.parametrize("rate", [11025, 22050])
     def test_rates_with_fractional_hop_are_scored(self, tmp_path, rate):
         manifest = self._build_corpus(tmp_path, n=2, rate=rate)
@@ -339,6 +382,12 @@ class TestHist:
 class TestUsage:
     def test_no_command_exits_two(self):
         assert main([]) == 2
+
+    def test_jobs_variable_is_read_only_by_compare(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PITCHBENCH_JOBS", "abc")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("100.0\n")
+        assert main(["hist", "--ref", str(ref), "--out", str(tmp_path / "h.csv")]) == 0
 
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2

@@ -1,12 +1,14 @@
 """Frames as views, one block budget and the reused FFT workspace.
 
 The engines frame an utterance a block at a time as read-only views of
-the signal and run each block's transforms in a per-thread workspace
-that outlives the call. These tests pin what that must not change: no
-result handed to a caller lives in the workspace, so a later call
-cannot overwrite it; ``numpy.fft`` (whose ``out=`` the workspace needs)
-gives ``scipy.fft``'s bits at every shape the engines transform; and a
-warm process no longer pays page faults for every block.
+the signal. The bandpass, preprocessing, decimation and spectral stages
+run their transforms in a per-thread workspace that outlives the call;
+the lag stage allocates its blocks. These tests pin what that must not
+change: no result handed to a caller lives in the workspace, so a later
+call cannot overwrite it; each thread has its own; ``numpy.fft`` (whose
+``out=`` the workspace needs) gives ``scipy.fft``'s bits at every shape
+the engines transform; and a warm process no longer pays page faults
+for every block.
 """
 import math
 import os
@@ -83,10 +85,10 @@ class TestFrameViews:
     def test_block_views_are_the_frames_in_order(self):
         # pYIN's 48 kHz frames, cut one lag-stage block at a time as the
         # engines cut them, against one call over every center
-        frame_len, max_lag = 1920, 800
+        frame_len = 1920
         x = np.random.default_rng(3).standard_normal(300_000)
         centers = np.arange(0, x.size, 480)
-        step = _block_rows(frame_len, max_lag)
+        step = _block_rows(frame_len)
         blocks = [frame_signal(x, frame_len, centers[start : start + step])
                   for start in range(0, centers.size, step)]
         assert len(blocks) > 2
@@ -125,28 +127,37 @@ class TestWorkspace:
         with workspace() as take:
             take((1,))
         buffer = sig._arena.buffer
-        yin_difference_rows(np.ones((3, 100)), 20)
+        bandpass_filter(AudioSignal(np.ones(1000), 16000), 50.0, 1500.0)
         assert sig._arena.buffer is buffer
 
 
+def _workspace_calls(seed):
+    """Results of a bandpass and a spectral track, which take their
+    arrays from the workspace (at 48 kHz, the decimation too); their
+    sizes grow with the seed."""
+    rng = np.random.default_rng(seed)
+    noise = AudioSignal(rng.standard_normal(8000 * (seed + 1)), 16000)
+    tone = sawtooth(rng.uniform(100, 300), 0.2 + 0.05 * seed, 48000)
+    tone = padded_tone(tone, 48000, 0.05, 0.05)
+    track = spectral_pitch_track(tone, YaaptConfig())
+    return [bandpass_filter(noise, 50.0, 1500.0).samples, track.coarse_f0_hz, track.nlfer]
+
+
 def test_each_thread_has_its_own_workspace():
-    # more threads than cores, switching often, each running the lag
-    # stage over several blocks
-    rng = np.random.default_rng(5)
-    inputs = [rng.standard_normal((3 * _block_rows(640, 266), 640)) for _ in range(4)]
-    expected = [(yin_difference_rows(x, 266), nccf_rows(x, 40, 266)) for x in inputs]
+    # more threads than cores, switching often, each running the stages
+    # that take their arrays from the workspace
+    expected = [_workspace_calls(k) for k in range(4)]
     wrong = []
 
     def run(k):
-        for _ in range(20):
-            diff, corr = yin_difference_rows(inputs[k], 266), nccf_rows(inputs[k], 40, 266)
-            if not (same_bits(diff, expected[k][0]) and same_bits(corr, expected[k][1])):
+        for _ in range(30):
+            if not all(map(same_bits, _workspace_calls(k), expected[k])):
                 wrong.append(k)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(inputs))]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(expected))]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -158,7 +169,7 @@ def test_each_thread_has_its_own_workspace():
 
 
 def _lag_input(seed):
-    # one block, so that a row function could hand out its block as is
+    # one block of the lag stage
     return np.random.default_rng(seed).standard_normal((7, 640))
 
 
