@@ -115,16 +115,26 @@ def _read_manifest(path) -> list[tuple[str, Path, Path]]:
             raise TrackFormatError(
                 f"{path}: manifest header must start with {','.join(required)}"
             )
+        first_line = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) < 3:
                 raise TrackFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             utt = row[0].strip()
+            # ids name files in --external directories, so each must be one
+            # file name there
+            if utt in ("", ".", "..") or Path(utt).name != utt:
+                raise TrackFormatError(
+                    f"{path}:{lineno}: utterance id {utt!r} is not a single file name"
+                )
+            if utt in first_line:
+                raise TrackFormatError(
+                    f"{path}:{lineno}: duplicate utterance id {utt!r}"
+                    f" (first on line {first_line[utt]})"
+                )
+            first_line[utt] = lineno
             entries.append((utt, base / row[1].strip(), base / row[2].strip()))
-    ids = [e[0] for e in entries]
-    if len(set(ids)) != len(ids):
-        raise TrackFormatError(f"{path}: duplicate utterance ids")
     return entries
 
 

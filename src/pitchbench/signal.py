@@ -15,23 +15,16 @@ functions one block of frames at a time (frames are views of the
 signal), and the one-frame functions ``yin_difference``, ``cmnd`` and
 ``nccf`` call them on a single row.
 
-One block budget sizes every block. The lag stage allocates its block
-arrays: they come one after another in the same few sizes, which the
-allocator serves again without new page faults. The bandpass spectrum,
-the squared branch, the decimation phases, the spectral stage's frames
-and spectra and SHC scoring take theirs from a :func:`workspace`, a
-per-thread buffer kept across calls: allocated afresh, the first three
-let the allocator hand memory back to the system after some utterances
-and fault it in again.
+One block budget sizes every block, and every stage allocates its own
+arrays. That they come back without new page faults rests on one
+allocation at import, beside ``_BLOCK_BYTES``.
 """
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -202,54 +195,28 @@ def min_cost_path(
 # block this size stays in cache, where a whole utterance's 2-D transform
 # at 48 kHz is slower than a loop over blocks. It gives the lag stage the
 # row counts its old spectrum cap gave (21 pYIN frames at 48 kHz, 63 at
-# 16 kHz), and holds a 1 s utterance's bandpass spectrum with its squared
-# branch, and its decimation phases at 48 kHz.
+# 16 kHz).
 _BLOCK_BYTES = 960 * 1024
-_ALIGN = 64  # bytes; each workspace array starts on a cache line
+
+# glibc serves an allocation of at least M_MMAP_THRESHOLD bytes (128 KiB
+# at start) by mmap; freeing such a block raises the threshold to its
+# size, and glibc then trims the top of its heap only beyond twice that
+# (mallopt(3)). The stages' arrays are a few hundred KiB to a few MiB, so
+# with the initial thresholds glibc hands them back to the system between
+# utterances and faults them in again. Freeing one untouched 8 MiB block
+# here sets the thresholds once, as one 22 s, 48 kHz utterance would.
+# Median minor faults per warm compare over the benchmark's corpora: 0
+# at 16 kHz and 4 at 48 kHz, against 9.9k and 5.5k without the block. A 1
+# or 2 MiB block left 2.4k-11k per compare at 16 kHz, and 3 MiB up to
+# 1.6k; 4, 8 and 16 MiB left a median of 0; 32 MiB is past glibc's cap on
+# the threshold and changes nothing. Elsewhere this is one allocation
+# that touches no page.
+np.empty(8 << 20, dtype=np.uint8)
 
 
 def budget_rows(row_bytes: int) -> int:
     """Rows per block when each row takes ``row_bytes``."""
     return max(1, _BLOCK_BYTES // row_bytes)
-
-
-class _Arena(threading.local):
-    """The calling thread's workspace: one byte buffer of the block budget,
-    kept across calls and utterances, handed out front to back."""
-
-    def __init__(self):
-        self.buffer = np.empty(0, dtype=np.uint8)
-        self.used = 0
-
-
-_arena = _Arena()
-
-
-@contextmanager
-def workspace() -> Iterator[Callable[..., np.ndarray]]:
-    """A ``take(shape, dtype)`` that hands out uninitialised arrays, like
-    ``np.empty``, from the thread's reusable buffer; they stay valid until
-    the ``with`` block ends. Arrays that no longer fit the buffer are
-    allocated afresh. Nothing that leaves the package may be a view of
-    one: public functions copy their results out."""
-    arena = _arena
-    if not arena.buffer.size:
-        # room for the alignment padding of a block's arrays
-        arena.buffer = np.empty(_BLOCK_BYTES + 16 * _ALIGN, dtype=np.uint8)
-    mark = arena.used
-
-    def take(shape, dtype=np.float64) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        start = -(-arena.used // _ALIGN) * _ALIGN
-        arena.used = start + math.prod(shape) * dtype.itemsize
-        if arena.used > arena.buffer.size:
-            return np.empty(shape, dtype)
-        return arena.buffer[start : arena.used].view(dtype).reshape(shape)
-
-    try:
-        yield take
-    finally:
-        arena.used = mark
 
 
 def _block_rows(size: int) -> int:
@@ -370,7 +337,8 @@ def yin_difference(frame: np.ndarray, max_lag: int) -> LagCurve:
     Requires ``max_lag < len(frame) / 2``.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    return LagCurve(yin_difference_rows(frame[None], max_lag)[0], 0, max_lag)
+    # a copy, so that the curve does not keep its row's spectrum alive
+    return LagCurve(yin_difference_rows(frame[None], max_lag)[0].copy(), 0, max_lag)
 
 
 def cmnd(diff: LagCurve) -> LagCurve:
@@ -395,7 +363,7 @@ def nccf(frame: np.ndarray, min_lag: int, max_lag: int) -> LagCurve:
     Requires ``min_lag >= 1`` and ``max_lag < len(frame) / 2``.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    return LagCurve(nccf_rows(frame[None], min_lag, max_lag)[0], min_lag, max_lag)
+    return LagCurve(nccf_rows(frame[None], min_lag, max_lag)[0].copy(), min_lag, max_lag)
 
 
 # a process needs a few designs: one bandpass per band and rate, one
@@ -459,10 +427,9 @@ def bandpass_filter(signal: AudioSignal, low_hz: float, high_hz: float) -> Audio
     if x.size == 1:
         return AudioSignal((x * taps)[delay : delay + 1], rate)
     n = next_fast_len(x.size + taps.size - 1, True)
-    with workspace() as take:
-        spectrum = rfft(x, n, out=take((n // 2 + 1,), np.complex128))
-        spectrum *= _taps_spectrum(low_hz, high_hz, rate, n)
-        full = irfft(spectrum, n)
+    spectrum = rfft(x, n)
+    spectrum *= _taps_spectrum(low_hz, high_hz, rate, n)
+    full = irfft(spectrum, n)
     return AudioSignal(full[delay : delay + x.size], rate)
 
 

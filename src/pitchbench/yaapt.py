@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.fft import rfft
@@ -39,7 +39,6 @@ from .signal import (
     min_cost_path,
     nccf_rows,
     parabolic_vertex,
-    workspace,
 )
 from .trackio import PitchTrack
 
@@ -153,15 +152,11 @@ def yaapt_preprocess(signal: AudioSignal, config: YaaptConfig) -> tuple[AudioSig
     """
     config.validate_rate(signal.sample_rate_hz)
     plain = bandpass_filter(signal, config.bp_low_hz, config.bp_high_hz)
-    with workspace() as take:
-        warped = take(signal.samples.shape)
-        if config.nonlinearity == "square":
-            np.multiply(signal.samples, signal.samples, out=warped)
-        else:
-            np.abs(signal.samples, out=warped)
-        nonlinear = bandpass_filter(
-            AudioSignal(warped, signal.sample_rate_hz), config.bp_low_hz, config.bp_high_hz
-        )
+    x = signal.samples
+    warped = x * x if config.nonlinearity == "square" else np.abs(x)
+    nonlinear = bandpass_filter(
+        AudioSignal(warped, signal.sample_rate_hz), config.bp_low_hz, config.bp_high_hz
+    )
     return plain, nonlinear
 
 
@@ -217,22 +212,19 @@ def _shc_grid(
     grid_hz: np.ndarray,
     config: YaaptConfig,
     freq_resolution_hz: float,
-    take: Callable[..., np.ndarray] = np.empty,
 ) -> np.ndarray:
     """SHC at every frequency of a grid, of one spectrum or of every row of
-    a 2-D array of spectra, its temporaries from ``take``;
-    :func:`compute_shc` is its checked one-frequency form."""
+    a 2-D array of spectra; :func:`compute_shc` is its checked
+    one-frequency form."""
     idx = _shc_bins(grid_hz, config, freq_resolution_hz)
     if idx.max() >= spectra.shape[-1]:
         raise IndexError(f"SHC bin {idx.max()} is past the {spectra.shape[-1]} bins of a spectrum")
     # as spectra[..., idx], negative bins counting from the end
-    gathered = take(spectra.shape[:-1] + idx.shape)
-    np.take(spectra, idx, axis=-1, out=gathered, mode="wrap")
+    gathered = np.take(spectra, idx, axis=-1, mode="wrap")
     # NumPy sums a contiguous axis pairwise and a strided one in sequence;
     # summing over contiguous offsets, as for one spectrum, gives every
     # row the same bits as a one-spectrum call
-    products = np.prod(gathered, axis=-2, out=take(gathered.shape[:-2] + idx.shape[-1:]))
-    return np.sum(products, axis=-1)
+    return np.sum(np.prod(gathered, axis=-2), axis=-1)
 
 
 def _shc_bins(grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: float) -> np.ndarray:
@@ -264,18 +256,12 @@ def _decimate_for_spectral(samples: np.ndarray, factor: int, margin: int = 0) ->
     rows = n_out + 2 * half // factor
     decimated = np.zeros(n_out + 2 * margin)
     out = decimated[margin : margin + n_out]
-    with workspace() as take:
-        padded = take((rows * factor,))
-        padded[:half] = 0.0
-        padded[half : half + samples.size] = samples
-        padded[half + samples.size :] = 0.0
-        phases = take((factor, rows))
-        phases[...] = padded.reshape(rows, factor).T
-        term = take((n_out,))
-        for u in range(2 * half + 1):
-            a, r = divmod(u, factor)
-            np.multiply(phases[r, a : a + n_out], taps[2 * half - u], out=term)
-            out += term
+    padded = np.zeros(rows * factor)
+    padded[half : half + samples.size] = samples
+    phases = padded.reshape(rows, factor).T.copy()
+    for u in range(2 * half + 1):
+        a, r = divmod(u, factor)
+        out += phases[r, a : a + n_out] * taps[2 * half - u]
     return decimated
 
 
@@ -293,24 +279,22 @@ def _frame_and_fft_len(
 
 def _windowed_blocks(
     samples: np.ndarray, frame_len: int, centers: np.ndarray, rows: np.ndarray, row_bytes: int
-) -> Iterator[tuple[int, np.ndarray, Callable[..., np.ndarray]]]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Hann-windowed frames ``rows`` (ascending) of a decimated branch,
-    frame k centered on sample ``centers[k]``, in consecutive blocks:
-    ``(first row, frames, take)``, the frames and the caller's
-    ``row_bytes`` per frame taken for the block living in one workspace
-    within the block budget."""
+    frame k centered on sample ``centers[k]``, in consecutive blocks
+    ``(first row, frames)`` of as many frames as the block budget holds
+    with the caller's ``row_bytes`` per frame."""
     window = np.hanning(frame_len)
     step = budget_rows(8 * frame_len + row_bytes)
     for start in range(0, rows.size, step):
         block = rows[start : start + step]
-        with workspace() as take:
-            out = take((block.size, frame_len))
-            # the frames of a run of consecutive rows are one view of the branch
-            cuts = [0, *(np.flatnonzero(np.diff(block) != 1) + 1).tolist(), block.size]
-            for a, b in zip(cuts, cuts[1:]):
-                frames = frame_signal(samples, frame_len, centers[block[a] : block[b - 1] + 1])
-                np.multiply(frames, window, out=out[a:b])
-            yield start, out, take
+        out = np.empty((block.size, frame_len))
+        # the frames of a run of consecutive rows are one view of the branch
+        cuts = [0, *(np.flatnonzero(np.diff(block) != 1) + 1).tolist(), block.size]
+        for a, b in zip(cuts, cuts[1:]):
+            frames = frame_signal(samples, frame_len, centers[block[a] : block[b - 1] + 1])
+            np.multiply(frames, window, out=out[a:b])
+        yield start, out
 
 
 def _branch_spectrogram(
@@ -336,8 +320,8 @@ def _branch_spectrogram(
     rows = np.arange(centers.size) if rows is None else rows
     mags = np.empty((rows.size, bins + 1)) if out is None else out
     row_bytes = 16 * (n_fft // 2 + 1)
-    for start, frames, take in _windowed_blocks(samples, frame_len, centers, rows, row_bytes):
-        spectra = rfft(frames, n_fft, axis=1, out=take((len(frames), n_fft // 2 + 1), complex))
+    for start, frames in _windowed_blocks(samples, frame_len, centers, rows, row_bytes):
+        spectra = rfft(frames, n_fft, axis=1)
         np.abs(spectra[:, : bins + 1], out=mags[start : start + len(frames)])
     return mags, freq_res
 
@@ -368,8 +352,8 @@ def _combined_shc_spectra(
     for samples, scaled in zip(branches, mags):
         _branch_spectrogram(samples, rate, centers, config, 2, _SHC_FFT, gated, scaled)
         peak = scaled.max(initial=0.0)
-        for _, frames, take in _windowed_blocks(samples, frame_len, centers, rest, 8 * frame_len):
-            norms = np.abs(frames, out=take(frames.shape)).sum(axis=1)
+        for _, frames in _windowed_blocks(samples, frame_len, centers, rest, 8 * frame_len):
+            norms = np.abs(frames).sum(axis=1)
             loud = frames[(norms > 0.0) & (norms >= peak * (1.0 - 1e-9))]
             if loud.size:
                 peak = max(peak, np.abs(rfft(loud, n=n_fft, axis=1)).max())
@@ -424,9 +408,9 @@ def _spectral_from_pair(
     # Absent harmonics enter the SHC product at a fixed floor rather than
     # at the leakage level: a spectrum with two real lines then always
     # outscores one with a single line, instead of the argmax drifting on
-    # leakage noise when the signal is harmonic-poor. A block's workspace
-    # per frame holds its floored spectrum, gathered SHC terms and their
-    # products over harmonics.
+    # leakage noise when the signal is harmonic-poor. A block's arrays per
+    # frame are its floored spectrum, gathered SHC terms and their products
+    # over harmonics.
     terms = _shc_bins(grid, config, freq_res)
     step = budget_rows(8 * (combined.shape[1] + terms.size + grid.size * terms.shape[-1]))
     for start in range(0, gated.size, step):
@@ -434,10 +418,8 @@ def _spectral_from_pair(
         band_peak = spectra[:, lo : hi + 1].max(axis=1, keepdims=True)
         line_ok = spectra[:, grid_bins] >= _LINE_FLOOR * band_peak
         line_ok[~line_ok.any(axis=1)] = True  # degenerate; fall back to the full grid
-        with workspace() as take:
-            floor = _LINE_FLOOR * spectra.max(axis=1, keepdims=True)
-            floored = np.maximum(spectra, floor, out=take(spectra.shape))
-            shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res, take), -1.0)
+        floored = np.maximum(spectra, _LINE_FLOOR * spectra.max(axis=1, keepdims=True))
+        shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
         coarse[gated[start : start + step]] = grid[np.argmax(shc, axis=1)]
     return SpectralTrack(coarse, nlfer)
 

@@ -237,6 +237,32 @@ class TestCompare:
         assert code == 2
         assert "--external" in capsys.readouterr().err
 
+    def _rename_second(self, tmp_path, new_id):
+        manifest = self._build_corpus(tmp_path, n=2)
+        lines = manifest.read_text().splitlines()
+        lines[2] = new_id + lines[2][len("utt1"):]
+        manifest.write_text("\n".join(lines) + "\n")
+        return manifest
+
+    @pytest.mark.parametrize("utt_id", ["", ".", "..", "../x", "a/b"])
+    def test_id_that_is_not_a_file_name_is_rejected(self, tmp_path, capsys, utt_id):
+        # compare reads DIR/<id>.csv from each --external DIR
+        manifest = self._rename_second(tmp_path, utt_id)
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}:3: utterance id {utt_id!r} is not a single file name" in err
+        assert not out.exists()
+
+    def test_duplicate_id_names_the_id_and_both_lines(self, tmp_path, capsys):
+        manifest = self._rename_second(tmp_path, "utt0")
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert f"{manifest}:3: duplicate utterance id 'utt0' (first on line 2)" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_missing_reference_lists_offenders(self, tmp_path, capsys):
         manifest = self._build_corpus(tmp_path, n=2)
         (tmp_path / "utt1_f0.txt").unlink()

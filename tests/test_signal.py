@@ -238,6 +238,10 @@ class TestYinDifference:
             assert np.all(curve.values >= 0)
             assert curve.values[0] == 0.0
 
+    def test_values_own_their_memory(self, rng):
+        # not a view into the spectrum the curve was computed in
+        assert yin_difference(rng.standard_normal(640), 266).values.base is None
+
 
 class TestCmnd:
     def test_all_zero_difference_gives_ones(self):
@@ -299,6 +303,10 @@ class TestNccf:
             curve = nccf(frame, 1, 100)
             assert np.all(curve.values <= 1.0)
             assert np.all(curve.values >= -1.0)
+
+    def test_values_own_their_memory(self, rng):
+        # not a view into the spectrum the curve was computed in
+        assert nccf(rng.standard_normal(640), 40, 266).values.base is None
 
     def test_sine_extrema_near_true_period(self):
         # lag window bracketing a single period multiple
