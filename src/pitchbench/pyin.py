@@ -33,14 +33,12 @@ from .signal import (
     AudioSignal,
     _block_rows,
     check_search_band,
-    cmnd,
     cmnd_rows,
     frame_centers,
     frame_signal,
     lag_frame_len,
     min_cost_path,
     parabolic_vertex,
-    yin_difference,
     yin_difference_rows,
 )
 from .trackio import PitchTrack
@@ -179,8 +177,8 @@ def pyin_candidates(
     lag_min, lag_max = _lag_range(config, sample_rate_hz, frame.size)
     if lag_min >= lag_max:
         return []
-    d = cmnd(yin_difference(frame, lag_max)).values
-    return _candidate_sets(d[None], lag_min, config, sample_rate_hz)[0]
+    d = cmnd_rows(yin_difference_rows(frame[None], lag_max))
+    return _candidate_sets(d, lag_min, config, sample_rate_hz)[0]
 
 
 # ---------------------------------------------------------------------------

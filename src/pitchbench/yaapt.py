@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.fft import rfft
@@ -236,10 +236,9 @@ def _shc_bins(grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: floa
     return base[:, :, None] + np.arange(-k, k + 1)[None, None, :]
 
 
-def _decimate_for_spectral(samples: np.ndarray, factor: int, margin: int = 0) -> np.ndarray:
+def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
     """Every ``factor``-th sample after a zero-phase low-pass to the new
-    Nyquist (Hamming-windowed sinc, ``20 * factor + 1`` taps), with
-    ``margin`` zeros before and after.
+    Nyquist (Hamming-windowed sinc, ``20 * factor + 1`` taps).
 
     Output m is centred on input sample ``m * factor``. Each output sums
     its terms from +0.0 in increasing input order, as the polyphase
@@ -247,22 +246,21 @@ def _decimate_for_spectral(samples: np.ndarray, factor: int, margin: int = 0) ->
     bits are that function's.
     """
     if factor == 1:
-        return np.pad(samples, margin) if margin else samples
+        return samples
     half = 10 * factor
     taps = _fir_taps(2 * half + 1, 1.0 / factor)
     n_out = -(-samples.size // factor)
     # padded[half + j] is samples[j]; phases[r, i] is padded[i * factor + r],
     # so input offset u = a * factor + r of output m is phases[r, m + a]
     rows = n_out + 2 * half // factor
-    decimated = np.zeros(n_out + 2 * margin)
-    out = decimated[margin : margin + n_out]
+    out = np.zeros(n_out)
     padded = np.zeros(rows * factor)
     padded[half : half + samples.size] = samples
     phases = padded.reshape(rows, factor).T.copy()
     for u in range(2 * half + 1):
         a, r = divmod(u, factor)
         out += phases[r, a : a + n_out] * taps[2 * half - u]
-    return decimated
+    return out
 
 
 def _frame_and_fft_len(
@@ -277,53 +275,26 @@ def _frame_and_fft_len(
     return frame_len, max(n_fft, frame_len)
 
 
-def _windowed_blocks(
-    samples: np.ndarray, frame_len: int, centers: np.ndarray, rows: np.ndarray, row_bytes: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Hann-windowed frames ``rows`` (ascending) of a decimated branch,
-    frame k centered on sample ``centers[k]``, in consecutive blocks
-    ``(first row, frames)`` of as many frames as the block budget holds
-    with the caller's ``row_bytes`` per frame."""
-    window = np.hanning(frame_len)
-    step = budget_rows(8 * frame_len + row_bytes)
-    for start in range(0, rows.size, step):
-        block = rows[start : start + step]
-        out = np.empty((block.size, frame_len))
-        # the frames of a run of consecutive rows are one view of the branch
-        cuts = [0, *(np.flatnonzero(np.diff(block) != 1) + 1).tolist(), block.size]
-        for a, b in zip(cuts, cuts[1:]):
-            frames = frame_signal(samples, frame_len, centers[block[a] : block[b - 1] + 1])
-            np.multiply(frames, window, out=out[a:b])
-        yield start, out
-
-
-def _branch_spectrogram(
+def _magnitudes(
     samples: np.ndarray,
-    rate: float,
     centers: np.ndarray,
-    config: YaaptConfig,
-    frame_scale: int = 1,
-    n_fft: int = _NLFER_FFT,
-    rows: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    max_hz: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Magnitude spectra of the :func:`_windowed_blocks` of a branch (of
-    every frame, or of ``rows``; in a new array or in ``out``; of every
-    bin, or of those up to ``max_hz``), and their frequency
-    resolution. Neither frames nor complex spectra are held for the
-    whole utterance. Rows are transformed independently: a frame's
-    spectrum has the same bits whichever frames share its block."""
-    frame_len, n_fft = _frame_and_fft_len(rate, config, frame_scale, n_fft)
-    freq_res = rate / n_fft
-    bins = n_fft // 2 if max_hz is None else min(int(math.floor(max_hz / freq_res)), n_fft // 2)
-    rows = np.arange(centers.size) if rows is None else rows
-    mags = np.empty((rows.size, bins + 1)) if out is None else out
-    row_bytes = 16 * (n_fft // 2 + 1)
-    for start, frames in _windowed_blocks(samples, frame_len, centers, rows, row_bytes):
-        spectra = rfft(frames, n_fft, axis=1)
-        np.abs(spectra[:, : bins + 1], out=mags[start : start + len(frames)])
-    return mags, freq_res
+    rows: np.ndarray,
+    frame_len: int,
+    n_fft: int,
+    bins: int,
+) -> np.ndarray:
+    """Magnitudes of bins ``0 .. bins - 1`` of the ``n_fft``-point spectra
+    of the Hann-windowed frames ``rows`` of a decimated branch, frame k
+    centered on sample ``centers[k]``, cut and transformed a block at a
+    time; a frame's spectrum has the same bits whichever frames share
+    its block."""
+    window = np.hanning(frame_len)
+    mags = np.empty((rows.size, bins))
+    step = budget_rows(8 * frame_len + 16 * (n_fft // 2 + 1))
+    for start in range(0, rows.size, step):
+        frames = frame_signal(samples, frame_len, centers[rows[start : start + step]]) * window
+        np.abs(rfft(frames, n_fft, axis=1)[:, :bins], out=mags[start : start + step])
+    return mags
 
 
 def _combined_shc_spectra(
@@ -335,9 +306,7 @@ def _combined_shc_spectra(
 ) -> tuple[np.ndarray, float]:
     """SHC-stage magnitude spectra of the ``gated`` frames, each branch's
     divided by its peak magnitude over all frames unless that peak is 0,
-    summed over the branches; and their frequency resolution. Both
-    branches' spectra are held in one array, the stage's one large
-    allocation per utterance.
+    summed over the branches; and their frequency resolution.
 
     A frame's windowed L1 norm ``sum |w x|`` bounds every magnitude of
     its spectrum, so a frame outside ``gated`` can raise the peak only
@@ -347,21 +316,24 @@ def _combined_shc_spectra(
     all-frames maximum bit for bit.
     """
     frame_len, n_fft = _frame_and_fft_len(rate, config, 2, _SHC_FFT)
+    window = np.hanning(frame_len)
     rest = np.delete(np.arange(centers.size), gated)
-    mags = np.empty((2, gated.size, n_fft // 2 + 1))
-    for samples, scaled in zip(branches, mags):
-        _branch_spectrogram(samples, rate, centers, config, 2, _SHC_FFT, gated, scaled)
+    step = budget_rows(16 * frame_len)  # per row: the windowed frame and its absolute values
+    spectra = []
+    for samples in branches:
+        scaled = _magnitudes(samples, centers, gated, frame_len, n_fft, n_fft // 2 + 1)
         peak = scaled.max(initial=0.0)
-        for _, frames in _windowed_blocks(samples, frame_len, centers, rest, 8 * frame_len):
+        for start in range(0, rest.size, step):
+            frames = frame_signal(samples, frame_len, centers[rest[start : start + step]]) * window
             norms = np.abs(frames).sum(axis=1)
             loud = frames[(norms > 0.0) & (norms >= peak * (1.0 - 1e-9))]
             if loud.size:
                 peak = max(peak, np.abs(rfft(loud, n=n_fft, axis=1)).max())
         if peak > 0:
             scaled /= peak
-    combined, nonlinear = mags
-    combined += nonlinear
-    return combined, rate / n_fft
+        spectra.append(scaled)
+    plain, nonlinear = spectra
+    return np.add(plain, nonlinear, out=plain), rate / n_fft
 
 
 def _spectral_factor(rate: float) -> int:
@@ -382,14 +354,14 @@ def _spectral_from_pair(
     rate = pair[0].sample_rate_hz
     factor = _spectral_factor(rate)
     rate /= factor
-    # zeros a frame long on either side, so that every frame of the stage
-    # is a view of its branch
-    margin = _frame_and_fft_len(rate, config, 2, _SHC_FFT)[0]
-    centers = np.round(centers / factor).astype(np.int64) + margin
-    plain, nonlinear = (_decimate_for_spectral(b.samples, factor, margin) for b in pair)
+    centers = np.round(centers / factor).astype(np.int64)
+    plain, nonlinear = (_decimate_for_spectral(b.samples, factor) for b in pair)
+    frame_len, n_fft = _frame_and_fft_len(rate, config, 1, _NLFER_FFT)
+    res = rate / n_fft
     # NLFER reads no bin above fmax
-    mags_nlfer, res = _branch_spectrogram(plain, rate, centers, config, max_hz=config.fmax_hz)
-    nlfer = compute_nlfer(mags_nlfer, config, res)
+    bins = min(int(math.floor(config.fmax_hz / res)), n_fft // 2) + 1
+    every = np.arange(centers.size)
+    nlfer = compute_nlfer(_magnitudes(plain, centers, every, frame_len, n_fft, bins), config, res)
     coarse = np.zeros(centers.size)
     gated = np.flatnonzero(nlfer >= config.nlfer_threshold)
     if not gated.size:

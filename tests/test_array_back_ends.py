@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import rfft
 
 from pitchbench import (
     NccfCandidate,
@@ -18,6 +19,7 @@ from pitchbench import (
     PyinConfig,
     SpectralTrack,
     YaaptConfig,
+    frame_signal,
     min_cost_path,
     pyin_candidates,
     pyin_track,
@@ -29,9 +31,9 @@ from pitchbench.pyin import _decode_observations, _observations, _transition_wei
 from pitchbench.signal import lag_frame_len
 from pitchbench.yaapt import (
     _LINE_FLOOR,
+    _NLFER_FFT,
     _SHC_FFT,
     _SPECTRAL_TARGET_RATE,
-    _branch_spectrogram,
     _decimate_for_spectral,
     _front_end,
     _grid_frequencies,
@@ -224,10 +226,17 @@ def per_frame_spectral(signal, config):
     rate /= factor
     centers = np.round(centers / factor).astype(np.int64)
     plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
-    mags_nlfer, nlfer_res = _branch_spectrogram(plain, rate, centers, config)
+
+    def spectrogram(samples, frame_scale, n_fft):
+        frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
+        n_fft = max(n_fft, frame_len)
+        frames = frame_signal(samples, frame_len, centers) * np.hanning(frame_len)
+        return np.abs(rfft(frames, n=n_fft, axis=1)), rate / n_fft
+
+    mags_nlfer, nlfer_res = spectrogram(plain, 1, _NLFER_FFT)
     nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
-    mags_plain, freq_res = _branch_spectrogram(plain, rate, centers, config, 2, _SHC_FFT)
-    mags_nl, _ = _branch_spectrogram(nonlinear, rate, centers, config, 2, _SHC_FFT)
+    mags_plain, freq_res = spectrogram(plain, 2, _SHC_FFT)
+    mags_nl, _ = spectrogram(nonlinear, 2, _SHC_FFT)
     combined = np.zeros_like(mags_plain)
     for mags in (mags_plain, mags_nl):
         if mags.max() > 0:
