@@ -85,7 +85,13 @@ def cmd_detect(args) -> int:
     return 0
 
 
+def _check_confidence_threshold(value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise UsageError(f"--confidence-threshold must be in [0, 1], got {value}")
+
+
 def cmd_evaluate(args) -> int:
+    _check_confidence_threshold(args.confidence_threshold)
     est = read_external_track(args.est, confidence_threshold=args.confidence_threshold)
     ref = read_reference_track(args.ref)
     stats = evaluate_pair(est, ref)
@@ -197,6 +203,7 @@ def _worker_count(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_confidence_threshold(args.confidence_threshold)
     n_workers = _worker_count(args)
     entries = _read_manifest(args.manifest)
     if not entries:
@@ -254,8 +261,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_hist(args) -> int:
-    if args.bin_hz <= 0:
-        raise UsageError(f"--bin-hz must be > 0, got {args.bin_hz}")
+    if not 0 < args.bin_hz < float("inf"):
+        raise UsageError(f"--bin-hz must be finite and > 0, got {args.bin_hz}")
     ref = read_reference_track(args.ref)
     bins = pitch_histogram(ref, bin_width_hz=args.bin_hz)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

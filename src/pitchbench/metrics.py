@@ -252,8 +252,8 @@ def pitch_histogram(ref: PitchTrack, bin_width_hz: float = 10.0) -> list[tuple[f
     Bins are ``[k*w, (k+1)*w)``; only non-empty bins are returned, in
     ascending order, and the counts sum to the number of voiced frames.
     """
-    if not bin_width_hz > 0:
-        raise ValueError(f"bin width must be > 0, got {bin_width_hz}")
+    if not 0 < bin_width_hz < np.inf:
+        raise ValueError(f"bin width must be finite and > 0, got {bin_width_hz}")
     voiced = ref.frames[ref.voiced]
     if voiced.size == 0:
         return []

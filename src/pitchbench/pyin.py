@@ -188,21 +188,21 @@ def pyin_candidates(
 # frequency, so the decoder's ties to the lowest state index go toward the
 # lower-frequency state.
 
-def _observations(
+def _trellis(
     candidate_sets: list[list[PitchCandidate]], config: PyinConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame observation values and the output frequency per bin.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trellis the decoder runs on: flat ``(frame, state, obs, f0)``
+    arrays, sorted by frame, then by ascending state.
 
-    obs[t, 0] is the unvoiced mass (1 minus the candidate total);
-    obs[t, 1+b] accumulates the probability of candidates mapping to
-    bin b. freqs[t, b] remembers the refined frequency of the most
-    probable candidate in that bin (the first of equals), defaulting to
-    the bin center. Sums run in candidate order, and invalid input
-    raises the error a frame-by-frame, candidate-by-candidate check
-    would raise first.
+    Every frame has state 0, observing the unvoiced mass (1 minus the
+    candidate total, or 0 from a total of 1 up) and emitting 0.0. State
+    1+b exists only where the probabilities of bin b's candidates sum
+    above 0; it observes that sum and emits the refined frequency of
+    the first most probable of them. Sums run in candidate order, and
+    invalid input raises the error a frame-by-frame,
+    candidate-by-candidate check would raise first.
     """
     n_frames = len(candidate_sets)
-    n_bins = config.n_bins
     flat = [cand for cands in candidate_sets for cand in cands]
     f0, prob = np.array(flat, dtype=np.float64).reshape(-1, 2).T
     rows = np.repeat(np.arange(n_frames), [len(cands) for cands in candidate_sets])
@@ -224,18 +224,19 @@ def _observations(
         raise ValueError(f"frame {t}: candidate probabilities sum to {total[t]} > 1")
 
     bins = _bins_of(ratio, config)
-    obs = np.zeros((n_frames, n_bins + 1))
-    obs[:, 0] = np.where(total < 1.0, 1.0 - total, 0.0)
-    np.add.at(obs, (rows, 1 + bins), prob)
-
-    centers = np.array([config.bin_frequency(b) for b in range(n_bins)])
-    freqs = np.tile(centers, (n_frames, 1))
     order = np.lexsort((-prob, bins, rows))  # stable: first most probable per (frame, bin)
     lead = np.ones(order.size, dtype=bool)
     lead[1:] = (np.diff(rows[order]) != 0) | (np.diff(bins[order]) != 0)
-    best = order[lead & (prob[order] > 0.0)]
-    freqs[rows[best], bins[best]] = f0[best]
-    return obs, freqs
+    mass = np.zeros(np.count_nonzero(lead))
+    np.add.at(mass, np.cumsum(lead)[np.argsort(order)] - 1, prob)  # in candidate order
+    kept = mass > 0.0
+    best = order[lead][kept]
+    frame = np.concatenate([np.arange(n_frames), rows[best]])
+    state = np.concatenate([np.zeros(n_frames, dtype=np.int64), 1 + bins[best]])
+    obs = np.concatenate([np.where(total < 1.0, 1.0 - total, 0.0), mass[kept]])
+    f0 = np.concatenate([np.zeros(n_frames), f0[best]])
+    by_frame = np.argsort(frame, kind="stable")  # state 0 first, then bins ascending
+    return frame[by_frame], state[by_frame], obs[by_frame], f0[by_frame]
 
 
 def _bins_of(ratio: np.ndarray, config: PyinConfig) -> np.ndarray:
@@ -253,8 +254,10 @@ def _bins_of(ratio: np.ndarray, config: PyinConfig) -> np.ndarray:
     return np.clip(np.round(raw), 0, config.n_bins - 1).astype(np.int64)
 
 
-def _transition_weights(config: PyinConfig) -> np.ndarray:
-    """(n_bins+1)^2 transition weight matrix, unvoiced state first.
+@lru_cache(maxsize=None)
+def _transition_costs(config: PyinConfig) -> np.ndarray:
+    """``-log`` of the (n_bins+1)^2 transition weight matrix, unvoiced
+    state first; computed once per config, read-only.
 
     Voiced->voiced weight: (1 - switch_prob) * max(0, 1 - dist/width)
     where dist is the bin distance and width is the transition reach in
@@ -271,21 +274,17 @@ def _transition_weights(config: PyinConfig) -> np.ndarray:
     weights[0, 1:] = config.switch_prob
     weights[1:, 0] = config.switch_prob
     weights[1:, 1:] = (1.0 - config.switch_prob) * tri
-    return weights
-
-
-@lru_cache(maxsize=None)
-def _transition_costs(config: PyinConfig) -> np.ndarray:
-    """``-log`` of :func:`_transition_weights`, computed once per config;
-    read-only."""
     with np.errstate(divide="ignore"):
-        costs = -np.log(_transition_weights(config))
+        costs = -np.log(weights)
     costs.flags.writeable = False
     return costs
 
 
-def _decode_observations(obs: np.ndarray, config: PyinConfig) -> np.ndarray:
-    """Max-product Viterbi over the observation matrix; returns state indices.
+def _decode_trellis(
+    frame: np.ndarray, state: np.ndarray, obs: np.ndarray, config: PyinConfig
+) -> np.ndarray:
+    """Max-product Viterbi over :func:`_trellis`; returns the index into
+    its arrays of each frame's decoded state.
 
     Runs as the min-cost trellis over ``-log`` observations and ``-log``
     transition weights: negation is exact, so every path score is the
@@ -293,25 +292,22 @@ def _decode_observations(obs: np.ndarray, config: PyinConfig) -> np.ndarray:
     state is the first most probable one. Scaling every observation of
     a frame by a common positive factor cannot change the decoded path.
 
-    Each frame is decoded over the unvoiced state and its occupied bins
-    only, the states whose cost can be finite. This is exact: no cost
-    is negative infinity, so a state of infinite cost never wins a
-    step whose best cost is finite, and a step whose best cost is
-    infinite falls to the first state in either form, state 0.
+    This is the path over every state at every frame, ties included: the
+    states left out are voiced ones of observation 0, and the rest keep
+    their order. No cost is negative infinity, so a state of infinite
+    cost never wins a step whose best cost is finite, and a step whose
+    best cost is infinite falls to the first state in either form, state 0.
     """
-    live = obs > 0.0
-    live[:, 0] = True
-    rows, states = np.nonzero(live)  # row-major: ascending states per frame
-    bounds = np.searchsorted(rows, np.arange(obs.shape[0] + 1)).tolist()
-    subsets = [states[a:b] for a, b in zip(bounds, bounds[1:])]
+    bounds = np.searchsorted(frame, np.arange(frame[-1] + 2)).tolist()
+    subsets = [state[a:b] for a, b in zip(bounds, bounds[1:])]
     with np.errstate(divide="ignore"):
-        sparse = -np.log(obs[rows, states])
+        costs = -np.log(obs)
     trans = _transition_costs(config)
     path = min_cost_path(
-        [sparse[a:b] for a, b in zip(bounds, bounds[1:])],
+        [costs[a:b] for a, b in zip(bounds, bounds[1:])],
         lambda t: trans.take(subsets[t - 1], axis=0).take(subsets[t], axis=1),
     )
-    return states[np.array(bounds[:-1]) + path]
+    return np.array(bounds[:-1]) + path
 
 
 def pyin_viterbi(
@@ -327,12 +323,8 @@ def pyin_viterbi(
     """
     if not candidate_sets:
         return PitchTrack(hop_seconds, np.zeros(0))
-    obs, freqs = _observations(candidate_sets, config)
-    states = _decode_observations(obs, config)
-    f0 = np.zeros(len(candidate_sets))
-    voiced = states > 0
-    f0[voiced] = freqs[np.flatnonzero(voiced), states[voiced] - 1]
-    return PitchTrack(hop_seconds, f0)
+    frame, state, obs, f0 = _trellis(candidate_sets, config)
+    return PitchTrack(hop_seconds, f0[_decode_trellis(frame, state, obs, config)])
 
 
 def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTrack:

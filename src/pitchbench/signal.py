@@ -149,13 +149,9 @@ def frame_signal(samples: np.ndarray, frame_len_samples: int, centers: np.ndarra
         padded = np.zeros(stop - first)
         padded[max(0, -first) : max(0, -first) + span.size] = span
         span = padded
-    if even:
-        shape, strides = (centers.size, frame_len_samples), (8 * step, 8)
-    else:
-        shape, strides = (span.size - frame_len_samples + 1, frame_len_samples), (8, 8)
-    frames = np.ndarray(shape, np.float64, span, 0, strides)
-    if not even:
-        frames = frames[centers - low]
+    n_windows = span.size - frame_len_samples + 1  # window i is centered on sample low + i
+    windows = np.ndarray((n_windows, frame_len_samples), np.float64, span, 0, (8, 8))
+    frames = windows[::step] if even else windows[centers - low]
     frames.flags.writeable = False
     return frames
 

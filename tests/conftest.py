@@ -1,8 +1,24 @@
-"""Shared synthetic-signal builders for the test suite."""
+"""Shared synthetic-signal builders and bit-for-bit oracles for the test
+suite."""
+import math
+
 import numpy as np
 import pytest
+from scipy.fft import rfft
 
-from pitchbench import AudioSignal
+from pitchbench import AudioSignal, frame_signal
+from pitchbench.signal import lag_frame_len
+from pitchbench.yaapt import (
+    _LINE_FLOOR,
+    _NLFER_FFT,
+    _SHC_FFT,
+    _SPECTRAL_TARGET_RATE,
+    _decimate_for_spectral,
+    _front_end,
+    _grid_frequencies,
+    _shc_grid,
+    compute_nlfer,
+)
 
 
 def sine(freq_hz, dur_s, rate_hz, amp=0.7, phase=0.0):
@@ -37,3 +53,55 @@ def padded_tone(samples, rate_hz, lead_s=0.25, trail_s=0.25):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def all_frames_spectral(signal, config):
+    """YAAPT's spectral stage transforming every frame of both branches
+    whole, then one SHC call per NLFER-gated frame: the coarse track, the
+    NLFER, and per branch the frame holding its peak (None for a silent
+    branch)."""
+    centers, pair = _front_end(signal, config)
+    rate = pair[0].sample_rate_hz
+    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
+    rate /= factor
+    centers = np.round(centers / factor).astype(np.int64)
+    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
+
+    def spectrogram(samples, frame_scale, n_fft):
+        frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
+        n_fft = max(n_fft, frame_len)
+        frames = frame_signal(samples, frame_len, centers) * np.hanning(frame_len)
+        return np.abs(rfft(frames, n=n_fft, axis=1)), rate / n_fft
+
+    mags_nlfer, nlfer_res = spectrogram(plain, 1, _NLFER_FFT)
+    nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
+    combined = None
+    peak_frames = []
+    for branch in (plain, nonlinear):
+        mags, freq_res = spectrogram(branch, 2, _SHC_FFT)
+        if combined is None:
+            combined = np.zeros_like(mags)
+        peak = mags.max(initial=0.0)
+        peak_frames.append(int(np.argmax(mags.max(axis=1))) if peak > 0 else None)
+        if peak > 0:
+            combined += mags / peak
+
+    grid = _grid_frequencies(config)
+    grid_bins = np.round(grid / freq_res).astype(np.int64)
+    lo = int(math.ceil(config.fmin_hz / freq_res))
+    hi = min(int(math.floor(config.fmax_hz / freq_res)), combined.shape[1] - 1)
+    coarse = np.zeros(centers.size)
+    for t in np.flatnonzero(nlfer >= config.nlfer_threshold):
+        spectrum = combined[t]
+        line_ok = spectrum[grid_bins] >= _LINE_FLOOR * spectrum[lo : hi + 1].max()
+        if not np.any(line_ok):
+            line_ok = np.ones_like(line_ok)
+        floored = np.maximum(spectrum, _LINE_FLOOR * spectrum.max())
+        shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
+        coarse[t] = grid[int(np.argmax(shc))]
+    return coarse, nlfer, peak_frames

@@ -1,6 +1,6 @@
 """Bit-for-bit agreement of the engines' array back ends with literal loops.
 
-pYIN's sparse decode, its vectorized observation builder, YAAPT's
+pYIN's sparse decode, its vectorized trellis builder, YAAPT's
 batched SHC stage, its array-built DP and its array candidate merge are
 each compared with ``tobytes()`` against a straightforward per-frame
 (or per-candidate) formulation of the same rule.
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import rfft
 
 from pitchbench import (
     NccfCandidate,
@@ -19,97 +18,28 @@ from pitchbench import (
     PyinConfig,
     SpectralTrack,
     YaaptConfig,
-    frame_signal,
     min_cost_path,
     pyin_candidates,
     pyin_track,
+    pyin_viterbi,
     spectral_pitch_track,
     yaapt_dp_select,
     yaapt_track,
 )
-from pitchbench.pyin import _decode_observations, _observations, _transition_weights
+from pitchbench.pyin import _transition_costs, _trellis
 from pitchbench.signal import lag_frame_len
-from pitchbench.yaapt import (
-    _LINE_FLOOR,
-    _NLFER_FFT,
-    _SHC_FFT,
-    _SPECTRAL_TARGET_RATE,
-    _decimate_for_spectral,
-    _front_end,
-    _grid_frequencies,
-    _merge_close,
-    _shc_grid,
-    compute_nlfer,
-)
-from conftest import padded_tone, sawtooth
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+from pitchbench.yaapt import _grid_frequencies, _merge_close, _shc_grid
+from conftest import all_frames_spectral, padded_tone, same_bits, sawtooth
 
 
 # ---------------------------------------------------------------------------
-# pYIN decoding
-# ---------------------------------------------------------------------------
-
-def dense_decode(obs, config):
-    """Every state at every frame, as the trellis was first run."""
-    with np.errstate(divide="ignore"):
-        costs = -np.log(obs)
-        trans = -np.log(_transition_weights(config))
-    return min_cost_path(costs, lambda _t: trans)
-
-
-def random_observations(rng, config, n_frames):
-    """Sparse observation rows: some frames with no candidates, some with
-    zero unvoiced mass, some occupying bins too far apart to connect."""
-    n_bins = config.n_bins
-    obs = np.zeros((n_frames, n_bins + 1))
-    for t in range(n_frames):
-        kind = rng.integers(5)
-        if kind == 0:  # no candidates
-            obs[t, 0] = 1.0
-            continue
-        k = int(rng.integers(1, 5))
-        if kind == 1:  # all in one bin
-            bins = np.full(k, rng.integers(n_bins))
-        else:
-            bins = rng.choice(n_bins, size=k, replace=False)
-        mass = rng.dirichlet(np.ones(k + 1))
-        np.add.at(obs[t], 1 + bins, mass[:k])
-        obs[t, 0] = 0.0 if kind == 2 else mass[k]  # kind 2: unvoiced mass 0
-        if kind == 3 and rng.random() < 0.2:
-            obs[t] = 0.0  # nothing finite at all in this frame
-    return obs
-
-
-class TestSparseDecode:
-    @pytest.mark.parametrize("config", [
-        PyinConfig(),
-        PyinConfig(bins_per_semitone=2, max_transition_semitones=1.0, switch_prob=0.3),
-    ])
-    def test_matches_dense_decode(self, config):
-        rng = np.random.default_rng(20141)
-        for _ in range(60):
-            obs = random_observations(rng, config, int(rng.integers(1, 40)))
-            assert same_bits(_decode_observations(obs, config), dense_decode(obs, config))
-
-    def test_ties_go_to_the_lowest_state_in_both_forms(self):
-        cfg = PyinConfig()
-        obs = np.zeros((6, cfg.n_bins + 1))
-        obs[:, [0, 40, 41]] = 1.0 / 3.0  # exact three-way ties everywhere
-        obs[3] = 0.0
-        obs[3, [0, 90]] = 0.5
-        assert same_bits(_decode_observations(obs, cfg), dense_decode(obs, cfg))
-
-
-# ---------------------------------------------------------------------------
-# pYIN observations
+# pYIN trellis
 # ---------------------------------------------------------------------------
 
 def literal_observations(candidate_sets, config):
-    """Candidate by candidate, frame by frame."""
+    """Candidate by candidate, frame by frame, over every state: the
+    observation of each state and the frequency each bin emits (its
+    center while it holds no candidate of probability above 0)."""
     n_frames = len(candidate_sets)
     n_bins = config.n_bins
     obs = np.zeros((n_frames, n_bins + 1))
@@ -133,6 +63,23 @@ def literal_observations(candidate_sets, config):
     return obs, freqs
 
 
+def dense_decode(obs, config):
+    """Every state at every frame, as the trellis was first run."""
+    with np.errstate(divide="ignore"):
+        costs = -np.log(obs)
+    return min_cost_path(costs, lambda _t: _transition_costs(config))
+
+
+def dense_track(candidate_sets, config):
+    """The f0 track of :func:`dense_decode` over the literal observations."""
+    obs, freqs = literal_observations(candidate_sets, config)
+    states = dense_decode(obs, config)
+    voiced = np.flatnonzero(states > 0)
+    f0 = np.zeros(len(candidate_sets))
+    f0[voiced] = freqs[voiced, states[voiced] - 1]
+    return f0
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -141,15 +88,27 @@ def outcome(fn, *args):
 
 
 def assert_same_outcome(candidate_sets, config):
-    got = outcome(_observations, candidate_sets, config)
+    got = outcome(_trellis, candidate_sets, config)
     want = outcome(literal_observations, candidate_sets, config)
     if isinstance(want[0], type):
         assert got == want
-    else:
-        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        return
+    frame, state, obs, f0 = got
+    dense_obs, freqs = want
+    live = dense_obs > 0.0
+    live[:, 0] = True
+    rows, states = np.nonzero(live)  # row-major: by frame, then ascending state
+    assert same_bits(frame, rows) and same_bits(state, states)
+    assert same_bits(obs, dense_obs[rows, states])
+    voiced = state > 0
+    assert same_bits(f0[voiced], freqs[frame[voiced], state[voiced] - 1])
+    assert not f0[~voiced].any()
 
 
 def random_candidate_sets(rng, config, n_frames):
+    """Frames with no candidates, several in one bin, equal probabilities
+    in one bin, candidates on a half-bin boundary or of probability 0,
+    and no unvoiced mass left."""
     step = 12.0 * config.bins_per_semitone
     sets = []
     for _ in range(n_frames):
@@ -168,6 +127,38 @@ def random_candidate_sets(rng, config, n_frames):
             prob[0] = 0.0
         sets.append([PitchCandidate(float(f), float(p)) for f, p in zip(f0, prob)])
     return sets
+
+
+class TestSparseDecode:
+    @pytest.mark.parametrize("config", [
+        PyinConfig(),
+        PyinConfig(bins_per_semitone=2, max_transition_semitones=1.0, switch_prob=0.3),
+    ])
+    def test_matches_dense_decode(self, config):
+        rng = np.random.default_rng(20141)
+        decoded = 0
+        for _ in range(60):
+            sets = random_candidate_sets(rng, config, int(rng.integers(1, 40)))
+            want = outcome(dense_track, sets, config)
+            got = outcome(lambda: pyin_viterbi(sets, config).frames)
+            if isinstance(want[0], type):  # a frame sums past 1
+                assert got == want
+            else:
+                decoded += 1
+                assert same_bits(got, want)
+        assert decoded >= 20
+
+    def test_ties_go_to_the_lowest_state_in_both_forms(self):
+        cfg = PyinConfig()
+        # bins 40, 41 and 42 and the unvoiced state observe 0.25 each: exact
+        # four-way ties everywhere but frame 3, an even split of the
+        # unvoiced state and bin 90
+        quarter = [PitchCandidate(cfg.bin_frequency(b), 0.25) for b in (40, 41, 42)]
+        sets = [list(quarter) for _ in range(6)]
+        sets[3] = [PitchCandidate(cfg.bin_frequency(90), 0.5)]
+        obs, _freqs = literal_observations(sets, cfg)
+        assert (obs[:, [0, 41, 42, 43]] == 0.25).all(axis=1).sum() == 5
+        assert same_bits(pyin_viterbi(sets, cfg).frames, dense_track(sets, cfg))
 
 
 class TestVectorizedObservations:
@@ -207,7 +198,7 @@ class TestVectorizedObservations:
             sets[4].insert(0, bad)
         want = outcome(literal_observations, sets, cfg)
         assert isinstance(want[0], type)  # every case fails
-        assert outcome(_observations, sets, cfg) == want
+        assert outcome(_trellis, sets, cfg) == want
 
     def test_no_candidates_at_all(self):
         cfg = PyinConfig()
@@ -217,45 +208,6 @@ class TestVectorizedObservations:
 # ---------------------------------------------------------------------------
 # YAAPT spectral stage
 # ---------------------------------------------------------------------------
-
-def per_frame_spectral(signal, config):
-    """The spectral stage with one SHC call per NLFER-gated frame."""
-    centers, pair = _front_end(signal, config)
-    rate = pair[0].sample_rate_hz
-    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
-    rate /= factor
-    centers = np.round(centers / factor).astype(np.int64)
-    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
-
-    def spectrogram(samples, frame_scale, n_fft):
-        frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
-        n_fft = max(n_fft, frame_len)
-        frames = frame_signal(samples, frame_len, centers) * np.hanning(frame_len)
-        return np.abs(rfft(frames, n=n_fft, axis=1)), rate / n_fft
-
-    mags_nlfer, nlfer_res = spectrogram(plain, 1, _NLFER_FFT)
-    nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
-    mags_plain, freq_res = spectrogram(plain, 2, _SHC_FFT)
-    mags_nl, _ = spectrogram(nonlinear, 2, _SHC_FFT)
-    combined = np.zeros_like(mags_plain)
-    for mags in (mags_plain, mags_nl):
-        if mags.max() > 0:
-            combined += mags / mags.max()
-    grid = _grid_frequencies(config)
-    grid_bins = np.round(grid / freq_res).astype(np.int64)
-    lo = int(math.ceil(config.fmin_hz / freq_res))
-    hi = min(int(math.floor(config.fmax_hz / freq_res)), combined.shape[1] - 1)
-    coarse = np.zeros(centers.size)
-    for t in np.flatnonzero(nlfer >= config.nlfer_threshold):
-        spectrum = combined[t]
-        line_ok = spectrum[grid_bins] >= _LINE_FLOOR * spectrum[lo : hi + 1].max()
-        if not np.any(line_ok):
-            line_ok = np.ones_like(line_ok)
-        floored = np.maximum(spectrum, _LINE_FLOOR * spectrum.max())
-        shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
-        coarse[t] = grid[int(np.argmax(shc))]
-    return coarse, nlfer
-
 
 class TestBatchedShc:
     @pytest.mark.parametrize("config", [
@@ -282,7 +234,7 @@ class TestBatchedShc:
         tone = sawtooth(rng.uniform(90, 250), 1.3, rate)
         signal = padded_tone(tone + 0.05 * rng.standard_normal(tone.size), rate, 0.1, 0.1)
         track = spectral_pitch_track(signal, config)
-        coarse, nlfer = per_frame_spectral(signal, config)
+        coarse, nlfer, _peak_frames = all_frames_spectral(signal, config)
         assert np.count_nonzero(coarse) > 100
         assert same_bits(track.coarse_f0_hz, coarse) and same_bits(track.nlfer, nlfer)
 

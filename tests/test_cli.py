@@ -159,6 +159,35 @@ class TestEvaluate:
         assert payload["v2u_errors"] == 1  # the low-confidence frame went unvoiced
         assert payload["fine_frames"] == 1
 
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5", "inf"])
+    def test_threshold_outside_unit_interval_usage_error(self, tmp_path, threshold):
+        # a nan threshold used to drop no frame: every comparison with it is false
+        ref = tmp_path / "ref.txt"
+        ref.write_text("200.0\n200.0\n200.0\n")
+        est = tmp_path / "est.csv"
+        est.write_text("time_s,f0_hz,confidence\n0.00,200,0.9\n0.01,200,0.4\n0.02,200,0.3\n")
+        out = tmp_path / "stats.json"
+        code = main([
+            "evaluate", "--est", str(est), "--ref", str(ref), "--out", str(out),
+            "--confidence-threshold", threshold,
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_threshold_bounds_accepted(self, tmp_path, threshold):
+        ref = tmp_path / "ref.txt"
+        ref.write_text("200.0\n200.0\n")
+        est = tmp_path / "est.csv"
+        est.write_text("time_s,f0_hz,confidence\n0.00,200,1.0\n0.01,200,0.4\n")
+        out = tmp_path / "stats.json"
+        code = main([
+            "evaluate", "--est", str(est), "--ref", str(ref), "--out", str(out),
+            "--confidence-threshold", threshold,
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["v2u_errors"] == int(threshold)
+
     def test_hop_mismatch_exits_one_without_output(self, tmp_path):
         ref = tmp_path / "ref.txt"
         ref.write_text("100.0\n100.0\n")
@@ -227,6 +256,18 @@ class TestCompare:
         manifest = tmp_path / "empty.csv"
         manifest.write_text("utterance_id,wav_path,reference_path\n")
         assert main(["compare", "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "2"])
+    def test_threshold_outside_unit_interval_usage_error(self, tmp_path, capsys, threshold):
+        manifest = self._build_corpus(tmp_path, n=1)
+        out = tmp_path / "o.csv"
+        code = main([
+            "compare", "--manifest", str(manifest), "--algos", "pyin",
+            "--confidence-threshold", threshold, "--out", str(out),
+        ])
+        assert code == 2
+        assert "--confidence-threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_crepe_in_algos_points_to_external(self, tmp_path, capsys):
         manifest = self._build_corpus(tmp_path, n=2)
@@ -400,6 +441,15 @@ class TestHist:
         ref = tmp_path / "ref.txt"
         ref.write_text("100.0\n")
         assert main(["hist", "--ref", str(ref), "--bin-hz", "0", "--out", str(tmp_path / "h.csv")]) == 2
+
+    @pytest.mark.parametrize("width", ["inf", "-inf", "nan"])
+    def test_non_finite_bin_width_usage_error(self, tmp_path, width):
+        # an infinite width used to write the row "nan,1" after a RuntimeWarning
+        ref = tmp_path / "ref.txt"
+        ref.write_text("100.0\n")
+        out = tmp_path / "h.csv"
+        assert main(["hist", "--ref", str(ref), "--bin-hz", width, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unreadable_file_exit_one(self, tmp_path):
         assert main(["hist", "--ref", str(tmp_path / "no.txt"), "--out", str(tmp_path / "h.csv")]) == 1

@@ -6,33 +6,15 @@ around. The spectral stage transforms only the frames that are scored
 or that can hold a branch's peak; a literal all-frames stage shows the
 coarse track and the NLFER keep every bit.
 """
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len, rfft
+from scipy.fft import next_fast_len
 
-from pitchbench import AudioSignal, YaaptConfig, frame_signal, spectral_pitch_track
-from pitchbench.signal import _lag_terms, lag_frame_len
-from pitchbench.yaapt import (
-    _LINE_FLOOR,
-    _NLFER_FFT,
-    _SHC_FFT,
-    _SPECTRAL_TARGET_RATE,
-    _decimate_for_spectral,
-    _front_end,
-    _grid_frequencies,
-    _shc_grid,
-    compute_nlfer,
-)
-from conftest import padded_tone, sawtooth
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+from pitchbench import AudioSignal, YaaptConfig, spectral_pitch_track
+from pitchbench.signal import _lag_terms
+from conftest import all_frames_spectral, padded_tone, same_bits, sawtooth
 
 
 # ---------------------------------------------------------------------------
@@ -83,52 +65,6 @@ class TestLagTermsDoNotWrap:
 # ---------------------------------------------------------------------------
 # Spectral stage: SHC spectra only where they can matter
 # ---------------------------------------------------------------------------
-
-def all_frames_spectral(signal, config):
-    """The spectral stage transforming every frame of both branches: the
-    coarse track, the NLFER, and per branch the frame holding its peak
-    (None for a silent branch)."""
-    centers, pair = _front_end(signal, config)
-    rate = pair[0].sample_rate_hz
-    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
-    rate /= factor
-    centers = np.round(centers / factor).astype(np.int64)
-    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
-
-    def spectrogram(samples, frame_scale, n_fft):
-        frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
-        n_fft = max(n_fft, frame_len)
-        frames = frame_signal(samples, frame_len, centers) * np.hanning(frame_len)
-        return np.abs(rfft(frames, n=n_fft, axis=1)), rate / n_fft
-
-    mags_nlfer, nlfer_res = spectrogram(plain, 1, _NLFER_FFT)
-    nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
-    combined = None
-    peak_frames = []
-    for branch in (plain, nonlinear):
-        mags, freq_res = spectrogram(branch, 2, _SHC_FFT)
-        if combined is None:
-            combined = np.zeros_like(mags)
-        peak = mags.max(initial=0.0)
-        peak_frames.append(int(np.argmax(mags.max(axis=1))) if peak > 0 else None)
-        if peak > 0:
-            combined += mags / peak
-
-    grid = _grid_frequencies(config)
-    grid_bins = np.round(grid / freq_res).astype(np.int64)
-    lo = int(math.ceil(config.fmin_hz / freq_res))
-    hi = min(int(math.floor(config.fmax_hz / freq_res)), combined.shape[1] - 1)
-    coarse = np.zeros(centers.size)
-    for t in np.flatnonzero(nlfer >= config.nlfer_threshold):
-        spectrum = combined[t]
-        line_ok = spectrum[grid_bins] >= _LINE_FLOOR * spectrum[lo : hi + 1].max()
-        if not np.any(line_ok):
-            line_ok = np.ones_like(line_ok)
-        floored = np.maximum(spectrum, _LINE_FLOOR * spectrum.max())
-        shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
-        coarse[t] = grid[int(np.argmax(shc))]
-    return coarse, nlfer, peak_frames
-
 
 def assert_stage_matches(signal, config):
     track = spectral_pitch_track(signal, config)

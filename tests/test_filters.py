@@ -24,14 +24,10 @@ from pitchbench import AudioSignal, PyinConfig, bandpass_filter
 from pitchbench.pyin import _threshold_weights
 from pitchbench.signal import _bandpass_taps
 from pitchbench.yaapt import _decimate_for_spectral
+from conftest import same_bits
 
 RATES = [8000, 11025, 16000, 22050, 44100, 48000]
 BANDS = [(50.0, 1500.0), (60.0, 400.0)]  # YAAPT's default band, and a narrow one
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("rate", RATES)

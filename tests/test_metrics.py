@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,6 +296,13 @@ class TestPitchHistogram:
     def test_bad_bin_width(self):
         with pytest.raises(ValueError):
             pitch_histogram(PitchTrack(0.01, np.zeros(5)), bin_width_hz=0.0)
+
+    @pytest.mark.parametrize("width", [math.inf, -math.inf, math.nan])
+    def test_non_finite_bin_width(self, width):
+        # an infinite width would put every frame in one bin whose low
+        # edge is 0 * inf, that is nan
+        with pytest.raises(ValueError, match="finite"):
+            pitch_histogram(PitchTrack(0.01, np.array([150.0, 210.0])), bin_width_hz=width)
 
 
 class TestStatsJson:

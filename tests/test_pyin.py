@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pitchbench import AudioSignal, PitchCandidate, PyinConfig, pyin_candidates, pyin_track, pyin_viterbi
-from pitchbench.pyin import _decode_observations, _observations, _threshold_weights
+from pitchbench.pyin import _decode_trellis, _threshold_weights, _trellis
 from conftest import padded_tone, sawtooth, sine
 
 
@@ -175,10 +176,10 @@ class TestPyinViterbi:
             freqs = rng.uniform(70, 380, k)
             probs = rng.random(k) / max(k, 1)
             sets.append([PitchCandidate(f, p) for f, p in zip(freqs, probs)])
-        obs, _freqs = _observations(sets, cfg)
-        baseline = _decode_observations(obs, cfg)
+        frame, state, obs, _f0 = _trellis(sets, cfg)
+        baseline = _decode_trellis(frame, state, obs, cfg)
         for c in (0.1, 0.5, 1.0):
-            np.testing.assert_array_equal(_decode_observations(c * obs, cfg), baseline)
+            np.testing.assert_array_equal(_decode_trellis(frame, state, c * obs, cfg), baseline)
 
 
 class TestPyinTrack:
@@ -220,3 +221,25 @@ class TestPyinTrack:
         voiced = interior[interior > 0]
         jumps = np.abs(np.diff(np.log2(voiced)))
         assert np.all(jumps < 0.5)
+
+
+class TestWorkingSet:
+    """``pyin_track`` holds one block of frames and the per-frame results,
+    so its peak grows little with the recording; an array of frames x
+    pitch bins would add about 0.33 MiB per audio second."""
+
+    @staticmethod
+    def peak(seconds, rate) -> int:
+        signal = AudioSignal(sawtooth(150.0, seconds, rate), rate)
+        tracemalloc.start()
+        try:
+            pyin_track(signal)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_peak_per_audio_second(self, rate):
+        self.peak(0.5, rate)  # fills the per-config caches
+        mib_per_second = (self.peak(30.0, rate) - self.peak(5.0, rate)) / 25.0 / 2**20
+        assert mib_per_second < 0.1

@@ -41,14 +41,9 @@ from pitchbench.signal import (
     yin_difference_rows,
 )
 from pitchbench.yaapt import _NLFER_FFT, _SHC_FFT, _SPECTRAL_TARGET_RATE, _frame_and_fft_len
-from conftest import padded_tone, sawtooth
+from conftest import padded_tone, same_bits, sawtooth
 
 RATES = [8000, 11025, 16000, 22050, 44100, 48000]
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
