@@ -35,6 +35,7 @@ from .pyin import PyinConfig, pyin_track
 from .trackio import (
     TrackFormatError,
     WavFormatError,
+    check_confidence_threshold,
     read_external_track,
     read_reference_track,
     read_wav,
@@ -86,8 +87,10 @@ def cmd_detect(args) -> int:
 
 
 def _check_confidence_threshold(value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"--confidence-threshold must be in [0, 1], got {value}")
+    try:
+        check_confidence_threshold(value)
+    except ValueError as exc:
+        raise UsageError(f"--confidence-threshold: {exc}") from None
 
 
 def cmd_evaluate(args) -> int:

@@ -104,7 +104,8 @@ class PitchCandidate(NamedTuple):
     probability: float
 
 
-@lru_cache(maxsize=None)
+# a process decodes with a few configs at a time, one per CLI engine run
+@lru_cache(maxsize=8)
 def _threshold_weights(config: PyinConfig) -> tuple[np.ndarray, np.ndarray]:
     """Equally spaced thresholds in (0, 1] and their Beta prior mass.
 
@@ -241,20 +242,14 @@ def _trellis(
 
 def _bins_of(ratio: np.ndarray, config: PyinConfig) -> np.ndarray:
     """:meth:`PyinConfig.bin_of` of frequencies given as positive, finite
-    ratios ``f0 / fmin``.
-
-    NumPy's ``log2`` may differ from ``math.log2`` in the last bit, which
-    matters only within a few ulp of a half-bin boundary; values that
-    close are recomputed with ``math.log2``.
-    """
+    ratios ``f0 / fmin``, by its own arithmetic."""
     steps = 12.0 * config.bins_per_semitone
-    raw = steps * np.log2(ratio)
-    near = np.flatnonzero(np.abs(raw - np.floor(raw) - 0.5) < 1e-9)
-    raw[near] = [steps * math.log2(r) for r in ratio[near].tolist()]
+    raw = steps * np.fromiter(map(math.log2, ratio.tolist()), np.float64, ratio.size)
     return np.clip(np.round(raw), 0, config.n_bins - 1).astype(np.int64)
 
 
-@lru_cache(maxsize=None)
+# as above; each entry is an (n_bins + 1)^2 matrix, 0.2 MiB at the defaults
+@lru_cache(maxsize=8)
 def _transition_costs(config: PyinConfig) -> np.ndarray:
     """``-log`` of the (n_bins+1)^2 transition weight matrix, unvoiced
     state first; computed once per config, read-only.

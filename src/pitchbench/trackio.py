@@ -245,17 +245,24 @@ def _raise_first_bad_line(path, lines: list[str], lineno: int) -> None:
 # External tracks (CSV with header) and the canonical writer
 # ---------------------------------------------------------------------------
 
+def check_confidence_threshold(value: float) -> None:
+    """Raise ``ValueError`` unless 0 <= ``value`` <= 1 (so for nan too)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"confidence threshold must be in [0, 1], got {value}")
+
+
 def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
     """Read an externally computed track from CSV.
 
     Expects a header naming at least ``time_s`` and ``f0_hz``; a
     ``confidence`` column is optional. Frames whose confidence is below
-    the threshold are forced unvoiced (f0 = 0). The hop is inferred from
-    consecutive timestamps, which must be uniform within 1e-6 s; files
-    with fewer than two rows fall back to the canonical 10 ms hop. A time or
-    f0 that is not finite, a negative f0, or a confidence outside [0, 1]
-    raises :class:`TrackFormatError` naming the file and line.
+    the threshold, itself in [0, 1], are forced unvoiced (f0 = 0). The hop
+    is inferred from consecutive timestamps, which must be uniform within
+    1e-6 s; files with fewer than two rows fall back to the canonical 10 ms
+    hop. A time or f0 that is not finite, a negative f0, or a confidence
+    outside [0, 1] raises :class:`TrackFormatError` naming the file and line.
     """
+    check_confidence_threshold(confidence_threshold)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -297,43 +297,19 @@ def _magnitudes(
     return mags
 
 
-def _combined_shc_spectra(
-    branches: tuple[np.ndarray, np.ndarray],
-    rate: float,
-    centers: np.ndarray,
-    gated: np.ndarray,
-    config: YaaptConfig,
-) -> tuple[np.ndarray, float]:
-    """SHC-stage magnitude spectra of the ``gated`` frames, each branch's
-    divided by its peak magnitude over all frames unless that peak is 0,
-    summed over the branches; and their frequency resolution.
-
-    A frame's windowed L1 norm ``sum |w x|`` bounds every magnitude of
-    its spectrum, so a frame outside ``gated`` can raise the peak only
-    if its norm reaches the peak so far; only such frames are
-    transformed, block by block. The 1e-9 relative margin covers the
-    round-off of the norm and of the transform, so the peak is the
-    all-frames maximum bit for bit.
-    """
-    frame_len, n_fft = _frame_and_fft_len(rate, config, 2, _SHC_FFT)
+def _l1_norms(
+    samples: np.ndarray, centers: np.ndarray, rows: np.ndarray, frame_len: int
+) -> np.ndarray:
+    """Windowed L1 norm ``sum |w x|`` of the frames ``rows``, cut and
+    windowed as :func:`_magnitudes` does, a block at a time; it bounds
+    every magnitude of the frame's spectrum."""
     window = np.hanning(frame_len)
-    rest = np.delete(np.arange(centers.size), gated)
+    norms = np.empty(rows.size)
     step = budget_rows(16 * frame_len)  # per row: the windowed frame and its absolute values
-    spectra = []
-    for samples in branches:
-        scaled = _magnitudes(samples, centers, gated, frame_len, n_fft, n_fft // 2 + 1)
-        peak = scaled.max(initial=0.0)
-        for start in range(0, rest.size, step):
-            frames = frame_signal(samples, frame_len, centers[rest[start : start + step]]) * window
-            norms = np.abs(frames).sum(axis=1)
-            loud = frames[(norms > 0.0) & (norms >= peak * (1.0 - 1e-9))]
-            if loud.size:
-                peak = max(peak, np.abs(rfft(loud, n=n_fft, axis=1)).max())
-        if peak > 0:
-            scaled /= peak
-        spectra.append(scaled)
-    plain, nonlinear = spectra
-    return np.add(plain, nonlinear, out=plain), rate / n_fft
+    for start in range(0, rows.size, step):
+        frames = frame_signal(samples, frame_len, centers[rows[start : start + step]]) * window
+        np.abs(frames).sum(axis=1, out=norms[start : start + step])
+    return norms
 
 
 def _spectral_factor(rate: float) -> int:
@@ -347,14 +323,15 @@ def _grid_frequencies(config: YaaptConfig) -> np.ndarray:
 
 
 def _spectral_from_pair(
-    centers: np.ndarray, pair: tuple[AudioSignal, AudioSignal], config: YaaptConfig
+    pair: tuple[AudioSignal, AudioSignal], config: YaaptConfig
 ) -> SpectralTrack:
     """The spectral stage on both branches, decimated to about 16 kHz;
-    frame k is centered on the decimated sample nearest ``centers[k]``."""
+    frame k is centered on the decimated sample nearest the k-th of the
+    branches' :func:`frame_centers`."""
     rate = pair[0].sample_rate_hz
     factor = _spectral_factor(rate)
+    centers = np.round(frame_centers(len(pair[0]), config.hop_ms, rate) / factor).astype(np.int64)
     rate /= factor
-    centers = np.round(centers / factor).astype(np.int64)
     plain, nonlinear = (_decimate_for_spectral(b.samples, factor) for b in pair)
     frame_len, n_fft = _frame_and_fft_len(rate, config, 1, _NLFER_FFT)
     res = rate / n_fft
@@ -367,10 +344,25 @@ def _spectral_from_pair(
     if not gated.size:
         return SpectralTrack(coarse, nlfer)
 
-    # Combine the branches on equal footing; each branch is scaled by its
-    # own utterance-wide maximum so absolute gain cancels. Only gated
-    # frames are scored, so only theirs are combined.
-    combined, freq_res = _combined_shc_spectra((plain, nonlinear), rate, centers, gated, config)
+    # Combine the branches on equal footing, each scaled by its own
+    # utterance-wide peak so absolute gain cancels; only gated frames are
+    # scored, so only theirs are kept. Another frame can raise the peak
+    # only if its windowed L1 norm reaches the gated frames' peak (less
+    # 1e-9 for round-off), so only those are transformed: bit for bit the
+    # peak over all frames.
+    frame_len, n_fft = _frame_and_fft_len(rate, config, 2, _SHC_FFT)
+    freq_res, bins = rate / n_fft, n_fft // 2 + 1
+    rest = np.delete(every, gated)
+    combined = None
+    for samples in (plain, nonlinear):
+        mags = _magnitudes(samples, centers, gated, frame_len, n_fft, bins)
+        peak = mags.max(initial=0.0)
+        norms = _l1_norms(samples, centers, rest, frame_len)
+        loud = rest[(norms > 0.0) & (norms >= peak * (1.0 - 1e-9))]
+        peak = _magnitudes(samples, centers, loud, frame_len, n_fft, bins).max(initial=peak)
+        if peak > 0:
+            mags /= peak
+        combined = mags if combined is None else np.add(combined, mags, out=combined)
 
     grid = _grid_frequencies(config)
     grid_bins = np.round(grid / freq_res).astype(np.int64)
@@ -396,17 +388,9 @@ def _spectral_from_pair(
     return SpectralTrack(coarse, nlfer)
 
 
-def _front_end(
-    signal: AudioSignal, config: YaaptConfig
-) -> tuple[np.ndarray, tuple[AudioSignal, AudioSignal]]:
-    """Frame centers and the preprocessed branch pair."""
-    centers = frame_centers(len(signal), config.hop_ms, signal.sample_rate_hz)
-    return centers, yaapt_preprocess(signal, config)
-
-
 def spectral_pitch_track(signal: AudioSignal, config: YaaptConfig) -> SpectralTrack:
     """Coarse pitch from the spectrogram stage, gated by NLFER."""
-    return _spectral_from_pair(*_front_end(signal, config), config)
+    return _spectral_from_pair(yaapt_preprocess(signal, config), config)
 
 
 def _nccf_peaks(
@@ -572,9 +556,9 @@ def yaapt_track(signal: AudioSignal, config: YaaptConfig | None = None) -> Pitch
     if config is None:
         config = YaaptConfig()
     hop_seconds = config.hop_ms / 1000.0
-    centers, pair = _front_end(signal, config)
+    pair = yaapt_preprocess(signal, config)
     if len(signal) == 0:
         return PitchTrack(hop_seconds, np.zeros(0))
-    spectral = _spectral_from_pair(centers, pair, config)
+    spectral = _spectral_from_pair(pair, config)
     candidates = nccf_candidates(pair, config)
     return yaapt_dp_select(candidates, spectral, config, hop_seconds=hop_seconds)

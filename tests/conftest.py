@@ -7,17 +7,17 @@ import pytest
 from scipy.fft import rfft
 
 from pitchbench import AudioSignal, frame_signal
-from pitchbench.signal import lag_frame_len
+from pitchbench.signal import frame_centers, lag_frame_len
 from pitchbench.yaapt import (
     _LINE_FLOOR,
     _NLFER_FFT,
     _SHC_FFT,
     _SPECTRAL_TARGET_RATE,
     _decimate_for_spectral,
-    _front_end,
     _grid_frequencies,
     _shc_grid,
     compute_nlfer,
+    yaapt_preprocess,
 )
 
 
@@ -65,7 +65,8 @@ def all_frames_spectral(signal, config):
     whole, then one SHC call per NLFER-gated frame: the coarse track, the
     NLFER, and per branch the frame holding its peak (None for a silent
     branch)."""
-    centers, pair = _front_end(signal, config)
+    pair = yaapt_preprocess(signal, config)
+    centers = frame_centers(len(signal), config.hop_ms, signal.sample_rate_hz)
     rate = pair[0].sample_rate_hz
     factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
     rate /= factor

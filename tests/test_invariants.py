@@ -89,8 +89,8 @@ def test_whole_hop_shift_equivariance(engine, rate, f0, noise, seed):
     assert_shifted(engine, a[whole], b[whole])
 
 
-# A plain test, not a property: a failing property makes hypothesis import
-# libcst, whose DeprecationWarning the "error" filter turns into a crash.
+# A plain test, not a property: frame placement depends only on the rate
+# and the shift, so one fixed tone per engine and rate shows the defect.
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

@@ -243,3 +243,19 @@ class TestWorkingSet:
         self.peak(0.5, rate)  # fills the per-config caches
         mib_per_second = (self.peak(30.0, rate) - self.peak(5.0, rate)) / 25.0 / 2**20
         assert mib_per_second < 0.1
+
+    def test_config_caches_stay_bounded(self):
+        # each config's transition costs are a 166 x 166 matrix at these
+        # bins (0.2 MiB); 100 configs kept alive would hold about 21 MiB
+        frame = sawtooth(150.0, 0.04, 16000)
+        sets = [[PitchCandidate(150.0, 0.8)], [PitchCandidate(151.0, 0.7)]]
+        tracemalloc.start()
+        try:
+            for k in range(100):
+                cfg = PyinConfig(switch_prob=0.01 + k * 1e-4)
+                pyin_candidates(frame, cfg, 16000.0)
+                pyin_viterbi(sets, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2**20

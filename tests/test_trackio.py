@@ -1,4 +1,6 @@
+import math
 import pickle
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -189,6 +191,25 @@ class TestReadExternalTrack:
         path.write_text("time_s,f0_hz,confidence\n0.00,200,0.0\n0.01,210,0.01\n")
         track = read_external_track(path, confidence_threshold=0.0)
         np.testing.assert_array_equal(track.frames, [200.0, 210.0])
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, -0.1, 1.5, 2.0, math.inf])
+    def test_threshold_outside_unit_interval_rejected(self, tmp_path, threshold):
+        # every comparison with a nan threshold is false, so none would apply
+        path = tmp_path / "ext.csv"
+        path.write_text("time_s,f0_hz,confidence\n0.00,200,0.9\n0.01,200,0.4\n0.02,200,0.3\n")
+        with pytest.raises(ValueError, match=re.escape(f"got {threshold}")):
+            read_external_track(path, confidence_threshold=threshold)
+
+    def test_threshold_checked_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(ValueError, match="confidence threshold"):
+            read_external_track(tmp_path / "missing.csv", confidence_threshold=-1.0)
+
+    @pytest.mark.parametrize("threshold, frames", [(0.4, [200.0, 200.0, 0.0]), (1.0, [0.0] * 3)])
+    def test_threshold_bounds_accepted(self, tmp_path, threshold, frames):
+        path = tmp_path / "ext.csv"
+        path.write_text("time_s,f0_hz,confidence\n0.00,200,0.9\n0.01,200,0.4\n0.02,200,0.3\n")
+        track = read_external_track(path, confidence_threshold=threshold)
+        np.testing.assert_array_equal(track.frames, frames)
 
     def test_non_uniform_timestamps_rejected(self, tmp_path):
         path = tmp_path / "ext.csv"
