@@ -205,13 +205,23 @@ def _worker_count(args) -> int:
     return jobs
 
 
+def _table_labels(algos: list[str], externals: list[tuple[str, Path]]) -> list[str]:
+    """The comparison table's row labels: at least one, each once, and none
+    holding a character that would break its CSV row."""
+    labels = algos + [label for label, _directory in externals]
+    if not labels:
+        raise UsageError("nothing to compare: pass --algos, --external or both")
+    for label in labels:
+        if "," in label or '"' in label or label.splitlines() != [label]:
+            raise UsageError(f"label {label!r} holds a comma, a double quote or a line break")
+        if labels.count(label) > 1:
+            raise UsageError(f"label {label!r} is used more than once")
+    return labels
+
+
 def cmd_compare(args) -> int:
     _check_confidence_threshold(args.confidence_threshold)
     n_workers = _worker_count(args)
-    entries = _read_manifest(args.manifest)
-    if not entries:
-        raise UsageError(f"manifest {args.manifest} lists no utterances")
-    entries.sort(key=lambda e: e[0])
 
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for algo in algos:
@@ -226,10 +236,17 @@ def cmd_compare(args) -> int:
         if not sep or not label or not directory:
             raise UsageError(f"--external expects label=dir, got {binding!r}")
         externals.append((label, Path(directory)))
+    labels = _table_labels(algos, externals)
+
+    entries = _read_manifest(args.manifest)
+    if not entries:
+        raise UsageError(f"manifest {args.manifest} lists no utterances")
+    entries.sort(key=lambda e: e[0])
 
     missing = []
     for utt, wav_path, ref_path in entries:
-        for p in (wav_path, ref_path):
+        # only an engine decodes the WAV
+        for p in (wav_path, ref_path) if algos else (ref_path,):
             if not p.is_file():
                 missing.append(str(p))
         for _label, directory in externals:
@@ -253,7 +270,6 @@ def cmd_compare(args) -> int:
         scored = [_score_utterance(job) for job in jobs]
 
     rows = []
-    labels = algos + [label for label, _directory in externals]
     for column, label in enumerate(labels):
         corpus = aggregate([stats[column] for stats in scored])
         rows.append((label, corpus, fom_rank(corpus)))

@@ -8,12 +8,12 @@ format ``frame,time_s,f0_hz[,confidence]``.
 from __future__ import annotations
 
 import csv
+import io
+import math
 import struct
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -183,25 +183,31 @@ def read_wav(path) -> AudioSignal:
 
 
 # ---------------------------------------------------------------------------
-# Reference trajectories (plain text, one frame per line)
+# Track text: NumPy's C reader, and a row loop where it cannot decide
 # ---------------------------------------------------------------------------
+#
+# Each reader parses the whole file with one ``np.loadtxt`` call and checks
+# its value rules on the arrays. Only when that reader refuses the text (a
+# decode error, or a token such as ``1_0`` or a whitespace-only CSV row that
+# ``float`` and ``csv`` accept) or a rule fails does the file go to the row
+# loop, which returns its values or names its first bad line exactly as a
+# line-by-line reader would.
 
-_CHUNK_ROWS = 1024  # lines or CSV rows a track reader converts at a time
-
-
-def _chunks(rows) -> Iterator[list]:
-    """Successive lists of up to ``_CHUNK_ROWS`` items of ``rows``; a decode
-    or CSV error comes after the items read before it, as item by item."""
-    while True:
-        chunk = []
-        try:
-            chunk.extend(islice(rows, _CHUNK_ROWS))
-        except (ValueError, csv.Error):
-            yield chunk
-            raise
-        if not chunk:
-            return
-        yield chunk
+def _c_columns(lines, delimiter: str | None, usecols: list[int]) -> np.ndarray | None:
+    """The ``usecols`` of the lines of ``lines`` that are not blank, one row
+    per column, parsed by NumPy's C reader; None if that reader refuses them.
+    Blank leading lines are skipped here, so the reader, which warns on
+    input without data, never sees such input."""
+    try:
+        for line in lines:
+            if not line.isspace():
+                break
+        else:
+            return np.empty((len(usecols), 0))
+        return np.loadtxt(chain([line], lines), delimiter=delimiter, usecols=usecols,
+                          comments=None, quotechar=None, ndmin=2, unpack=True)
+    except ValueError:  # UnicodeDecodeError too
+        return None
 
 
 def read_reference_track(path, hop_seconds: float = 0.010) -> PitchTrack:
@@ -209,36 +215,33 @@ def read_reference_track(path, hop_seconds: float = 0.010) -> PitchTrack:
     whitespace-separated field is f0 in Hz (0 = unvoiced), any further
     columns ignored, blank lines skipped.
     """
-    parts, lineno = [np.empty(0)], 1
     with open(path, "r", encoding="utf-8") as fh:
-        for lines in _chunks(fh):
-            tokens = [fields[0] for fields in map(str.split, lines) if fields]
-            try:
-                f0 = np.fromiter(map(float, tokens), np.float64, len(tokens))
-                ok = np.all((f0 >= 0) & (f0 < np.inf))
-            except ValueError:
-                ok = False
-            if not ok:
-                _raise_first_bad_line(path, lines, lineno)
-            parts.append(f0)
-            lineno += len(lines)
-    return PitchTrack(hop_seconds, np.concatenate(parts))
+        columns = _c_columns(fh, None, [0])
+        if columns is None or not np.all((columns >= 0) & (columns < np.inf)):
+            fh.seek(0)
+            return PitchTrack(hop_seconds, _reference_lines(path, fh))
+    return PitchTrack(hop_seconds, columns[0])
 
 
-def _raise_first_bad_line(path, lines: list[str], lineno: int) -> None:
-    """Raise for the first of ``lines`` (numbered from ``lineno``) with a bad f0."""
-    for lineno, fields in enumerate(map(str.split, lines), start=lineno):
-        token = fields[0] if fields else "0"
+def _reference_lines(path, lines) -> list[float]:
+    """The f0 of each line of ``lines`` that is not blank; raises for the first bad one."""
+    values = []
+    for lineno, fields in enumerate(map(str.split, lines), start=1):
+        if not fields:
+            continue
+        token = fields[0]
         try:
             f0 = float(token)
         except ValueError:
             raise TrackFormatError(
                 f"{path}:{lineno}: non-numeric f0 field {token!r}"
             ) from None
-        if not np.isfinite(f0):
+        if not math.isfinite(f0):
             raise TrackFormatError(f"{path}:{lineno}: non-finite f0 {token!r}")
         if f0 < 0:
             raise TrackFormatError(f"{path}:{lineno}: negative f0 {f0}")
+        values.append(f0)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -263,59 +266,16 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
     outside [0, 1] raises :class:`TrackFormatError` naming the file and line.
     """
     check_confidence_threshold(confidence_threshold)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TrackFormatError(f"{path}: empty file, expected a CSV header") from None
-        columns = {name.strip(): i for i, name in enumerate(header)}
-        if "f0_hz" not in columns:
-            raise TrackFormatError(f"{path}: missing 'f0_hz' column in header {header}")
-        if "time_s" not in columns:
-            raise TrackFormatError(f"{path}: missing 'time_s' column in header {header}")
-        t_col, f_col = columns["time_s"], columns["f0_hz"]
-        c_col = columns.get("confidence")
-        cols = [t_col, f_col] if c_col is None else [t_col, f_col, c_col]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    columns = None if any(byte in raw for byte in _ROW_LOOP_BYTES) else _c_csv(path, text)
+    if columns is None or _broken_rule(columns):
+        text.seek(0)
+        columns = _csv_rows(path, text)
 
-        def convert(rows):
-            return [np.fromiter(map(float, map(itemgetter(c), rows)), np.float64, len(rows))
-                    for c in cols]
-
-        parts, skipped, lineno = [convert([])], [], 2
-        for rows in _chunks(reader):
-            try:
-                parts.append(convert(rows))
-            except (ValueError, IndexError):  # blank or malformed rows: one at a time
-                kept = []
-                for n, row in enumerate(rows, start=lineno):
-                    if not any(map(str.strip, row)):
-                        skipped.append(n)
-                        continue
-                    try:
-                        convert([row])
-                    except (ValueError, IndexError):
-                        raise TrackFormatError(f"{path}:{n}: malformed row {row}") from None
-                    kept.append(row)
-                parts.append(convert(kept))
-            lineno += len(rows)
-
-    times, f0s, *confs = (np.concatenate(column) for column in zip(*parts))
+    times, f0s, *confs = columns
     confidence = confs[0] if confs else None
-    checks = [
-        (np.isfinite(times), "time_s must be finite", times),
-        (np.isfinite(f0s) & (f0s >= 0), "f0_hz must be finite and >= 0", f0s),
-    ]
-    if confidence is not None:
-        in_range = (confidence >= 0) & (confidence <= 1)
-        checks.append((in_range, "confidence must lie in [0, 1]", confidence))
-    for ok, rule, values in checks:
-        if not ok.all():
-            i = int(np.argmin(ok))
-            lineno = i + 2
-            for n in skipped:  # each blank row up to it moves it down a row
-                lineno += n <= lineno
-            raise TrackFormatError(f"{path}:{lineno}: {rule}, got {values[i]}")
     if times.size >= 2:
         hops = np.diff(times)
         if np.any(np.abs(hops - hops[0]) > 1e-6):
@@ -329,6 +289,77 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
     if confidence is not None:
         f0s = np.where(confidence < confidence_threshold, 0.0, f0s)
     return PitchTrack(hop, f0s, confidence)
+
+
+# Bytes that send a CSV to the row loop: ``csv`` reads quoted cells, which
+# may hold commas and line breaks the C reader would split on; Python 3.10's
+# ``csv`` refuses NUL; and the C reader strips \x1c-\x1f around a number,
+# which ``float`` refuses.
+_ROW_LOOP_BYTES = b'"\0\x1c\x1d\x1e\x1f'
+
+
+def _usecols(path, header: list[str]) -> list[int]:
+    """Where ``header`` holds ``time_s``, ``f0_hz`` and, if there, ``confidence``."""
+    columns = {name.strip(): i for i, name in enumerate(header)}
+    if "f0_hz" not in columns:
+        raise TrackFormatError(f"{path}: missing 'f0_hz' column in header {header}")
+    if "time_s" not in columns:
+        raise TrackFormatError(f"{path}: missing 'time_s' column in header {header}")
+    return [columns[name] for name in ("time_s", "f0_hz", "confidence") if name in columns]
+
+
+def _broken_rule(columns: np.ndarray) -> tuple[int, str] | None:
+    """The index of the first frame of ``columns`` (time, f0 and, if there,
+    confidence) to break a value rule, and that rule with the value, the
+    rules checked in this order; None if no frame does."""
+    times, f0s, *confs = columns
+    checks = [
+        (np.isfinite(times), "time_s must be finite", times),
+        (np.isfinite(f0s) & (f0s >= 0), "f0_hz must be finite and >= 0", f0s),
+    ]
+    if confs:
+        in_range = (confs[0] >= 0) & (confs[0] <= 1)
+        checks.append((in_range, "confidence must lie in [0, 1]", confs[0]))
+    for ok, rule, values in checks:
+        if not ok.all():
+            i = int(np.argmin(ok))
+            return i, f"{rule}, got {values[i]}"
+    return None
+
+
+def _c_csv(path, text) -> np.ndarray | None:
+    """The columns of a CSV free of ``_ROW_LOOP_BYTES`` as NumPy's C reader
+    parses them; None if it refuses them or the header lacks a column."""
+    try:
+        usecols = _usecols(path, next(csv.reader([text.readline()])))
+    except ValueError:  # a decode error too; the row loop raises either again
+        return None
+    return _c_columns(text, ",", usecols)
+
+
+def _csv_rows(path, text) -> np.ndarray:
+    """The columns of the CSV ``text`` read row by row with ``csv``; raises
+    for its first malformed row, else for its first row to break a rule."""
+    reader = csv.reader(text)
+    try:
+        usecols = _usecols(path, next(reader))
+    except StopIteration:
+        raise TrackFormatError(f"{path}: empty file, expected a CSV header") from None
+    rows, linenos = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not any(map(str.strip, row)):
+            continue
+        try:
+            rows.append([float(row[c]) for c in usecols])
+        except (ValueError, IndexError):
+            raise TrackFormatError(f"{path}:{lineno}: malformed row {row}") from None
+        linenos.append(lineno)
+    columns = np.array(rows, dtype=np.float64).reshape(-1, len(usecols)).T
+    broken = _broken_rule(columns)
+    if broken:
+        i, message = broken
+        raise TrackFormatError(f"{path}:{linenos[i]}: {message}")
+    return columns
 
 
 def write_track(track: PitchTrack, path) -> None:

@@ -409,6 +409,71 @@ class TestCompare:
         assert err.startswith("error: utterance utt1 [crepe] ")
         assert "utt1.csv:3: f0_hz must be finite and >= 0" in err
 
+    def _external_dir(self, tmp_path, name="ext", n=2):
+        """Per-utterance tracks that copy the references of _build_corpus."""
+        ext_dir = tmp_path / name
+        ext_dir.mkdir()
+        for i in range(n):
+            ref_lines = (tmp_path / f"utt{i}_f0.txt").read_text().splitlines()
+            rows = ["time_s,f0_hz"] + [f"{k * 0.01:.6f},{float(v)}" for k, v in enumerate(ref_lines)]
+            (ext_dir / f"utt{i}.csv").write_text("\n".join(rows) + "\n")
+        return ext_dir
+
+    def test_no_label_is_a_usage_error(self, tmp_path, capsys):
+        manifest = self._build_corpus(tmp_path, n=1)
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--algos", "", "--out", str(out)]) == 2
+        assert "nothing to compare" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, label", [
+        (["--algos", "pyin,pyin"], "pyin"),
+        (["--algos", "", "--external", "L1=A", "--external", "L1=B"], "L1"),
+        (["--algos", "pyin", "--external", "pyin=A"], "pyin"),
+    ])
+    def test_label_used_twice_is_a_usage_error(self, tmp_path, capsys, flags, label):
+        manifest = self._build_corpus(tmp_path, n=1)
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), *flags, "--out", str(out)]) == 2
+        assert f"label {label!r} is used more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\nb", "a\rb", "a\u2028b"])
+    def test_label_that_breaks_a_csv_row_is_a_usage_error(self, tmp_path, capsys, label):
+        manifest = self._build_corpus(tmp_path, n=2)
+        ext_dir = self._external_dir(tmp_path)
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--manifest", str(manifest), "--algos", "",
+                     "--external", f"{label}={ext_dir}", "--out", str(out)])
+        assert code == 2
+        assert f"label {label!r} holds a comma, a double quote or a line break" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_external_only_compare_needs_no_wav(self, tmp_path):
+        manifest = self._build_corpus(tmp_path, n=2)
+        ext_dir = self._external_dir(tmp_path)
+        argv = ["compare", "--manifest", str(manifest), "--algos", "", "--external", f"ext={ext_dir}"]
+        with_wavs = tmp_path / "with_wavs.csv"
+        assert main([*argv, "--out", str(with_wavs)]) == 0
+        for i in range(2):
+            (tmp_path / f"utt{i}.wav").unlink()
+        without_wavs = tmp_path / "without_wavs.csv"
+        assert main([*argv, "--out", str(without_wavs)]) == 0
+        assert without_wavs.read_bytes() == with_wavs.read_bytes()
+
+    def test_engine_compare_still_needs_its_wavs(self, tmp_path, capsys):
+        manifest = self._build_corpus(tmp_path, n=2)
+        ext_dir = self._external_dir(tmp_path)
+        (tmp_path / "utt1.wav").unlink()
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--manifest", str(manifest), "--algos", "pyin",
+                     "--external", f"ext={ext_dir}", "--out", str(out)])
+        assert code == 1
+        assert f"missing input: {tmp_path / 'utt1.wav'}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_published_rows_reproduce_fom_column(self):
         rows = [
             (label, corpus_from_row(row), fom_rank(corpus_from_row(row)))

@@ -1,18 +1,22 @@
-"""The chunked track readers against the line-by-line readers they replaced.
+"""The track readers against the line-by-line readers they replaced.
 
 ``line_by_line_reference`` and ``line_by_line_external`` are those readers,
 kept verbatim as oracles. For any file both must give the same f0 and
 confidence bits and the same hop, or raise the same exception type with the
 same message: the same first bad line of a reference, and for an external
 track the first malformed row of the whole file before any value rule, then
-the time, f0 and confidence rules in that order. Small files are read with
-chunks of a few rows, so that they cross many chunk boundaries; long files
-with the module's own chunk size.
+the time, f0 and confidence rules in that order. The readers parse a file
+with NumPy's C reader and send it to a row loop where that reader refuses
+it or a rule fails; the examples sit at the boundary between the two.
 """
 import csv
+import importlib.util
 import os
+import sys
 import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pitchbench import PitchTrack, TrackFormatError, trackio
+from pitchbench.cli import main
 from pitchbench.trackio import read_external_track, read_reference_track
 
 
@@ -130,14 +135,13 @@ def outcome(read, path, arg):
     return track.hop_seconds.hex(), track.frames.tobytes(), conf
 
 
-def assert_same(data: bytes, read, oracle, arg, chunk_rows=trackio._CHUNK_ROWS):
+def assert_same(data: bytes, read, oracle, arg):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "track.txt")
         with open(path, "wb") as fh:
             fh.write(data)
         expected = outcome(oracle, path, arg)
-        with mock.patch.object(trackio, "_CHUNK_ROWS", chunk_rows):
-            got = outcome(read, path, arg)
+        got = outcome(read, path, arg)
     assert got == expected
     return expected
 
@@ -150,7 +154,6 @@ SPECIALS = ["nan", "-NaN", "inf", "-inf", "-3", "-0.5", "1.5", "2", "abc", "", "
 TOKENS = NUMBERS * 4 + SPECIALS
 ENDINGS = ["\n", "\n", "\r\n", "\r"]
 WHITESPACE = ["", " ", "\t", "\x0b", "\x0c", "\xa0", " ", "\x85", "  "]
-CHUNK_ROWS = [1, 2, 3, 5, 1024]
 
 
 def join_lines(draw, lines: list[str]) -> bytes:
@@ -212,24 +215,47 @@ def external_files(draw, max_rows=30):
 
 
 class TestSmallFilesManyChunks:
+    """Short files of every kind; the name dates from the 1024-row chunked
+    readers, whose chunk boundaries these files were read across."""
+
     @settings(max_examples=200, deadline=None)
-    @given(reference_files(), st.sampled_from(CHUNK_ROWS), st.sampled_from([0.01, 0.005]))
-    @example(b"", 1024, 0.01)
-    @example(b"\n \n\t\r\n", 1, 0.01)
-    @example(b"1\n2\nnan\n-1\nx\n", 2, 0.01)  # the first bad line wins, whatever its rule
-    @example(b"1\n\n-0\n \xc2\xa0\n1_0 7\r\n\xd9\xa3\r\n", 1, 0.01)
-    def test_reference(self, data, chunk_rows, hop):
-        assert_same(data, read_reference_track, line_by_line_reference, hop, chunk_rows)
+    @given(reference_files(), st.sampled_from([0.01, 0.005]))
+    @example(b"", 0.01)
+    @example(b"\n \n\t\r\n", 0.01)
+    @example(b"1\n2\nnan\n-1\nx\n", 0.01)  # the first bad line wins, whatever its rule
+    @example(b"1\n\n-0\n \xc2\xa0\n1_0 7\r\n\xd9\xa3\r\n", 0.01)
+    @example(b"1\x002\n", 0.01)  # NUL inside the first field
+    @example(b"1 \x00\n\x00 1\n", 0.01)  # NUL in a later field, then a leading one
+    @example(b"#1\n2\n", 0.01)  # no comment character
+    @example(b"7", 0.01)  # one line, no line ending
+    @example(b"1\r\n2\r3\r\n\r4", 0.01)  # CRLF and lone-CR endings
+    @example("5\x1c7\n\x1d6\n\x1e\n8\x1f\n\x85 4\n4\u2028 5\n".encode(), 0.01)
+    @example(b"\n\n \n1\n\n-2\n", 0.01)  # the bad line counts the blank ones
+    def test_reference(self, data, hop):
+        assert_same(data, read_reference_track, line_by_line_reference, hop)
 
     @settings(max_examples=300, deadline=None)
-    @given(external_files(), st.sampled_from(CHUNK_ROWS), st.sampled_from([0.0, 0.5, 0.7]))
-    @example(b"time_s,f0_hz\n", 1, 0.5)  # header only
-    @example(b"time_s,f0_hz,confidence\r\n0,1,2\r\n0.01,-1,1\r\n0.02,abc,1\r\n", 1, 0.5)
-    @example(b"time_s,f0_hz\n0,nan\n\n0.01\n", 2, 0.5)  # malformed after a value error
-    @example(b"time_s,f0_hz,confidence\n\n \n0,-1,2\n,\n0.01,1,0.5\ninf,1,1\n", 3, 0.5)
-    @example(b'time_s,f0_hz\n0,"1\n0"\n0.01,"2,5"\n', 1, 0.5)
-    def test_external(self, data, chunk_rows, threshold):
-        assert_same(data, read_external_track, line_by_line_external, threshold, chunk_rows)
+    @given(external_files(), st.sampled_from([0.0, 0.5, 0.7]))
+    @example(b"time_s,f0_hz\n", 0.5)  # header only
+    @example(b"time_s,f0_hz,confidence\r\n0,1,2\r\n0.01,-1,1\r\n0.02,abc,1\r\n", 0.5)
+    @example(b"time_s,f0_hz\n0,nan\n\n0.01\n", 0.5)  # malformed after a value error
+    @example(b"time_s,f0_hz,confidence\n\n \n0,-1,2\n,\n0.01,1,0.5\ninf,1,1\n", 0.5)
+    @example(b'time_s,f0_hz\n0,"1\n0"\n0.01,"2,5"\n', 0.5)
+    @example(b"time_s,f0_hz\n0,1\x00\n", 0.5)  # NUL in a cell
+    @example(b"frame,time_s,f0_hz\n\x00,0,1\n", 0.5)  # NUL in a column not read
+    @example(b"time_s,f0_hz\n#0,1\n0,1\n", 0.5)  # no comment character
+    @example(b"#time_s,f0_hz\n0,1\n", 0.5)
+    @example(b"time_s,f0_hz\n\n\r\n\n", 0.5)  # header, then empty lines
+    @example(b"time_s,f0_hz,confidence\n0,110,0.5", 0.5)  # one row, no line ending
+    @example(b"time_s,f0_hz\r\n0,1\r\n0.01,2\r\n", 0.5)
+    @example(b"time_s,f0_hz\r0,1\r0.01,2\r", 0.5)
+    @example(b"time_s,f0_hz\n\n\n0,1\n\n0.01,-1\n", 0.5)  # the bad row counts the blank ones
+    @example(b"time_s,f0_hz\n0,\x1c1\n0.01,2\x1f\n", 0.5)  # float() keeps \x1c-\x1f, C strips
+    # a quoted comma or line break in a column not read moves the columns read
+    @example(b'a,b,c,time_s,f0_hz\n"x,y",z,0.01,110,5\n"x,y",z,0.02,120,5\n', 0.5)
+    @example(b'time_s,f0_hz,note\n0,100,"x\n0.01,110,y"\n', 0.5)
+    def test_external(self, data, threshold):
+        assert_same(data, read_external_track, line_by_line_external, threshold)
 
 
 # error kinds of a long external track: the row's text given its index
@@ -242,21 +268,22 @@ EXTERNAL_FAULTS = {
     "blank": lambda k: " , ,",
 }
 REFERENCE_FAULTS = {"text": "x1", "non-finite": "inf", "negative": "-2", "blank": " \t"}
-LONG = 2 * trackio._CHUNK_ROWS + 1
+LONG = 2049
 
 
 class TestLongFilesModuleChunks:
-    """Files longer than two chunks, with faults of different rules in one
-    chunk and in different chunks."""
+    """Files of over 2048 rows, with faults of different rules close
+    together and far apart (once in one 1024-row chunk, or in different
+    ones, of the chunked readers these replaced)."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(LONG, LONG + 600),
            st.dictionaries(st.integers(0, LONG + 600), st.sampled_from(sorted(EXTERNAL_FAULTS)),
                            max_size=4))
-    @example(LONG, {3000: "malformed", 5: "time"})  # malformed in a later chunk wins
+    @example(LONG, {3000: "malformed", 5: "time"})  # a malformed row far down wins
     @example(LONG, {10: "confidence", 2500: "f0", 1500: "time"})  # then time, f0, confidence
     @example(LONG, {1023: "blank", 1024: "blank", 2000: "f0"})  # rows still count blank rows
-    @example(LONG, {7: "blank", 8: "f0", 9: "malformed"})  # all in one chunk
+    @example(LONG, {7: "blank", 8: "f0", 9: "malformed"})  # all close together
     def test_external(self, n_rows, faults):
         rows = ["time_s,f0_hz,confidence"]
         for k in range(n_rows):
@@ -328,3 +355,70 @@ class TestWorkingSet:
         path = tmp_path / "ref.txt"
         path.write_text("".join(f"{v:.3f}\n" for v in rng.uniform(0, 400, self.N_ROWS)))
         assert self.peak(read_reference_track, path) <= self.peak(line_by_line_reference, path)
+
+
+def load_corpus_module():
+    """``perfbench/corpus.py``, which writes the benchmark's tracks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: corpus}):  # its dataclasses look it up
+        spec.loader.exec_module(corpus)
+    return corpus
+
+
+class TestCPath:
+    """Canonical files, and the ones the benchmark reads, never reach the
+    row loop: with it patched to raise they still read as the oracles do."""
+
+    @staticmethod
+    def read_without_row_loop(read, path, arg):
+        loop_raises = AssertionError("the row loop ran")
+        with mock.patch.object(trackio, "_csv_rows", side_effect=loop_raises), \
+                mock.patch.object(trackio, "_reference_lines", side_effect=loop_raises):
+            return outcome(read, path, arg)
+
+    def test_write_track_csv(self, tmp_path):
+        rng = np.random.default_rng(6)
+        f0 = np.where(rng.random(500) < 0.4, 0.0, rng.uniform(60, 400, 500))
+        for name, conf in (("plain", None), ("conf", rng.random(500))):
+            path = tmp_path / f"{name}.csv"
+            trackio.write_track(PitchTrack(0.01, f0, conf), path)
+            expected = outcome(line_by_line_external, path, 0.5)
+            assert isinstance(expected[0], str)  # a track, not an error
+            assert self.read_without_row_loop(read_external_track, path, 0.5) == expected
+
+    def test_benchmark_corpus(self, tmp_path):
+        corpus = load_corpus_module().external_corpus(tmp_path, 3, 2, 700, ("L1", "L2"))
+        for utt in corpus.utterances:
+            expected = outcome(line_by_line_reference, utt.ref, 0.01)
+            assert isinstance(expected[0], str)
+            assert self.read_without_row_loop(read_reference_track, utt.ref, 0.01) == expected
+            for directory in corpus.externals.values():
+                path = directory / f"{utt.utt_id}.csv"
+                expected = outcome(line_by_line_external, path, 0.5)
+                assert isinstance(expected[0], str)
+                assert self.read_without_row_loop(read_external_track, path, 0.5) == expected
+
+
+class TestNoData:
+    """An empty reference or a header-only CSV reads as an empty track, and
+    ``evaluate`` scores the pair, with no warning and nothing on stderr."""
+
+    @pytest.mark.parametrize("ref_text, est_text", [
+        ("", "time_s,f0_hz\n"),
+        ("\n \n", "time_s,f0_hz,confidence\r\n\r\n"),
+    ])
+    def test_read_and_evaluate(self, tmp_path, capfd, ref_text, est_text):
+        ref, est = tmp_path / "ref.txt", tmp_path / "est.csv"
+        ref.write_text(ref_text)
+        est.write_text(est_text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(read_reference_track(ref)) == 0
+            assert len(read_external_track(est)) == 0
+            code = main(["evaluate", "--est", str(est), "--ref", str(ref),
+                         "--out", str(tmp_path / "stats.json")])
+        assert code == 0
+        assert caught == []
+        assert capfd.readouterr() == ("", "")
