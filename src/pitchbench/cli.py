@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import os
@@ -36,6 +35,7 @@ from .trackio import (
     TrackFormatError,
     WavFormatError,
     check_confidence_threshold,
+    csv_records,
     read_external_track,
     read_reference_track,
     read_wav,
@@ -114,7 +114,7 @@ def _read_manifest(path) -> list[tuple[str, Path, Path]]:
     base = Path(path).resolve().parent
     entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_records(path, fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:

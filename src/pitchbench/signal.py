@@ -264,8 +264,9 @@ def _check_lags(size: int, min_lag: int, max_lag: int) -> None:
 def check_search_band(
     lag_min: int, lag_max: int, fmin_hz: float, fmax_hz: float, sample_rate_hz: float
 ) -> None:
-    """Reject a pitch search whose lags ``lag_min .. lag_max`` hold no
-    interior lag, where no curve extremum can be found."""
+    """Reject a pitch search whose lags ``lag_min .. lag_max`` number fewer
+    than two: pYIN takes a minimum at ``lag_min .. lag_max - 1``, against
+    the lags on either side of it."""
     if lag_min >= lag_max:
         raise ValueError(
             f"pitch search range {fmin_hz}-{fmax_hz} Hz spans less than"

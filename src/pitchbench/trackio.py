@@ -327,12 +327,23 @@ def _broken_rule(columns: np.ndarray) -> tuple[int, str] | None:
     return None
 
 
+def csv_records(path, lines):
+    """The rows ``csv.reader`` reads from ``lines``; its ``csv.Error`` (a
+    field past its size limit, or NUL under Python 3.10) becomes a
+    :class:`TrackFormatError` naming ``path`` and the line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TrackFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _c_csv(path, text) -> np.ndarray | None:
     """The columns of a CSV free of ``_ROW_LOOP_BYTES`` as NumPy's C reader
     parses them; None if it refuses them or the header lacks a column."""
     try:
         usecols = _usecols(path, next(csv.reader([text.readline()])))
-    except ValueError:  # a decode error too; the row loop raises either again
+    except (ValueError, csv.Error):  # a decode or csv error; the row loop raises it again
         return None
     return _c_columns(text, ",", usecols)
 
@@ -340,7 +351,7 @@ def _c_csv(path, text) -> np.ndarray | None:
 def _csv_rows(path, text) -> np.ndarray:
     """The columns of the CSV ``text`` read row by row with ``csv``; raises
     for its first malformed row, else for its first row to break a rule."""
-    reader = csv.reader(text)
+    reader = csv_records(path, text)
     try:
         usecols = _usecols(path, next(reader))
     except StopIteration:

@@ -4,18 +4,19 @@ track, NCCF candidates, and dynamic-programming selection.
 Preprocessing produces two signals: the bandpassed original and a
 bandpassed nonlinearity of it (squaring by default), the latter
 restoring fundamental-frequency energy when the signal carries mostly
-harmonics. The spectral stage scores a log-spaced frequency grid with
-the spectral harmonics correlation (SHC) of the *combined* spectrograms
-of both branches and gates frames by the normalized low-frequency
-energy ratio (NLFER). Because an SHC built from magnitude products
-rewards subharmonics through window leakage on harmonic-poor signals,
-grid points whose own spectral line is absent (below 5% of the band
-maximum) are excluded before the argmax; a true fundamental always has
-a line in at least one branch, while subharmonics never do. The final
-pass scores NCCF candidates against the coarse track with additive
-costs in log-frequency and picks the cheapest path by dynamic
-programming, ties resolving toward the lower-frequency state with
-unvoiced ordered lowest.
+harmonics. Both are decimated once, to one working rate of about
+16 kHz, and every later stage reads that one pair. The spectral stage
+scores a log-spaced frequency grid with the spectral harmonics
+correlation (SHC) of the *combined* spectrograms of both branches and
+gates frames by the normalized low-frequency energy ratio (NLFER).
+Because an SHC built from magnitude products rewards subharmonics
+through window leakage on harmonic-poor signals, grid points whose own
+spectral line is absent (below 5% of the band maximum) are excluded
+before the argmax; a true fundamental always has a line in at least one
+branch, while subharmonics never do. The final pass scores NCCF
+candidates against the coarse track with additive costs in
+log-frequency and picks the cheapest path by dynamic programming, ties
+resolving toward the lower-frequency state with unvoiced ordered lowest.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .signal import (
     _fir_taps,
     bandpass_filter,
     budget_rows,
-    check_search_band,
     frame_centers,
     frame_signal,
     lag_frame_len,
@@ -104,14 +104,16 @@ class YaaptConfig:
             raise ValueError(f"fmax {self.fmax_hz} Hz must be below Nyquist {nyquist} Hz")
         if not self.bp_high_hz < nyquist:
             raise ValueError(f"band edge {self.bp_high_hz} Hz must be below Nyquist {nyquist} Hz")
-        # compute_shc's range rule, at the rate of the spectral stage
+        # compute_shc's range rule and the NCCF's lag rule, at the working rate
+        working_rate = sample_rate_hz / _spectral_factor(sample_rate_hz)
         shc_top = (self.shc_num_harmonics + 1) * self.fmax_hz + self.shc_window_hz / 2
-        shc_nyquist = sample_rate_hz / _spectral_factor(sample_rate_hz) / 2
+        shc_nyquist = working_rate / 2
         if shc_top > shc_nyquist:
             raise ValueError(
                 f"SHC reaches {shc_top} Hz ((shc_num_harmonics + 1) * fmax + shc_window / 2),"
                 f" past the spectral stage's Nyquist {shc_nyquist} Hz"
             )
+        _nccf_lags(working_rate, self)
 
 
 @dataclass
@@ -313,7 +315,7 @@ def _l1_norms(
 
 
 def _spectral_factor(rate: float) -> int:
-    """Decimation factor that brings ``rate`` nearest the spectral stage's 16 kHz."""
+    """Decimation factor that brings ``rate`` nearest the 16 kHz working rate."""
     return max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
 
 
@@ -322,17 +324,36 @@ def _grid_frequencies(config: YaaptConfig) -> np.ndarray:
     return config.fmin_hz * 2.0 ** (np.arange(n_steps + 1) / _GRID_STEPS_PER_OCTAVE)
 
 
-def _spectral_from_pair(
-    pair: tuple[AudioSignal, AudioSignal], config: YaaptConfig
-) -> SpectralTrack:
-    """The spectral stage on both branches, decimated to about 16 kHz;
-    frame k is centered on the decimated sample nearest the k-th of the
-    branches' :func:`frame_centers`."""
+class _WorkingPair(NamedTuple):
+    """Both branches at the working rate, and the sample each frame is centered on."""
+
+    plain: np.ndarray
+    nonlinear: np.ndarray
+    rate: float
+    centers: np.ndarray
+
+
+def _working_pair(
+    pair: tuple[AudioSignal, AudioSignal] | _WorkingPair, config: YaaptConfig
+) -> _WorkingPair:
+    """The branch pair decimated to the working rate, about 16 kHz; frame
+    k is centered on the decimated sample nearest the k-th of the
+    branches' :func:`frame_centers`. A working pair is returned as it is."""
+    if isinstance(pair, _WorkingPair):
+        return pair
     rate = pair[0].sample_rate_hz
     factor = _spectral_factor(rate)
     centers = np.round(frame_centers(len(pair[0]), config.hop_ms, rate) / factor).astype(np.int64)
-    rate /= factor
     plain, nonlinear = (_decimate_for_spectral(b.samples, factor) for b in pair)
+    return _WorkingPair(plain, nonlinear, rate / factor, centers)
+
+
+def _spectral_from_pair(
+    pair: tuple[AudioSignal, AudioSignal] | _WorkingPair, config: YaaptConfig
+) -> SpectralTrack:
+    """The spectral stage on a branch pair, at the working rate of
+    :func:`_working_pair`."""
+    plain, nonlinear, rate, centers = _working_pair(pair, config)
     frame_len, n_fft = _frame_and_fft_len(rate, config, 1, _NLFER_FFT)
     res = rate / n_fft
     # NLFER reads no bin above fmax
@@ -389,7 +410,8 @@ def _spectral_from_pair(
 
 
 def spectral_pitch_track(signal: AudioSignal, config: YaaptConfig) -> SpectralTrack:
-    """Coarse pitch from the spectrogram stage, gated by NLFER."""
+    """Coarse pitch from the spectrogram stage, gated by NLFER; both
+    branches are decimated to the working rate of :func:`nccf_candidates`."""
     return _spectral_from_pair(yaapt_preprocess(signal, config), config)
 
 
@@ -460,30 +482,42 @@ def nccf_candidates(
 ) -> list[list[NccfCandidate]]:
     """Per-frame pitch candidates from the NCCF of both branches.
 
-    Each branch contributes up to ``n_candidates_per_frame`` local
-    maxima (merit = NCCF value, lag refined parabolically); the two
-    lists are merged, collapsing candidates within 2% in frequency onto
-    the higher merit. Silent frames yield empty lists.
+    A pair of full-rate branches, as :func:`yaapt_preprocess` returns
+    them, is first decimated to the working rate of the spectral stage,
+    about 16 kHz, and the NCCF runs there. Each branch contributes up to
+    ``n_candidates_per_frame`` local maxima (merit = NCCF value, lag
+    refined parabolically); the two lists are merged, collapsing
+    candidates within 2% in frequency onto the higher merit. Silent
+    frames yield empty lists.
     """
-    rate = preprocessed[0].sample_rate_hz
+    plain, nonlinear, rate, centers = _working_pair(preprocessed, config)
     frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
-    centers = frame_centers(len(preprocessed[0]), config.hop_ms, rate)
-
-    lag_min = max(1, int(math.ceil(rate / config.fmax_hz)))
-    lag_max = int(math.floor(rate / config.fmin_hz))
-    check_search_band(lag_min, lag_max, config.fmin_hz, config.fmax_hz, rate)
+    lag_min, lag_max = _nccf_lags(rate, config)
 
     # (frame, f0, merit) arrays per block of each branch; the empty first
     # entry stands in for an utterance without frames
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     step = _block_rows(frame_len)
-    for branch in preprocessed:
+    for samples in (plain, nonlinear):
         for start in range(0, centers.size, step):
-            frames = frame_signal(branch.samples, frame_len, centers[start : start + step])
+            frames = frame_signal(samples, frame_len, centers[start : start + step])
             rows, f0, merit = _nccf_peaks(frames, lag_min, lag_max, rate, config)
             parts.append((rows + start, f0, merit))
     rows, f0, merit = (np.concatenate(column) for column in zip(*parts))
     return _merge_close(rows, f0, merit, centers.size)
+
+
+def _nccf_lags(rate: float, config: YaaptConfig) -> tuple[int, int]:
+    """The NCCF's shortest and longest lag at the working rate ``rate``;
+    raises ``ValueError`` unless a lag lies strictly between, as a peak needs."""
+    lag_min = max(1, int(math.ceil(rate / config.fmax_hz)))
+    lag_max = int(math.floor(rate / config.fmin_hz))
+    if lag_max - lag_min < 2:
+        raise ValueError(
+            f"pitch search range {config.fmin_hz}-{config.fmax_hz} Hz spans less than two lags"
+            f" at {rate} Hz, the NCCF's working rate (lags {lag_min}..{lag_max}, none between)"
+        )
+    return lag_min, lag_max
 
 
 def yaapt_dp_select(
@@ -559,6 +593,8 @@ def yaapt_track(signal: AudioSignal, config: YaaptConfig | None = None) -> Pitch
     pair = yaapt_preprocess(signal, config)
     if len(signal) == 0:
         return PitchTrack(hop_seconds, np.zeros(0))
+    # one decimation serves both stages, and the full-rate branches go
+    pair = _working_pair(pair, config)
     spectral = _spectral_from_pair(pair, config)
     candidates = nccf_candidates(pair, config)
     return yaapt_dp_select(candidates, spectral, config, hop_seconds=hop_seconds)

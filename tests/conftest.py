@@ -60,18 +60,24 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def working_rate_pair(pair, config):
+    """YAAPT's full-rate branch pair at the working rate of its spectral and
+    NCCF stages, about 16 kHz: (plain, nonlinear, rate, centers), frame k
+    centered on the decimated sample nearest the k-th full-rate center."""
+    rate = pair[0].sample_rate_hz
+    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
+    centers = frame_centers(len(pair[0]), config.hop_ms, rate)
+    centers = np.round(centers / factor).astype(np.int64)
+    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
+    return plain, nonlinear, rate / factor, centers
+
+
 def all_frames_spectral(signal, config):
     """YAAPT's spectral stage transforming every frame of both branches
     whole, then one SHC call per NLFER-gated frame: the coarse track, the
     NLFER, and per branch the frame holding its peak (None for a silent
     branch)."""
-    pair = yaapt_preprocess(signal, config)
-    centers = frame_centers(len(signal), config.hop_ms, signal.sample_rate_hz)
-    rate = pair[0].sample_rate_hz
-    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
-    rate /= factor
-    centers = np.round(centers / factor).astype(np.int64)
-    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
+    plain, nonlinear, rate, centers = working_rate_pair(yaapt_preprocess(signal, config), config)
 
     def spectrogram(samples, frame_scale, n_fft):
         frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)

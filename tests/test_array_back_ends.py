@@ -409,6 +409,40 @@ class TestLagFrameLength:
         with pytest.raises(ValueError, match="spans less than two lags"):
             yaapt_track(signal, YaaptConfig(fmin_hz=385.0, fmax_hz=400.0))
 
+    @pytest.mark.parametrize("rate,fmin", [
+        (8000, 380.0),   # lags 20..21
+        (16000, 385.0),  # lags 40..41
+        (16000, 390.0),
+        (48000, 390.0),  # lags 40..41 at the 16 kHz working rate (120..123 at 48 kHz)
+    ])
+    def test_yaapt_band_without_an_interior_lag_is_reported(self, rate, fmin):
+        # an NCCF peak needs a lag strictly inside the band, at the rate the
+        # NCCF runs; without one every frame would decode unvoiced
+        cfg = YaaptConfig(fmin_hz=fmin, fmax_hz=400.0)
+        message = f"spans less than two lags at {min(rate, 16000)}.0 Hz, the NCCF's working rate"
+        with pytest.raises(ValueError, match=message):
+            cfg.validate_rate(rate)
+        with pytest.raises(ValueError, match=message):
+            yaapt_track(padded_tone(sawtooth(395.0, 0.2, rate), rate, 0.1, 0.1), cfg)
+
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_yaapt_band_with_one_interior_lag_tracks(self, rate):
+        # 380-400 Hz: lags 40..42 at 16 kHz, 41 inside
+        signal = padded_tone(sawtooth(390.0, 0.6, rate), rate, 0.1, 0.1)
+        track = yaapt_track(signal, YaaptConfig(fmin_hz=380.0, fmax_hz=400.0))
+        voiced = track.frames[track.voiced]
+        assert voiced.size >= 40
+        np.testing.assert_allclose(voiced, 390.0, rtol=0.03)
+
+    def test_pyin_band_of_two_lags_still_tracks(self):
+        # pYIN's minima compare against the lags either side of the band,
+        # so its check stays at one lag: at 8 kHz 380-400 Hz is lags 20..21
+        signal = padded_tone(sawtooth(395.0, 0.6, 8000), 8000, 0.1, 0.1)
+        track = pyin_track(signal, PyinConfig(fmin_hz=380.0, fmax_hz=400.0))
+        voiced = track.frames[track.voiced]
+        assert voiced.size >= 40
+        np.testing.assert_allclose(voiced, 395.0, rtol=0.03)
+
     def test_pyin_band_narrower_than_a_lag_step_is_reported(self):
         # the same single lag: pYIN has no interior lag to find a minimum at
         cfg = PyinConfig(fmin_hz=385.0, fmax_hz=400.0)

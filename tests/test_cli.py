@@ -98,6 +98,20 @@ class TestDetect:
         assert code == 1
         assert "spans less than two lags" in capsys.readouterr().err
 
+    def test_yaapt_band_without_an_interior_lag_at_48k(self, tmp_path, capsys):
+        # 120..123 at 48 kHz, but YAAPT's NCCF runs at 16 kHz: lags 40..41
+        wav = tmp_path / "tone48k.wav"
+        write_wav(wav, 48000, sine(395.0, 0.5, 48000))
+        code = main([
+            "detect", "--algo", "yaapt", "--in", str(wav), "--out", str(tmp_path / "t.csv"),
+            "--fmin", "390", "--fmax", "400",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at 16000.0 Hz, the NCCF's working rate" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_hop_flag_changes_timebase(self, tmp_path, tone_wav):
         out = tmp_path / "hop20.csv"
         code = main([
@@ -195,6 +209,26 @@ class TestEvaluate:
         est.write_text("time_s,f0_hz\n0.00,100\n0.02,100\n")  # 20 ms hop
         out = tmp_path / "stats.json"
         assert main(["evaluate", "--est", str(est), "--ref", str(ref), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,line", [
+        # a quote sends the file to the row loop
+        ('time_s,f0_hz,note\n0.00,200,a\n0.01,200,"{big}"\n', 3),
+        # the C path's header parse refuses it too
+        ("time_s,f0_hz,{big}\n0.00,200,a\n0.01,200,b\n", 1),
+    ])
+    def test_cell_past_the_csv_field_limit_names_file_and_line(self, tmp_path, capsys, text,
+                                                                line):
+        # csv refuses a field over its 128 KiB limit
+        ref = tmp_path / "ref.txt"
+        ref.write_text("200.0\n200.0\n")
+        est = tmp_path / "est.csv"
+        est.write_text(text.format(big="x" * 140_000))
+        out = tmp_path / "stats.json"
+        assert main(["evaluate", "--est", str(est), "--ref", str(ref), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {est}:{line}: field larger than field limit")
+        assert "Traceback" not in err
         assert not out.exists()
 
 
@@ -302,6 +336,17 @@ class TestCompare:
         assert f"{manifest}:3: duplicate utterance id 'utt0' (first on line 2)" in (
             capsys.readouterr().err
         )
+        assert not out.exists()
+
+    def test_cell_past_the_csv_field_limit_names_file_and_line(self, tmp_path, capsys):
+        manifest = self._build_corpus(tmp_path, n=2)
+        big = "x" * 140_000
+        manifest.write_text(manifest.read_text() + f'utt9,"{big}",utt0_f0.txt\n')
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}:4: field larger than field limit")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_missing_reference_lists_offenders(self, tmp_path, capsys):

@@ -2,13 +2,17 @@
 
 ``golden_tracks.npz`` holds the f0 arrays that pYIN and YAAPT produced
 for the signals below at commit 3c9b3ab, before framing and decoding
-were unified. Voicing must match exactly and f0 within 1e-9 relative:
-FFT SIMD code paths may move the last bits of a lag curve, so the
-comparison is not bit-exact.
+were unified; YAAPT's 44.1 and 48 kHz entries were re-recorded when its
+NCCF stage moved to the working rate. Voicing must match exactly and f0
+within 1e-9 relative: FFT SIMD code paths may move the last bits of a
+lag curve, so the comparison is not bit-exact.
 
 Re-record (only on a commit whose tracks are the intended reference):
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py [KEY ...]``. Given keys such
+as ``yaapt_sine_48000``, it rewrites only those entries and keeps every
+other array as it was; given none, it rewrites every entry.
 """
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +74,46 @@ def test_golden_file_covers_every_case(golden):
     assert sorted(golden) == sorted(_key(*c) for c in CASES)
 
 
+def record(keys, path=GOLDEN) -> list[str]:
+    """Record the entries ``keys`` of the golden file at ``path`` (every
+    entry when ``keys`` is empty), keeping the other arrays there as they
+    are; returns the keys recorded."""
+    cases = {_key(*c): c for c in CASES}
+    unknown = sorted(set(keys) - cases.keys())
+    if unknown:
+        raise ValueError(f"no golden case named {', '.join(unknown)}")
+    tracks = {}
+    if keys:
+        with np.load(path) as data:
+            tracks = dict(data)
+    for key in keys or cases:
+        engine, kind, rate = cases[key]
+        tracks[key] = ENGINES[engine](golden_signal(kind, rate)).frames
+    np.savez_compressed(path, **tracks)
+    return list(keys or cases)
+
+
+def test_record_rewrites_only_the_named_entries(golden, tmp_path):
+    key = "yaapt_noise_8000"
+    path = tmp_path / "golden.npz"
+    np.savez_compressed(path, **{**golden, key: np.full(3, 7.0)})
+    assert record([key], path) == [key]
+    with np.load(path) as data:
+        rerecorded = dict(data)
+    assert sorted(rerecorded) == sorted(golden)
+    for name, want in golden.items():
+        got = rerecorded[name]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if name != key:
+            assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(rerecorded[key], golden[key], rtol=1e-9, atol=0)
+
+
+def test_record_rejects_an_unknown_key(tmp_path):
+    with pytest.raises(ValueError, match="no golden case named yaapt_hum_8000"):
+        record(["yaapt_hum_8000"], tmp_path / "golden.npz")
+
+
 if __name__ == "__main__":
-    tracks = {_key(e, k, r): ENGINES[e](golden_signal(k, r)).frames for e, k, r in CASES}
-    np.savez_compressed(GOLDEN, **tracks)
-    print(f"wrote {len(tracks)} tracks to {GOLDEN}")
+    written = record(sys.argv[1:])
+    print(f"wrote {len(written)} tracks to {GOLDEN}")

@@ -39,7 +39,7 @@ from pitchbench.signal import (
     nccf_rows,
     yin_difference_rows,
 )
-from conftest import padded_tone, sawtooth
+from conftest import padded_tone, sawtooth, working_rate_pair
 
 # (frame length, min lag, max lag) of the engines' default lag searches
 LAG_SHAPES = {
@@ -190,15 +190,15 @@ def _assert_tracks_agree(track, oracle):
 
 
 def _per_frame_nccf_candidates(pair, config):
-    """Candidate extraction one frame at a time from the one-frame NCCF."""
-    rate = pair[0].sample_rate_hz
+    """Candidate extraction one frame at a time from the one-frame NCCF, at
+    the working rate."""
+    *branches, rate, centers = working_rate_pair(pair, config)
     frame_len = int(round(config.frame_len_ms * rate / 1000.0))
-    centers = frame_centers(len(pair[0]), config.hop_ms, rate)
     lag_min = max(1, int(math.ceil(rate / config.fmax_hz)))
     lag_max = min(int(math.floor(rate / config.fmin_hz)), (frame_len - 1) // 2)
     per_branch = []
-    for branch in pair:
-        frames = frame_signal(branch.samples, frame_len, centers)
+    for samples in branches:
+        frames = frame_signal(samples, frame_len, centers)
         branch_cands = []
         for frame in frames:
             curve = nccf(frame, lag_min, lag_max)

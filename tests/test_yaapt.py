@@ -20,6 +20,7 @@ from pitchbench import (
     yaapt_preprocess,
     yaapt_track,
 )
+from pitchbench import yaapt
 from conftest import missing_fundamental, padded_tone, sawtooth, sine
 
 
@@ -343,6 +344,21 @@ class TestYaaptTrack:
             cfg = dataclasses.replace(YaaptConfig(), nlfer_threshold=threshold)
             counts.append(int(yaapt_track(sig, cfg).voiced.sum()))
         assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("rate,factor", [(16000, 1), (48000, 3)])
+    def test_each_branch_decimated_once(self, rate, factor, monkeypatch):
+        # the spectral and NCCF stages share one decimated pair
+        factors = []
+        decimate = yaapt._decimate_for_spectral
+
+        def counted(samples, k):
+            factors.append(k)
+            return decimate(samples, k)
+
+        monkeypatch.setattr(yaapt, "_decimate_for_spectral", counted)
+        track = yaapt_track(padded_tone(sawtooth(150.0, 0.5, rate), rate))
+        assert track.voiced.any()
+        assert factors == [factor, factor]
 
     def test_16k_rate_supported(self):
         track = yaapt_track(AudioSignal(sawtooth(150.0, 1.0, 16000), 16000.0))
