@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -53,18 +52,27 @@ class UsageError(Exception):
     """Bad flag combination or unusable request; maps to exit code 2."""
 
 
+# the engine flags detect and compare share: argparse dest -> config field
+_ENGINE_FLAGS = {
+    "fmin": "fmin_hz", "fmax": "fmax_hz", "frame_ms": "frame_len_ms", "hop_ms": "hop_ms",
+}
+
+
 def _engine_config(algo: str, args) -> PyinConfig | YaaptConfig:
-    config = PyinConfig() if algo == "pyin" else YaaptConfig()
-    overrides = {}
-    if args.fmin is not None:
-        overrides["fmin_hz"] = args.fmin
-    if args.fmax is not None:
-        overrides["fmax_hz"] = args.fmax
-    if args.frame_ms is not None:
-        overrides["frame_len_ms"] = args.frame_ms
-    if args.hop_ms is not None:
-        overrides["hop_ms"] = args.hop_ms
-    return dataclasses.replace(config, **overrides) if overrides else config
+    values = {field: getattr(args, dest) for dest, field in _ENGINE_FLAGS.items()}
+    config_type = PyinConfig if algo == "pyin" else YaaptConfig
+    return config_type(**{field: v for field, v in values.items() if v is not None})
+
+
+def _check_algo(algo: str, crepe_hint: str) -> None:
+    if algo == "crepe":
+        raise UsageError(crepe_hint)
+    if algo not in ("pyin", "yaapt"):
+        raise UsageError(f"unknown algorithm {algo!r} (choose pyin or yaapt)")
+
+
+def _write_text(path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _run_engine(algo: str, signal, config) -> "PitchTrack":
@@ -74,13 +82,11 @@ def _run_engine(algo: str, signal, config) -> "PitchTrack":
 
 
 def cmd_detect(args) -> int:
-    if args.algo == "crepe":
-        raise UsageError(
-            "crepe is not computed here; ingest its output with "
-            "'evaluate --est <csv>' or 'compare --external crepe=<dir>'"
-        )
-    if args.algo not in ("pyin", "yaapt"):
-        raise UsageError(f"unknown algorithm {args.algo!r} (choose pyin or yaapt)")
+    _check_algo(
+        args.algo,
+        "crepe is not computed here; ingest its output with "
+        "'evaluate --est <csv>' or 'compare --external crepe=<dir>'",
+    )
     track = _run_engine(args.algo, read_wav(args.in_wav), _engine_config(args.algo, args))
     write_track(track, args.out)
     return 0
@@ -97,12 +103,9 @@ def cmd_evaluate(args) -> int:
     _check_confidence_threshold(args.confidence_threshold)
     est = read_external_track(args.est, confidence_threshold=args.confidence_threshold)
     ref = read_reference_track(args.ref)
-    stats = evaluate_pair(est, ref)
-    corpus = aggregate([stats])
+    corpus = aggregate([evaluate_pair(est, ref)])
     payload = stats_json_dict(corpus, fom_rank(corpus))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -151,7 +154,7 @@ def _read_manifest(path) -> list[tuple[str, Path, Path]]:
 def _naming(utt_id: str, label: str, path):
     try:
         yield
-    except (ValueError, OSError) as exc:  # reader errors are ValueErrors too
+    except (ValueError, OverflowError, OSError) as exc:  # reader errors are ValueErrors too
         # a plain ValueError carrying the context pickles back from a worker
         raise ValueError(f"utterance {utt_id} [{label}] {path}: {exc}") from exc
 
@@ -225,10 +228,7 @@ def cmd_compare(args) -> int:
 
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for algo in algos:
-        if algo == "crepe":
-            raise UsageError("crepe tracks are external; pass --external crepe=<dir>")
-        if algo not in ("pyin", "yaapt"):
-            raise UsageError(f"unknown algorithm {algo!r} (choose pyin or yaapt)")
+        _check_algo(algo, "crepe tracks are external; pass --external crepe=<dir>")
 
     externals = []
     for binding in args.external or []:
@@ -274,8 +274,7 @@ def cmd_compare(args) -> int:
         corpus = aggregate([stats[column] for stats in scored])
         rows.append((label, corpus, fom_rank(corpus)))
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_comparison_csv(rows))
+    _write_text(args.out, format_comparison_csv(rows))
     return 0
 
 
@@ -284,10 +283,7 @@ def cmd_hist(args) -> int:
         raise UsageError(f"--bin-hz must be finite and > 0, got {args.bin_hz}")
     ref = read_reference_track(args.ref)
     bins = pitch_histogram(ref, bin_width_hz=args.bin_hz)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_low_hz,count\n")
-        for low, count in bins:
-            fh.write(f"{low:.6g},{count}\n")
+    _write_text(args.out, "bin_low_hz,count\n" + "".join(f"{low:.6g},{n}\n" for low, n in bins))
     return 0
 
 
@@ -302,10 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--algo", required=True, help="pyin or yaapt")
     detect.add_argument("--in", dest="in_wav", required=True, help="input WAV path")
     detect.add_argument("--out", required=True, help="output track CSV path")
-    detect.add_argument("--fmin", type=float, default=None)
-    detect.add_argument("--fmax", type=float, default=None)
-    detect.add_argument("--frame-ms", type=float, default=None)
-    detect.add_argument("--hop-ms", type=float, default=None)
     detect.set_defaults(func=cmd_detect)
 
     evaluate = sub.add_parser("evaluate", help="score one track against a reference")
@@ -328,11 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", default=None,
         help="utterance-level worker processes (default: $PITCHBENCH_JOBS or 1)",
     )
-    compare.add_argument("--fmin", type=float, default=None)
-    compare.add_argument("--fmax", type=float, default=None)
-    compare.add_argument("--frame-ms", type=float, default=None)
-    compare.add_argument("--hop-ms", type=float, default=None)
     compare.set_defaults(func=cmd_compare)
+    for dest in _ENGINE_FLAGS:
+        for command in (detect, compare):
+            command.add_argument("--" + dest.replace("_", "-"), type=float)
 
     hist = sub.add_parser("hist", help="histogram of reference pitch values")
     hist.add_argument("--ref", required=True, help="reference trajectory text file")
@@ -353,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (WavFormatError, TrackFormatError, ValueError, OSError) as exc:
+    except (WavFormatError, TrackFormatError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

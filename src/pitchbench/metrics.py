@@ -10,7 +10,7 @@ deviation); gross errors are excluded from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -76,11 +76,7 @@ class UtteranceStats:
 
     def __post_init__(self):
         self.fine_errors_samples = np.asarray(self.fine_errors_samples, dtype=np.float64)
-        counters = (
-            self.total_frames, self.ref_unvoiced_frames, self.ref_voiced_frames,
-            self.both_voiced_frames, self.u2v_errors, self.v2u_errors,
-            self.gross_errors, self.fine_frames,
-        )
+        counters = tuple(getattr(self, name) for name in _COUNTERS)
         if any(c < 0 for c in counters):
             raise ValueError(f"negative counter in {counters}")
         if self.ref_unvoiced_frames + self.ref_voiced_frames != self.total_frames:
@@ -95,6 +91,10 @@ class UtteranceStats:
             raise ValueError(
                 f"{self.fine_errors_samples.size} fine errors for {self.fine_frames} fine frames"
             )
+
+
+# the frame counters, in field order; CorpusStats holds their sums
+_COUNTERS = tuple(f.name for f in fields(UtteranceStats) if f.name != "fine_errors_samples")
 
 
 def evaluate_pair(
@@ -179,29 +179,17 @@ def aggregate(stats: list[UtteranceStats]) -> CorpusStats:
     """
     if not stats:
         raise ValueError("cannot aggregate an empty list of utterance stats")
-    ref_unvoiced = sum(s.ref_unvoiced_frames for s in stats)
-    ref_voiced = sum(s.ref_voiced_frames for s in stats)
-    u2v = sum(s.u2v_errors for s in stats)
-    v2u = sum(s.v2u_errors for s in stats)
+    sums = {name: sum(getattr(s, name) for s in stats) for name in _COUNTERS}
+    unvoiced, voiced = sums["ref_unvoiced_frames"], sums["ref_voiced_frames"]
     pooled = np.concatenate([s.fine_errors_samples for s in stats])
-
-    u2v_defined = ref_unvoiced > 0
-    v2u_defined = ref_voiced > 0
     return CorpusStats(
-        total_frames=sum(s.total_frames for s in stats),
-        ref_unvoiced_frames=ref_unvoiced,
-        ref_voiced_frames=ref_voiced,
-        both_voiced_frames=sum(s.both_voiced_frames for s in stats),
-        u2v_errors=u2v,
-        v2u_errors=v2u,
-        gross_errors=sum(s.gross_errors for s in stats),
-        fine_frames=sum(s.fine_frames for s in stats),
-        u2v_pct=100.0 * u2v / ref_unvoiced if u2v_defined else 0.0,
-        v2u_pct=100.0 * v2u / ref_voiced if v2u_defined else 0.0,
+        **sums,
+        u2v_pct=100.0 * sums["u2v_errors"] / unvoiced if unvoiced else 0.0,
+        v2u_pct=100.0 * sums["v2u_errors"] / voiced if voiced else 0.0,
         mean_fine_samples=float(np.mean(pooled)) if pooled.size else 0.0,
         stdev_fine_samples=float(np.std(pooled)) if pooled.size else 0.0,
-        u2v_pct_defined=u2v_defined,
-        v2u_pct_defined=v2u_defined,
+        u2v_pct_defined=unvoiced > 0,
+        v2u_pct_defined=voiced > 0,
     )
 
 
@@ -262,28 +250,18 @@ def pitch_histogram(ref: PitchTrack, bin_width_hz: float = 10.0) -> list[tuple[f
     return [(float(k * bin_width_hz), int(c)) for k, c in zip(uniq, counts)]
 
 
+# the statistics JSON's keys in its order; the FOM ranks follow under "fom"
+_JSON_KEYS = (
+    "total_frames", "ref_unvoiced_frames", "ref_voiced_frames", "both_voiced_frames",
+    "u2v_errors", "v2u_errors", "u2v_pct", "v2u_pct", "gross_errors", "fine_frames",
+    "mean_fine_samples", "stdev_fine_samples",
+)
+
+
 def stats_json_dict(corpus: CorpusStats, fom: FomScore | None = None) -> dict:
     """Serialize corpus statistics (plus FOM) with the canonical keys."""
     if fom is None:
         fom = fom_rank(corpus)
-    return {
-        "total_frames": corpus.total_frames,
-        "ref_unvoiced_frames": corpus.ref_unvoiced_frames,
-        "ref_voiced_frames": corpus.ref_voiced_frames,
-        "both_voiced_frames": corpus.both_voiced_frames,
-        "u2v_errors": corpus.u2v_errors,
-        "v2u_errors": corpus.v2u_errors,
-        "u2v_pct": corpus.u2v_pct,
-        "v2u_pct": corpus.v2u_pct,
-        "gross_errors": corpus.gross_errors,
-        "fine_frames": corpus.fine_frames,
-        "mean_fine_samples": corpus.mean_fine_samples,
-        "stdev_fine_samples": corpus.stdev_fine_samples,
-        "fom": {
-            "rank_u2v": fom.rank_u2v,
-            "rank_v2u": fom.rank_v2u,
-            "rank_mean_fine": fom.rank_mean_fine,
-            "rank_stdev_fine": fom.rank_stdev_fine,
-            "total": fom.total,
-        },
-    }
+    payload = {key: getattr(corpus, key) for key in _JSON_KEYS}
+    payload["fom"] = asdict(fom)
+    return payload

@@ -32,6 +32,8 @@ from scipy.special import betainc
 from .signal import (
     AudioSignal,
     _block_rows,
+    _check_engine_rate,
+    _check_engine_settings,
     check_search_band,
     cmnd_rows,
     frame_centers,
@@ -59,12 +61,7 @@ class PyinConfig:
     max_transition_semitones: float = 12.0
 
     def __post_init__(self):
-        if not 0 < self.fmin_hz < self.fmax_hz:
-            raise ValueError(f"need 0 < fmin < fmax, got ({self.fmin_hz}, {self.fmax_hz})")
-        if self.frame_len_ms <= 0 or self.hop_ms <= 0:
-            raise ValueError(
-                f"frame_len_ms and hop_ms must be > 0, got ({self.frame_len_ms}, {self.hop_ms})"
-            )
+        _check_engine_settings(self)
         if self.n_thresholds < 1:
             raise ValueError(f"n_thresholds must be >= 1, got {self.n_thresholds}")
         if not 0 < self.threshold_prior_mean < 1:
@@ -81,10 +78,7 @@ class PyinConfig:
             )
 
     def validate_rate(self, sample_rate_hz: float) -> None:
-        if not self.fmax_hz < sample_rate_hz / 2:
-            raise ValueError(
-                f"fmax {self.fmax_hz} Hz must be below Nyquist {sample_rate_hz / 2} Hz"
-            )
+        _check_engine_rate(self, sample_rate_hz)
 
     @property
     def n_bins(self) -> int:

@@ -115,6 +115,31 @@ def lag_frame_len(frame_len_ms: float, sample_rate_hz: float, fmin_hz: float) ->
     return max(nominal, 2 * int(math.floor(sample_rate_hz / fmin_hz)) + 1)
 
 
+def _check_engine_settings(config) -> None:
+    """The setting rules both engines' configs share: 0 < fmin < fmax, and
+    a frame and a hop that are finite and > 0."""
+    if not 0 < config.fmin_hz < config.fmax_hz:
+        raise ValueError(f"need 0 < fmin < fmax, got ({config.fmin_hz}, {config.fmax_hz})")
+    if not (0 < config.frame_len_ms < math.inf and 0 < config.hop_ms < math.inf):
+        raise ValueError(
+            "frame_len_ms and hop_ms must be finite and > 0,"
+            f" got ({config.frame_len_ms}, {config.hop_ms})"
+        )
+
+
+def _check_engine_rate(config, sample_rate_hz: float) -> None:
+    """The rate rules both engines' configs share: fmax below Nyquist, and
+    a hop of at least one sample (``frame_centers`` rounds each center to
+    a sample, so a shorter hop would only repeat frames)."""
+    nyquist = sample_rate_hz / 2
+    if not config.fmax_hz < nyquist:
+        raise ValueError(f"fmax {config.fmax_hz} Hz must be below Nyquist {nyquist} Hz")
+    if config.hop_ms * sample_rate_hz / 1000.0 < 1:
+        raise ValueError(
+            f"hop {config.hop_ms} ms is shorter than one sample at {sample_rate_hz} Hz"
+        )
+
+
 def frame_signal(samples: np.ndarray, frame_len_samples: int, centers: np.ndarray) -> np.ndarray:
     """Frames of ``frame_len_samples`` samples centered on ``centers``.
 

@@ -30,6 +30,8 @@ from numpy.fft import rfft
 from .signal import (
     AudioSignal,
     _block_rows,
+    _check_engine_rate,
+    _check_engine_settings,
     _fir_taps,
     bandpass_filter,
     budget_rows,
@@ -68,14 +70,9 @@ class YaaptConfig:
     nonlinearity: str = "square"  # or "abs"
 
     def __post_init__(self):
-        if not 0 < self.fmin_hz < self.fmax_hz:
-            raise ValueError(f"need 0 < fmin < fmax, got ({self.fmin_hz}, {self.fmax_hz})")
+        _check_engine_settings(self)
         if not 0 < self.bp_low_hz < self.bp_high_hz:
             raise ValueError(f"bad band ({self.bp_low_hz}, {self.bp_high_hz})")
-        if self.frame_len_ms <= 0 or self.hop_ms <= 0:
-            raise ValueError(
-                f"frame_len_ms and hop_ms must be > 0, got ({self.frame_len_ms}, {self.hop_ms})"
-            )
         if self.shc_num_harmonics < 1:
             raise ValueError(f"shc_num_harmonics must be >= 1, got {self.shc_num_harmonics}")
         if self.shc_window_hz <= 0:
@@ -99,9 +96,8 @@ class YaaptConfig:
             raise ValueError(f"nonlinearity must be 'square' or 'abs', got {self.nonlinearity!r}")
 
     def validate_rate(self, sample_rate_hz: float) -> None:
+        _check_engine_rate(self, sample_rate_hz)
         nyquist = sample_rate_hz / 2
-        if not self.fmax_hz < nyquist:
-            raise ValueError(f"fmax {self.fmax_hz} Hz must be below Nyquist {nyquist} Hz")
         if not self.bp_high_hz < nyquist:
             raise ValueError(f"band edge {self.bp_high_hz} Hz must be below Nyquist {nyquist} Hz")
         # compute_shc's range rule and the NCCF's lag rule, at the working rate

@@ -112,6 +112,22 @@ class TestDetect:
         assert "Traceback" not in err
         assert not (tmp_path / "t.csv").exists()
 
+    # each fails before any large allocation: a long finite frame or a short
+    # valid hop on a long file would really allocate, so none is tried here
+    @pytest.mark.parametrize("flag, value", [
+        ("--frame-ms", "inf"), ("--frame-ms", "1e300"), ("--hop-ms", "inf"), ("--hop-ms", "1e-9"),
+    ])
+    @pytest.mark.parametrize("algo", ["pyin", "yaapt"])
+    def test_unusable_setting_is_one_error_line(self, tmp_path, tone_wav, capsys, algo, flag,
+                                                value):
+        out = tmp_path / "t.csv"
+        code = main(["detect", "--algo", algo, "--in", str(tone_wav), "--out", str(out),
+                     flag, value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_hop_flag_changes_timebase(self, tmp_path, tone_wav):
         out = tmp_path / "hop20.csv"
         code = main([
@@ -436,6 +452,16 @@ class TestCompare:
         assert err[0].startswith("error: utterance utt1 [wav] ")
         assert str(tmp_path / "utt1.wav") in err[0]
         assert "missing 'fmt ' chunk" in err[0]
+        assert not out.exists()
+
+    def test_overflowing_frame_names_the_utterance(self, tmp_path, capsys):
+        manifest = self._build_corpus(tmp_path, n=1)
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--manifest", str(manifest), "--out", str(out),
+                     "--frame-ms", "1e300"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: utterance utt0 [pyin] ")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -1,4 +1,6 @@
 """Configuration errors name the value that was rejected."""
+import math
+
 import pytest
 
 from pitchbench import PyinConfig, YaaptConfig
@@ -8,7 +10,11 @@ from pitchbench import PyinConfig, YaaptConfig
 BAD_VALUES = [
     (PyinConfig, "fmin_hz", -3.5),
     (PyinConfig, "frame_len_ms", -40.25),
+    (PyinConfig, "frame_len_ms", math.inf),
+    (PyinConfig, "frame_len_ms", math.nan),
     (PyinConfig, "hop_ms", -0.125),
+    (PyinConfig, "hop_ms", math.inf),
+    (PyinConfig, "hop_ms", math.nan),
     (PyinConfig, "n_thresholds", -7),
     (PyinConfig, "threshold_prior_mean", 1.375),
     (PyinConfig, "bins_per_semitone", -3),
@@ -17,7 +23,11 @@ BAD_VALUES = [
     (YaaptConfig, "fmin_hz", -3.5),
     (YaaptConfig, "bp_low_hz", -50.5),
     (YaaptConfig, "frame_len_ms", -35.25),
+    (YaaptConfig, "frame_len_ms", math.inf),
+    (YaaptConfig, "frame_len_ms", math.nan),
     (YaaptConfig, "hop_ms", -0.125),
+    (YaaptConfig, "hop_ms", math.inf),
+    (YaaptConfig, "hop_ms", math.nan),
     (YaaptConfig, "shc_num_harmonics", -2),
     (YaaptConfig, "shc_window_hz", -40.5),
     (YaaptConfig, "nlfer_threshold", -0.875),
@@ -28,8 +38,15 @@ BAD_VALUES = [
 ]
 
 
+def case_id(config_type, field, value):
+    # a non-finite row shares its field with a negative one, so it carries
+    # its value
+    finite = not isinstance(value, float) or math.isfinite(value)
+    return f"{config_type.__name__}.{field}" + ("" if finite else f"-{value}")
+
+
 @pytest.mark.parametrize(
-    "config_type, field, value", BAD_VALUES, ids=[f"{t.__name__}.{f}" for t, f, _ in BAD_VALUES]
+    "config_type, field, value", BAD_VALUES, ids=[case_id(*row) for row in BAD_VALUES]
 )
 def test_error_names_the_bad_value(config_type, field, value):
     with pytest.raises(ValueError) as err:

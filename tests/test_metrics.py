@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pitchbench import (
@@ -166,6 +166,32 @@ class TestEvaluatePairProperty:
         assert s.u2v_errors <= s.ref_unvoiced_frames
         assert s.v2u_errors <= s.ref_voiced_frames
         assert len(s.fine_errors_samples) == s.fine_frames
+
+
+COUNTERS = (
+    "total_frames", "ref_unvoiced_frames", "ref_voiced_frames", "both_voiced_frames",
+    "u2v_errors", "v2u_errors", "gross_errors", "fine_frames",
+)
+utterances = st.lists(st.tuples(track_frames, track_frames), max_size=4).map(
+    lambda pairs: [evaluate_pair(PitchTrack(0.01, e), PitchTrack(0.01, r)) for e, r in pairs]
+)
+
+
+class TestAggregateProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(a=utterances, b=utterances)
+    def test_counters_sum_over_a_split(self, a, b):
+        assume(a + b)
+        corpus = aggregate(a + b)
+        sums = {name: sum(getattr(s, name) for s in a + b) for name in COUNTERS}
+        assert {name: getattr(corpus, name) for name in COUNTERS} == sums
+        if a and b:
+            parts = aggregate(a), aggregate(b)
+            assert all(getattr(corpus, n) == sum(getattr(p, n) for p in parts) for n in COUNTERS)
+        unvoiced, voiced = sums["ref_unvoiced_frames"], sums["ref_voiced_frames"]
+        assert corpus.u2v_pct == (100.0 * sums["u2v_errors"] / unvoiced if unvoiced else 0.0)
+        assert corpus.v2u_pct == (100.0 * sums["v2u_errors"] / voiced if voiced else 0.0)
+        assert (corpus.u2v_pct_defined, corpus.v2u_pct_defined) == (unvoiced > 0, voiced > 0)
 
 
 class TestAggregate:
