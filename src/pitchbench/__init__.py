@@ -10,7 +10,6 @@ from .signal import (
     frame_signal,
     min_cost_path,
     nccf,
-    parabolic_refine,
     yin_difference,
 )
 from .trackio import (
@@ -34,13 +33,12 @@ from .metrics import (
     pitch_histogram,
     stats_json_dict,
 )
-from .pyin import PitchCandidate, PyinConfig, pyin_candidates, pyin_track, pyin_viterbi
+from .pyin import PitchCandidate, PyinConfig, pyin_track, pyin_viterbi
 from .yaapt import (
     NccfCandidate,
     SpectralTrack,
     YaaptConfig,
     compute_nlfer,
-    compute_shc,
     nccf_candidates,
     spectral_pitch_track,
     yaapt_dp_select,
@@ -52,14 +50,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioSignal", "LagCurve", "frame_centers", "frame_signal", "min_cost_path",
-    "yin_difference", "cmnd", "nccf", "bandpass_filter", "parabolic_refine",
+    "yin_difference", "cmnd", "nccf", "bandpass_filter",
     "PitchTrack", "WavFormatError", "TrackFormatError",
     "read_wav", "read_reference_track", "read_external_track", "write_track",
     "FrameOutcome", "UtteranceStats", "CorpusStats", "FomScore",
     "classify_frame", "evaluate_pair", "aggregate", "fom_rank",
     "pitch_histogram", "stats_json_dict",
-    "PyinConfig", "PitchCandidate", "pyin_candidates", "pyin_viterbi", "pyin_track",
+    "PyinConfig", "PitchCandidate", "pyin_viterbi", "pyin_track",
     "YaaptConfig", "SpectralTrack", "NccfCandidate", "yaapt_preprocess",
-    "compute_nlfer", "compute_shc", "spectral_pitch_track", "nccf_candidates",
+    "compute_nlfer", "spectral_pitch_track", "nccf_candidates",
     "yaapt_dp_select", "yaapt_track",
 ]

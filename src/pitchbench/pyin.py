@@ -34,7 +34,6 @@ from .signal import (
     _block_rows,
     _check_engine_rate,
     _check_engine_settings,
-    check_search_band,
     cmnd_rows,
     frame_centers,
     frame_signal,
@@ -72,13 +71,21 @@ class PyinConfig:
             raise ValueError(f"bins_per_semitone must be >= 1, got {self.bins_per_semitone}")
         if not 0 < self.switch_prob < 1:
             raise ValueError(f"switch_prob must be in (0,1), got {self.switch_prob}")
-        if self.max_transition_semitones <= 0:
+        if not self.max_transition_semitones > 0:
             raise ValueError(
                 f"max_transition_semitones must be > 0, got {self.max_transition_semitones}"
             )
 
     def validate_rate(self, sample_rate_hz: float) -> None:
         _check_engine_rate(self, sample_rate_hz)
+        # a minimum at lag_min .. lag_max - 1 is compared with the lags either side
+        frame_len = lag_frame_len(self.frame_len_ms, sample_rate_hz, self.fmin_hz)
+        lag_min, lag_max = _lag_range(self, sample_rate_hz, frame_len)
+        if lag_min >= lag_max:
+            raise ValueError(
+                f"pitch search range {self.fmin_hz}-{self.fmax_hz} Hz spans less than"
+                f" two lags at {sample_rate_hz} Hz"
+            )
 
     @property
     def n_bins(self) -> int:
@@ -154,26 +161,6 @@ def _candidate_sets(
     candidates = list(map(PitchCandidate, f0[order].tolist(), mass[order].tolist()))
     bounds = np.searchsorted(rows[order], np.arange(d.shape[0] + 1)).tolist()
     return [candidates[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def pyin_candidates(
-    frame: np.ndarray, config: PyinConfig, sample_rate_hz: float
-) -> list[PitchCandidate]:
-    """Extract pitch candidates with probabilities from one frame.
-
-    Lags are searched in ``[rate/fmax, rate/fmin]`` intersected with
-    the valid lag range of the difference curve. Candidates come back
-    sorted by frequency; their probabilities sum to at most 1, with the
-    remainder being the frame's unvoiced mass. Silent frames yield an
-    empty list.
-    """
-    config.validate_rate(sample_rate_hz)
-    frame = np.asarray(frame, dtype=np.float64)
-    lag_min, lag_max = _lag_range(config, sample_rate_hz, frame.size)
-    if lag_min >= lag_max:
-        return []
-    d = cmnd_rows(yin_difference_rows(frame[None], lag_max))
-    return _candidate_sets(d, lag_min, config, sample_rate_hz)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +315,6 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
     rate = signal.sample_rate_hz
     frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
     lag_min, lag_max = _lag_range(config, rate, frame_len)
-    check_search_band(lag_min, lag_max, config.fmin_hz, config.fmax_hz, rate)
     centers = frame_centers(len(signal), config.hop_ms, rate)
     step = _block_rows(frame_len)
     candidate_sets = []

@@ -286,19 +286,6 @@ def _check_lags(size: int, min_lag: int, max_lag: int) -> None:
         raise ValueError(f"max_lag {max_lag} must be < half the frame length {size}")
 
 
-def check_search_band(
-    lag_min: int, lag_max: int, fmin_hz: float, fmax_hz: float, sample_rate_hz: float
-) -> None:
-    """Reject a pitch search whose lags ``lag_min .. lag_max`` number fewer
-    than two: pYIN takes a minimum at ``lag_min .. lag_max - 1``, against
-    the lags on either side of it."""
-    if lag_min >= lag_max:
-        raise ValueError(
-            f"pitch search range {fmin_hz}-{fmax_hz} Hz spans less than"
-            f" two lags at {sample_rate_hz} Hz"
-        )
-
-
 # The row functions finish the lag terms in place, with the operations of
 # their textbook forms in the same order, so each value has the bits the
 # out-of-place expression would give it.
@@ -465,31 +452,11 @@ def _taps_spectrum(low_hz: float, high_hz: float, sample_rate_hz: float, n: int)
     return spectrum
 
 
-def parabolic_refine(curve: LagCurve, lag: int) -> float:
-    """Refine an extremum location to fractional-lag precision.
-
-    Fits a parabola through the curve values at ``lag - 1, lag, lag + 1``
-    and returns the abscissa of its vertex, clamped to ``[lag-1, lag+1]``.
-    Collinear points, or a lag on the curve boundary, return ``lag``
-    unchanged.
-    """
-    if not curve.min_lag_samples <= lag <= curve.max_lag_samples:
-        raise ValueError(
-            f"lag {lag} outside [{curve.min_lag_samples}, {curve.max_lag_samples}]"
-        )
-    if lag in (curve.min_lag_samples, curve.max_lag_samples):
-        return float(lag)
-    i = lag - curve.min_lag_samples
-    y = curve.values
-    return float(parabolic_vertex(y[i - 1], y[i], y[i + 1], lag))
-
-
 def parabolic_vertex(y0, y1, y2, lag):
-    """Elementwise core of :func:`parabolic_refine` for interior lags.
-
-    ``y0, y1, y2`` are the curve values at ``lag - 1, lag, lag + 1``;
-    scalars and arrays alike broadcast.
-    """
+    """Fractional lag of an extremum: the vertex of the parabola through
+    the curve values ``y0, y1, y2`` at an interior ``lag - 1, lag, lag + 1``,
+    clamped to ``[lag - 1, lag + 1]``; collinear points give ``lag``.
+    Scalars and arrays alike broadcast."""
     denom = y0 - 2.0 * y1 + y2
     flat = denom == 0.0
     vertex = lag + 0.5 * (y0 - y2) / np.where(flat, 1.0, denom)

@@ -75,21 +75,22 @@ class YaaptConfig:
             raise ValueError(f"bad band ({self.bp_low_hz}, {self.bp_high_hz})")
         if self.shc_num_harmonics < 1:
             raise ValueError(f"shc_num_harmonics must be >= 1, got {self.shc_num_harmonics}")
-        if self.shc_window_hz <= 0:
+        if not self.shc_window_hz > 0:
             raise ValueError(f"shc_window_hz must be > 0, got {self.shc_window_hz}")
         if self.fmin_hz < self.shc_window_hz / 2:  # SHC terms would read below 0 Hz
             raise ValueError(
                 f"fmin {self.fmin_hz} Hz is below half the SHC window {self.shc_window_hz} Hz"
             )
-        if self.nlfer_threshold <= 0:
+        if not self.nlfer_threshold > 0:
             raise ValueError(f"nlfer_threshold must be > 0, got {self.nlfer_threshold}")
         if self.n_candidates_per_frame < 1:
             raise ValueError(
                 f"n_candidates_per_frame must be >= 1, got {self.n_candidates_per_frame}"
             )
-        if self.dp_freq_jump_weight < 0 or self.dp_voicing_switch_cost < 0:
+        # an infinite jump weight times a zero octave distance is a nan cost
+        if not (0 <= self.dp_freq_jump_weight < math.inf and self.dp_voicing_switch_cost >= 0):
             raise ValueError(
-                "dynamic-programming weights must be >= 0, got"
+                "dynamic-programming weights must be >= 0, the jump weight finite, got"
                 f" ({self.dp_freq_jump_weight}, {self.dp_voicing_switch_cost})"
             )
         if self.nonlinearity not in ("square", "abs"):
@@ -100,7 +101,7 @@ class YaaptConfig:
         nyquist = sample_rate_hz / 2
         if not self.bp_high_hz < nyquist:
             raise ValueError(f"band edge {self.bp_high_hz} Hz must be below Nyquist {nyquist} Hz")
-        # compute_shc's range rule and the NCCF's lag rule, at the working rate
+        # the SHC terms' range rule and the NCCF's lag rule, at the working rate
         working_rate = sample_rate_hz / _spectral_factor(sample_rate_hz)
         shc_top = (self.shc_num_harmonics + 1) * self.fmax_hz + self.shc_window_hz / 2
         shc_nyquist = working_rate / 2
@@ -184,36 +185,17 @@ def compute_nlfer(
     return energy / mean
 
 
-def compute_shc(
-    spectrum: np.ndarray, f_hz: float, config: YaaptConfig, freq_resolution_hz: float
-) -> float:
-    """Spectral harmonics correlation at one frequency.
-
-    SHC(f) = sum over window offsets f' in [-W/2, W/2] of the product
-    over r = 1 .. NH+1 of |S(r f + f')|, with the offset discretized on
-    the spectrum's bin grid. Requires (NH+1) f + W/2 to stay below the
-    spectrum's Nyquist and f - W/2 above 0.
-    """
-    spectrum = np.asarray(spectrum, dtype=np.float64)
-    n_harm = config.shc_num_harmonics + 1
-    half_window = config.shc_window_hz / 2.0
-    nyquist = (spectrum.size - 1) * freq_resolution_hz
-    if f_hz <= 0 or f_hz - half_window < 0 or n_harm * f_hz + half_window > nyquist:
-        raise ValueError(
-            f"frequency {f_hz} Hz out of range for {n_harm} harmonics within {nyquist} Hz"
-        )
-    return float(_shc_grid(spectrum, np.array([f_hz]), config, freq_resolution_hz)[0])
-
-
 def _shc_grid(
     spectra: np.ndarray,
     grid_hz: np.ndarray,
     config: YaaptConfig,
     freq_resolution_hz: float,
 ) -> np.ndarray:
-    """SHC at every frequency of a grid, of one spectrum or of every row of
-    a 2-D array of spectra; :func:`compute_shc` is its checked
-    one-frequency form."""
+    """Spectral harmonics correlation at every frequency f of a grid, of one
+    spectrum or of every row of a 2-D array of spectra: the sum over window
+    offsets f' in [-W/2, W/2], on the bin grid, of the product over
+    r = 1 .. NH+1 of |S(r f + f')|. A term past the spectrum raises
+    ``IndexError``."""
     idx = _shc_bins(grid_hz, config, freq_resolution_hz)
     if idx.max() >= spectra.shape[-1]:
         raise IndexError(f"SHC bin {idx.max()} is past the {spectra.shape[-1]} bins of a spectrum")

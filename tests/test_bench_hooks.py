@@ -21,9 +21,9 @@ from test_cli import write_reference_for_tone, write_wav
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# pYIN's one-frame pyin_candidates is public but the engine extracts
-# candidates a block at a time; ROADMAP item 1 replaces this hook
-NEVER_CALLED = {"pitchbench.pyin.pyin_candidates"}
+# every hooked name that exists is called; a hook on a name the package
+# no longer has is absent, and its metrics read "(absent)"
+NEVER_CALLED = set()
 
 
 def load_hooks(monkeypatch):

@@ -20,6 +20,7 @@ BAD_VALUES = [
     (PyinConfig, "bins_per_semitone", -3),
     (PyinConfig, "switch_prob", 1.625),
     (PyinConfig, "max_transition_semitones", -12.5),
+    (PyinConfig, "max_transition_semitones", math.nan),
     (YaaptConfig, "fmin_hz", -3.5),
     (YaaptConfig, "bp_low_hz", -50.5),
     (YaaptConfig, "frame_len_ms", -35.25),
@@ -30,10 +31,15 @@ BAD_VALUES = [
     (YaaptConfig, "hop_ms", math.nan),
     (YaaptConfig, "shc_num_harmonics", -2),
     (YaaptConfig, "shc_window_hz", -40.5),
+    (YaaptConfig, "shc_window_hz", math.nan),
     (YaaptConfig, "nlfer_threshold", -0.875),
+    (YaaptConfig, "nlfer_threshold", math.nan),
     (YaaptConfig, "n_candidates_per_frame", -4),
     (YaaptConfig, "dp_freq_jump_weight", -0.375),
+    (YaaptConfig, "dp_freq_jump_weight", math.inf),
+    (YaaptConfig, "dp_freq_jump_weight", math.nan),
     (YaaptConfig, "dp_voicing_switch_cost", -0.625),
+    (YaaptConfig, "dp_voicing_switch_cost", math.nan),
     (YaaptConfig, "nonlinearity", "cube"),
 ]
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from pitchbench import (
     AudioSignal,
-    LagCurve,
     NccfCandidate,
     PyinConfig,
     YaaptConfig,
@@ -22,8 +21,6 @@ from pitchbench import (
     frame_signal,
     nccf,
     nccf_candidates,
-    parabolic_refine,
-    pyin_candidates,
     pyin_track,
     pyin_viterbi,
     spectral_pitch_track,
@@ -40,6 +37,7 @@ from pitchbench.signal import (
     yin_difference_rows,
 )
 from conftest import padded_tone, sawtooth, working_rate_pair
+from test_pyin import frame_candidates
 
 # (frame length, min lag, max lag) of the engines' default lag searches
 LAG_SHAPES = {
@@ -148,7 +146,10 @@ def literal_pyin_candidates(frame, cfg, rate):
                 break
     cands = []
     for tau, m in mass.items():
-        f0 = rate / parabolic_refine(LagCurve(d, 0, lag_max), tau)
+        y0, y1, y2 = d[tau - 1 : tau + 2]  # the parabola through them, and its vertex
+        denom = y0 - 2.0 * y1 + y2
+        vertex = tau + 0.5 * (y0 - y2) / denom if denom else tau
+        f0 = rate / min(max(vertex, tau - 1), tau + 1)
         if m > 0:
             cands.append((min(max(f0, cfg.fmin_hz), cfg.fmax_hz), m))
     return sorted(cands)
@@ -166,7 +167,7 @@ class TestPyinCandidatesOracle:
         n = int(round(0.04 * rate))
         rng = np.random.default_rng(seed)
         frame = sawtooth(f0, 0.04, rate)[:n] + noise * rng.standard_normal(n)
-        got = pyin_candidates(frame, PyinConfig(), rate)
+        got = frame_candidates(frame, PyinConfig(), rate)
         want = literal_pyin_candidates(frame, PyinConfig(), rate)
         assert len(got) == len(want)
         for cand, (f, m) in zip(got, want):
@@ -207,7 +208,10 @@ def _per_frame_nccf_candidates(pair, config):
             peaks = sorted((p for p in peaks if v[p] > 0), key=lambda p: -v[p])
             cands = []
             for p in peaks[: config.n_candidates_per_frame]:
-                refined = parabolic_refine(curve, p + lag_min)
+                lag, (y0, y1, y2) = p + lag_min, v[p - 1 : p + 2]  # the parabola through them
+                denom = y0 - 2.0 * y1 + y2
+                vertex = lag + 0.5 * (y0 - y2) / denom if denom else lag
+                refined = min(max(vertex, lag - 1), lag + 1)
                 f0 = min(max(rate / refined, config.fmin_hz), config.fmax_hz)
                 cands.append(NccfCandidate(f0, float(v[p])))
             branch_cands.append(cands)
@@ -235,7 +239,7 @@ class TestEnginesAgreeWithPerFrameOracles:
         frame_len = int(round(cfg.frame_len_ms * rate / 1000.0))
         centers = frame_centers(len(signal), cfg.hop_ms, rate)
         frames = frame_signal(signal.samples, frame_len, centers)
-        sets = [pyin_candidates(frame, cfg, rate) for frame in frames]
+        sets = [frame_candidates(frame, cfg, rate) for frame in frames]
         oracle = pyin_viterbi(sets, cfg, hop_seconds=cfg.hop_ms / 1000.0)
         _assert_tracks_agree(pyin_track(signal, cfg), oracle)
 

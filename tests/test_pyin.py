@@ -5,9 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pitchbench import AudioSignal, PitchCandidate, PyinConfig, pyin_candidates, pyin_track, pyin_viterbi
-from pitchbench.pyin import _decode_trellis, _threshold_weights, _trellis
+from pitchbench import AudioSignal, PitchCandidate, PyinConfig, pyin_track, pyin_viterbi
+from pitchbench.pyin import _candidate_sets, _decode_trellis, _lag_range, _threshold_weights, _trellis
+from pitchbench.signal import cmnd_rows, yin_difference_rows
 from conftest import padded_tone, sawtooth, sine
+
+
+def frame_candidates(frame, config, rate):
+    """pyin_track's candidate stage on one frame, the engine's own path: the
+    rate check, the lag band of a frame this long, the lag curves of a
+    one-row block and their candidates."""
+    config.validate_rate(rate)
+    lag_min, lag_max = _lag_range(config, rate, len(frame))
+    d = cmnd_rows(yin_difference_rows(np.asarray(frame, dtype=np.float64)[None], lag_max))
+    return _candidate_sets(d, lag_min, config, rate)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +95,11 @@ class TestThresholdPrior:
 
 class TestPyinCandidates:
     def test_silent_frame_empty(self):
-        assert pyin_candidates(np.zeros(2048), PyinConfig(), 48000.0) == []
+        assert frame_candidates(np.zeros(2048), PyinConfig(), 48000.0) == []
 
     def test_pure_sine_dominant_candidate(self):
         frame = sine(220.0, 0.04, 48000)
-        cands = pyin_candidates(frame, PyinConfig(), 48000.0)
+        cands = frame_candidates(frame, PyinConfig(), 48000.0)
         near = [c for c in cands if abs(c.f0_hz / 220.0 - 1) < 0.01]
         assert sum(c.probability for c in near) >= 0.9
 
@@ -96,7 +107,7 @@ class TestPyinCandidates:
         rate = 48000.0
         t = np.arange(int(0.04 * rate)) / rate
         frame = 0.35 * np.sin(2 * np.pi * 100 * t) + 1.0 * np.sin(2 * np.pi * 200 * t)
-        cands = pyin_candidates(frame, PyinConfig(), rate)
+        cands = frame_candidates(frame, PyinConfig(), rate)
         assert any(abs(c.f0_hz / 100.0 - 1) < 0.03 for c in cands)
         assert any(abs(c.f0_hz / 200.0 - 1) < 0.03 for c in cands)
         assert sum(c.probability for c in cands) <= 1.0 + 1e-9
@@ -105,14 +116,14 @@ class TestPyinCandidates:
         cfg = PyinConfig()
         for _ in range(100):
             frame = rng.standard_normal(1024)
-            cands = pyin_candidates(frame, cfg, 16000.0)
+            cands = frame_candidates(frame, cfg, 16000.0)
             assert sum(c.probability for c in cands) <= 1.0 + 1e-9
             for c in cands:
                 assert cfg.fmin_hz <= c.f0_hz <= cfg.fmax_hz
 
     def test_candidates_within_search_band(self):
         frame = sawtooth(150.0, 0.04, 48000)
-        for c in pyin_candidates(frame, PyinConfig(), 48000.0):
+        for c in frame_candidates(frame, PyinConfig(), 48000.0):
             assert 60.0 <= c.f0_hz <= 400.0
 
     def test_config_validation(self):
@@ -121,7 +132,7 @@ class TestPyinCandidates:
         with pytest.raises(ValueError):
             PyinConfig(switch_prob=0.0)
         with pytest.raises(ValueError):
-            pyin_candidates(np.zeros(100), PyinConfig(fmax_hz=9000), 16000.0)
+            frame_candidates(np.zeros(100), PyinConfig(fmax_hz=9000), 16000.0)
 
 
 class TestPyinViterbi:
@@ -253,7 +264,7 @@ class TestWorkingSet:
         try:
             for k in range(100):
                 cfg = PyinConfig(switch_prob=0.01 + k * 1e-4)
-                pyin_candidates(frame, cfg, 16000.0)
+                frame_candidates(frame, cfg, 16000.0)
                 pyin_viterbi(sets, cfg)
             held = tracemalloc.get_traced_memory()[0]
         finally:

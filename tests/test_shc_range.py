@@ -3,8 +3,8 @@
 The spectral stage runs near 16 kHz whatever the input rate, and every SHC
 term reads bins from ``(f - W/2)`` to ``(NH + 1) f + W/2``. A configuration
 that puts either end outside ``[0, Nyquist]`` of that stage is rejected when
-it is made or checked against a rate, as :func:`compute_shc` rejects such a
-frequency, rather than failing inside the engine or reading a wrapped bin.
+it is made or checked against a rate, rather than failing inside the engine
+or reading a wrapped bin.
 """
 import numpy as np
 import pytest

@@ -15,11 +15,11 @@ from pitchbench import (
     frame_signal,
     min_cost_path,
     nccf,
-    parabolic_refine,
     pyin_track,
     yaapt_track,
     yin_difference,
 )
+from pitchbench.signal import parabolic_vertex
 from conftest import padded_tone, sawtooth, sine
 
 RATES = (8000, 11025, 16000, 22050, 44100, 48000)
@@ -374,34 +374,23 @@ class TestBandpassFilter:
 
 
 class TestParabolicRefine:
+    """The vertex of the parabola through a curve's values at ``lag - 1,
+    lag, lag + 1``, as both engines refine their candidate lags."""
+
     def test_symmetric_minimum(self):
-        curve = LagCurve(np.array([1.0, 0.0, 1.0]), 99, 101)
-        assert parabolic_refine(curve, 100) == 100.0
+        assert parabolic_vertex(1.0, 0.0, 1.0, 100) == 100.0
 
     def test_asymmetric_minimum(self):
-        curve = LagCurve(np.array([4.0, 1.0, 2.0]), 49, 51)
-        assert parabolic_refine(curve, 50) == pytest.approx(50.25)
+        assert parabolic_vertex(4.0, 1.0, 2.0, 50) == pytest.approx(50.25)
 
     def test_collinear_returns_center(self):
-        curve = LagCurve(np.array([3.0, 2.0, 1.0]), 50, 52)
-        assert parabolic_refine(curve, 51) == 51.0
-
-    def test_boundary_lag_unchanged(self):
-        curve = LagCurve(np.array([3.0, 1.0, 2.0, 5.0]), 10, 13)
-        assert parabolic_refine(curve, 10) == 10.0
-        assert parabolic_refine(curve, 13) == 13.0
+        assert parabolic_vertex(3.0, 2.0, 1.0, 51) == 51.0
 
     def test_result_clamped(self):
         # nearly flat parabola would put the vertex far away
-        curve = LagCurve(np.array([1.0, 1.0 - 1e-12, 1.0 + 1e-9]), 19, 21)
-        refined = parabolic_refine(curve, 20)
-        assert 19.0 <= refined <= 21.0
+        assert 19.0 <= parabolic_vertex(1.0, 1.0 - 1e-12, 1.0 + 1e-9, 20) <= 21.0
+        # a rising run puts the vertex 1.5 lags below the centre
+        assert parabolic_vertex(0.0, 1.0, 3.0, 20) == 19.0
 
     def test_maximum_also_refined(self):
-        curve = LagCurve(np.array([2.0, 4.0, 2.0]), 7, 9)
-        assert parabolic_refine(curve, 8) == 8.0
-
-    def test_out_of_range_lag(self):
-        curve = LagCurve(np.array([1.0, 2.0, 3.0]), 5, 7)
-        with pytest.raises(ValueError):
-            parabolic_refine(curve, 4)
+        assert parabolic_vertex(2.0, 4.0, 2.0, 8) == 8.0

