@@ -32,7 +32,6 @@ from .metrics import (
 from .pyin import PyinConfig, pyin_track
 from .trackio import (
     TrackFormatError,
-    WavFormatError,
     check_confidence_threshold,
     csv_records,
     read_external_track,
@@ -154,7 +153,7 @@ def _read_manifest(path) -> list[tuple[str, Path, Path]]:
 def _naming(utt_id: str, label: str, path):
     try:
         yield
-    except (ValueError, OverflowError, OSError) as exc:  # reader errors are ValueErrors too
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:  # as main() catches
         # a plain ValueError carrying the context pickles back from a worker
         raise ValueError(f"utterance {utt_id} [{label}] {path}: {exc}") from exc
 
@@ -344,7 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (WavFormatError, TrackFormatError, ValueError, OverflowError, OSError) as exc:
+    # the reader errors are ValueErrors; a MemoryError is a frame or a file too large
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

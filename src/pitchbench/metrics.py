@@ -243,8 +243,6 @@ def pitch_histogram(ref: PitchTrack, bin_width_hz: float = 10.0) -> list[tuple[f
     if not 0 < bin_width_hz < np.inf:
         raise ValueError(f"bin width must be finite and > 0, got {bin_width_hz}")
     voiced = ref.frames[ref.voiced]
-    if voiced.size == 0:
-        return []
     indices = np.floor(voiced / bin_width_hz).astype(np.int64)
     uniq, counts = np.unique(indices, return_counts=True)
     return [(float(k * bin_width_hz), int(c)) for k, c in zip(uniq, counts)]

@@ -33,6 +33,7 @@ from .signal import (
     AudioSignal,
     _block_rows,
     _check_engine_rate,
+    _check_count,
     _check_engine_settings,
     cmnd_rows,
     frame_centers,
@@ -61,14 +62,12 @@ class PyinConfig:
 
     def __post_init__(self):
         _check_engine_settings(self)
-        if self.n_thresholds < 1:
-            raise ValueError(f"n_thresholds must be >= 1, got {self.n_thresholds}")
+        _check_count(self, "n_thresholds")
         if not 0 < self.threshold_prior_mean < 1:
             raise ValueError(
                 f"threshold_prior_mean must be in (0,1), got {self.threshold_prior_mean}"
             )
-        if self.bins_per_semitone < 1:
-            raise ValueError(f"bins_per_semitone must be >= 1, got {self.bins_per_semitone}")
+        _check_count(self, "bins_per_semitone")
         if not 0 < self.switch_prob < 1:
             raise ValueError(f"switch_prob must be in (0,1), got {self.switch_prob}")
         if not self.max_transition_semitones > 0:

@@ -50,7 +50,7 @@ class AudioSignal:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if samples.size and not np.all(np.isfinite(samples)):
+        if not np.all(np.isfinite(samples)):
             raise ValueError("samples contain NaN or Inf")
         if not self.sample_rate_hz > 0:
             raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
@@ -109,10 +109,18 @@ def lag_frame_len(frame_len_ms: float, sample_rate_hz: float, fmin_hz: float) ->
     The nominal ``frame_len_ms``, grown where needed to ``2 * L + 1``
     samples with ``L = floor(rate / fmin)``: lag curves need a longest
     lag below half the frame, so the search then always reaches the
-    period of ``fmin`` instead of being clipped short of it.
+    period of ``fmin`` instead of being clipped short of it. Raises
+    ``ValueError`` for a frame longer than any float64 array can hold.
     """
-    nominal = int(round(frame_len_ms * sample_rate_hz / 1000.0))
-    return max(nominal, 2 * int(math.floor(sample_rate_hz / fmin_hz)) + 1)
+    nominal = frame_len_ms * sample_rate_hz / 1000.0  # as floats, which cannot overflow
+    longest_lag = sample_rate_hz / fmin_hz
+    size = max(nominal, 2 * longest_lag + 1)
+    if not size <= np.iinfo(np.intp).max // 8:  # an array's byte count is an intp
+        raise ValueError(
+            f"frame_len_ms {frame_len_ms} and fmin_hz {fmin_hz} at {sample_rate_hz} Hz give"
+            f" frames of {size:.6g} samples, more than a float64 array can hold"
+        )
+    return max(int(round(nominal)), 2 * int(math.floor(longest_lag)) + 1)
 
 
 def _check_engine_settings(config) -> None:
@@ -127,10 +135,17 @@ def _check_engine_settings(config) -> None:
         )
 
 
+def _check_count(config, name: str) -> None:
+    """A config field that counts something is a Python or NumPy integer >= 1."""
+    value = getattr(config, name)
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+
+
 def _check_engine_rate(config, sample_rate_hz: float) -> None:
-    """The rate rules both engines' configs share: fmax below Nyquist, and
-    a hop of at least one sample (``frame_centers`` rounds each center to
-    a sample, so a shorter hop would only repeat frames)."""
+    """The rate rules both engines' configs share: fmax below Nyquist, a
+    hop of at least one sample (``frame_centers`` rounds each center to a
+    sample, so a shorter hop would only repeat frames), a frame that fits."""
     nyquist = sample_rate_hz / 2
     if not config.fmax_hz < nyquist:
         raise ValueError(f"fmax {config.fmax_hz} Hz must be below Nyquist {nyquist} Hz")
@@ -138,6 +153,7 @@ def _check_engine_rate(config, sample_rate_hz: float) -> None:
         raise ValueError(
             f"hop {config.hop_ms} ms is shorter than one sample at {sample_rate_hz} Hz"
         )
+    lag_frame_len(config.frame_len_ms, sample_rate_hz, config.fmin_hz)
 
 
 def frame_signal(samples: np.ndarray, frame_len_samples: int, centers: np.ndarray) -> np.ndarray:
@@ -426,8 +442,6 @@ def bandpass_filter(signal: AudioSignal, low_hz: float, high_hz: float) -> Audio
             f"band [{low_hz}, {high_hz}] Hz must lie strictly inside (0, {rate / 2}) Hz"
         )
     x = signal.samples
-    if x.size == 0:
-        return AudioSignal(x.copy(), rate)
     taps = _bandpass_taps(low_hz, high_hz, rate)
     delay = taps.size // 2
     # the full linear convolution as scipy.signal.fftconvolve computes it,

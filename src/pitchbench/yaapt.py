@@ -31,6 +31,7 @@ from .signal import (
     AudioSignal,
     _block_rows,
     _check_engine_rate,
+    _check_count,
     _check_engine_settings,
     _fir_taps,
     bandpass_filter,
@@ -73,8 +74,7 @@ class YaaptConfig:
         _check_engine_settings(self)
         if not 0 < self.bp_low_hz < self.bp_high_hz:
             raise ValueError(f"bad band ({self.bp_low_hz}, {self.bp_high_hz})")
-        if self.shc_num_harmonics < 1:
-            raise ValueError(f"shc_num_harmonics must be >= 1, got {self.shc_num_harmonics}")
+        _check_count(self, "shc_num_harmonics")
         if not self.shc_window_hz > 0:
             raise ValueError(f"shc_window_hz must be > 0, got {self.shc_window_hz}")
         if self.fmin_hz < self.shc_window_hz / 2:  # SHC terms would read below 0 Hz
@@ -83,10 +83,7 @@ class YaaptConfig:
             )
         if not self.nlfer_threshold > 0:
             raise ValueError(f"nlfer_threshold must be > 0, got {self.nlfer_threshold}")
-        if self.n_candidates_per_frame < 1:
-            raise ValueError(
-                f"n_candidates_per_frame must be >= 1, got {self.n_candidates_per_frame}"
-            )
+        _check_count(self, "n_candidates_per_frame")
         # an infinite jump weight times a zero octave distance is a nan cost
         if not (0 <= self.dp_freq_jump_weight < math.inf and self.dp_voicing_switch_cost >= 0):
             raise ValueError(
@@ -432,27 +429,21 @@ def _merge_close(
     first member of the current group joins it; otherwise it starts a
     new group. A group keeps its first member's frequency and the
     highest merit among its members (merits are positive NCCF values).
-    The scan runs one pool position at a time over all frames at once.
     """
     order = np.lexsort((-merit, f0, rows))  # stable: ties keep input order
-    rows, f0, merit = rows[order], f0[order], merit[order]
-    pos = _rank_in_frame(rows)
-    width = int(pos.max()) + 1 if pos.size else 0
-    pool = np.full((n_frames, width), np.nan)  # nan: past the end of the pool
-    pool[rows, pos] = f0
-
-    starts = np.zeros((n_frames, width), dtype=bool)
-    lead = np.full(n_frames, np.nan)  # first frequency of each frame's current group
-    for j in range(width):
-        cand = pool[:, j]
-        starts[:, j] = ~(cand / lead < 1.02) & ~np.isnan(cand)
-        lead = np.where(starts[:, j], cand, lead)
-
-    first = np.flatnonzero(starts[rows, pos])
-    best = np.maximum.reduceat(merit, first) if first.size else merit
-    kept = list(map(NccfCandidate, f0[first].tolist(), best.tolist()))
-    bounds = np.searchsorted(rows[first], np.arange(n_frames + 1)).tolist()
-    return [kept[a:b] for a, b in zip(bounds, bounds[1:])]
+    merged = [[] for _ in range(n_frames)]
+    frame, lead, best = -1, 0.0, 0.0
+    for r, f, m in zip(rows[order].tolist(), f0[order].tolist(), merit[order].tolist()):
+        if r == frame and f / lead < 1.02:
+            if m > best:
+                best = m
+            continue
+        if frame >= 0:
+            merged[frame].append(NccfCandidate(lead, best))
+        frame, lead, best = r, f, m
+    if frame >= 0:
+        merged[frame].append(NccfCandidate(lead, best))
+    return merged
 
 
 def nccf_candidates(
@@ -520,8 +511,6 @@ def yaapt_dp_select(
         raise ValueError(
             f"frame count mismatch: {n_frames} candidate sets, {len(spectral)} spectral frames"
         )
-    if n_frames == 0:
-        return PitchTrack(hop_seconds, np.zeros(0))
 
     w_jump = config.dp_freq_jump_weight
     w_switch = config.dp_voicing_switch_cost
@@ -535,7 +524,7 @@ def yaapt_dp_select(
     order = np.lexsort((f0, rows))  # stable: each frame's candidates by frequency
     rows, f0, merit = rows[order], f0[order], merit[order]
     cols = 1 + _rank_in_frame(rows)
-    freqs = np.zeros((n_frames, max(sizes)))
+    freqs = np.zeros((n_frames, max(sizes, default=1)))
     freqs[rows, cols] = f0
 
     costs = np.zeros_like(freqs)
@@ -567,12 +556,9 @@ def yaapt_track(signal: AudioSignal, config: YaaptConfig | None = None) -> Pitch
     """Run the full pipeline: preprocess, spectral track, NCCF, DP."""
     if config is None:
         config = YaaptConfig()
-    hop_seconds = config.hop_ms / 1000.0
     pair = yaapt_preprocess(signal, config)
-    if len(signal) == 0:
-        return PitchTrack(hop_seconds, np.zeros(0))
     # one decimation serves both stages, and the full-rate branches go
     pair = _working_pair(pair, config)
     spectral = _spectral_from_pair(pair, config)
     candidates = nccf_candidates(pair, config)
-    return yaapt_dp_select(candidates, spectral, config, hop_seconds=hop_seconds)
+    return yaapt_dp_select(candidates, spectral, config, hop_seconds=config.hop_ms / 1000.0)

@@ -383,6 +383,14 @@ class TestLagFrameLength:
                 max_lag = math.floor(rate / fmin)
                 assert max_lag < lag_frame_len(frame_ms, rate, fmin) / 2
 
+    def test_longest_frame_an_array_can_hold(self):
+        # at 1 kHz frame_len_ms counts samples; an array's byte count is an intp
+        longest = np.iinfo(np.intp).max // 8
+        assert lag_frame_len(float(longest - 255), 1000.0, 100.0) == longest - 255
+        for frame_ms, fmin in ((float(longest + 1), 100.0), (40.0, 1e-300)):
+            with pytest.raises(ValueError, match="more than a float64 array can hold"):
+                lag_frame_len(frame_ms, 1000.0, fmin)
+
     @pytest.mark.parametrize("rate", [8000, 16000, 48000])
     def test_low_fmin_reaches_45_hz(self, rate):
         signal = padded_tone(sawtooth(45.0, 0.6, rate), rate, 0.1, 0.1)

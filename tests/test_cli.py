@@ -114,8 +114,10 @@ class TestDetect:
 
     # each fails before any large allocation: a long finite frame or a short
     # valid hop on a long file would really allocate, so none is tried here
+    # (test_memory_error_is_one_error_line stands in for them)
     @pytest.mark.parametrize("flag, value", [
         ("--frame-ms", "inf"), ("--frame-ms", "1e300"), ("--hop-ms", "inf"), ("--hop-ms", "1e-9"),
+        ("--fmin", "1e-300"),
     ])
     @pytest.mark.parametrize("algo", ["pyin", "yaapt"])
     def test_unusable_setting_is_one_error_line(self, tmp_path, tone_wav, capsys, algo, flag,
@@ -126,6 +128,7 @@ class TestDetect:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(float(value)) in err[0]
         assert not out.exists()
 
     def test_hop_flag_changes_timebase(self, tmp_path, tone_wav):
@@ -457,11 +460,38 @@ class TestCompare:
     def test_overflowing_frame_names_the_utterance(self, tmp_path, capsys):
         manifest = self._build_corpus(tmp_path, n=1)
         out = tmp_path / "table.csv"
+        for algos, flag, value in [("pyin,yaapt", "--frame-ms", "1e300"),
+                                   ("yaapt", "--frame-ms", "1e300"),
+                                   ("pyin", "--fmin", "1e-300")]:
+            code = main(["compare", "--manifest", str(manifest), "--out", str(out),
+                         "--algos", algos, flag, value])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            label = algos.split(",")[0]
+            assert len(err) == 1 and err[0].startswith(f"error: utterance utt0 [{label}] ")
+            assert "frame_len_ms" in err[0] and "fmin_hz" in err[0]
+            assert str(float(value)) in err[0] and "16000.0 Hz" in err[0]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["pyin", "yaapt"])
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, algo):
+        # as NumPy reports an allocation the system refuses
+        def refused(signal, config):
+            raise MemoryError("Unable to allocate 119. GiB for an array")
+
+        monkeypatch.setattr(f"pitchbench.cli.{algo}_track", refused)
+        manifest = self._build_corpus(tmp_path, n=1)
+        out = tmp_path / "out.csv"
+        code = main(["detect", "--algo", algo, "--in", str(tmp_path / "utt0.wav"),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 119. GiB for an array\n"
         code = main(["compare", "--manifest", str(manifest), "--out", str(out),
-                     "--frame-ms", "1e300"])
+                     "--algos", algo])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: utterance utt0 [pyin] ")
+        assert len(err) == 1 and err[0].startswith(f"error: utterance utt0 [{algo}] ")
+        assert err[0].endswith(": Unable to allocate 119. GiB for an array")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -15,7 +15,9 @@ from pitchbench import (
     AudioSignal,
     NccfCandidate,
     PyinConfig,
+    SpectralTrack,
     YaaptConfig,
+    bandpass_filter,
     cmnd,
     frame_centers,
     frame_signal,
@@ -261,6 +263,13 @@ class TestEnginesAgreeWithPerFrameOracles:
         _assert_tracks_agree(yaapt_track(signal, cfg), oracle)
 
     def test_empty_signal(self):
-        empty = AudioSignal(np.zeros(0), 16000)
-        assert len(pyin_track(empty)) == 0
-        assert len(yaapt_track(empty)) == 0
+        # and one or two samples, one frame; YAAPT decimates these rates by
+        # 1, 2 or 3
+        for rate in (8000, 11025, 16000, 22050, 32000, 44100, 48000):
+            for n in (0, 1, 2):
+                signal = AudioSignal(np.full(n, 0.5), rate)
+                n_frames = frame_centers(n, 10.0, rate).size
+                assert len(pyin_track(signal)) == n_frames
+                assert len(yaapt_track(signal)) == n_frames
+        assert len(yaapt_dp_select([], SpectralTrack([], []), YaaptConfig())) == 0
+        assert len(bandpass_filter(AudioSignal(np.zeros(0), 16000), 50.0, 1500.0)) == 0
