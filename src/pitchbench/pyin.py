@@ -288,14 +288,16 @@ def _decode_trellis(
 def pyin_viterbi(
     candidate_sets: list[list[PitchCandidate]],
     config: PyinConfig,
-    hop_seconds: float = 0.010,
+    hop_seconds: float | None = None,
 ) -> PitchTrack:
     """Decode per-frame candidate sets into a smoothed pitch track.
 
     Voiced frames carry the refined frequency of the candidate behind
     the decoded bin; unvoiced frames carry 0.0. Empty input decodes to
-    an empty track.
+    an empty track. The track's hop defaults to the config's.
     """
+    if hop_seconds is None:
+        hop_seconds = config.hop_ms / 1000.0
     if not candidate_sets:
         return PitchTrack(hop_seconds, np.zeros(0))
     frame, state, obs, f0 = _trellis(candidate_sets, config)
@@ -321,4 +323,4 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
         frames = frame_signal(signal.samples, frame_len, centers[start : start + step])
         d = cmnd_rows(yin_difference_rows(frames, lag_max))
         candidate_sets += _candidate_sets(d, lag_min, config, rate)
-    return pyin_viterbi(candidate_sets, config, hop_seconds=config.hop_ms / 1000.0)
+    return pyin_viterbi(candidate_sets, config)

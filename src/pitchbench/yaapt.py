@@ -126,8 +126,9 @@ class SpectralTrack:
         self.nlfer = np.asarray(self.nlfer, dtype=np.float64)
         if self.coarse_f0_hz.shape != self.nlfer.shape:
             raise ValueError("coarse_f0_hz and nlfer must have equal length")
-        if np.any(self.coarse_f0_hz < 0) or np.any(self.nlfer < 0):
-            raise ValueError("coarse_f0_hz and nlfer must be >= 0")
+        values = np.concatenate([self.coarse_f0_hz, self.nlfer])
+        if not np.all((values >= 0) & (values < np.inf)):
+            raise ValueError("coarse_f0_hz and nlfer must be finite and >= 0")
 
     def __len__(self) -> int:
         return self.coarse_f0_hz.size
@@ -138,22 +139,33 @@ class NccfCandidate(NamedTuple):
     merit: float
 
 
-def yaapt_preprocess(signal: AudioSignal, config: YaaptConfig) -> tuple[AudioSignal, AudioSignal]:
-    """Bandpass the signal and a nonlinearity of it.
+def yaapt_preprocess(
+    signal: AudioSignal, config: YaaptConfig
+) -> tuple[AudioSignal, AudioSignal, np.ndarray]:
+    """Bandpass the signal and a nonlinearity of it, at the working rate.
 
-    Returns (bandpassed original, bandpassed nonlinear). Squaring the
-    waveform creates energy at harmonic differences, so a missing
-    fundamental reappears in the second output; the bandpass removes
-    the DC term squaring introduces.
+    Returns ``(plain, nonlinear, centers)``: the bandpassed original and
+    the bandpassed nonlinearity, each decimated once to the working rate
+    of about 16 kHz, and the branch sample each frame is centered on,
+    the one nearest the k-th of the signal's :func:`frame_centers`.
+    Squaring the waveform creates energy at harmonic differences, so a
+    missing fundamental reappears in the second branch; the bandpass
+    removes the DC term squaring introduces.
     """
-    config.validate_rate(signal.sample_rate_hz)
-    plain = bandpass_filter(signal, config.bp_low_hz, config.bp_high_hz)
+    rate = signal.sample_rate_hz
+    config.validate_rate(rate)
+    factor = _spectral_factor(rate)
+    centers = np.round(frame_centers(len(signal), config.hop_ms, rate) / factor).astype(np.int64)
+
+    def working(branch: AudioSignal) -> AudioSignal:
+        bandpassed = bandpass_filter(branch, config.bp_low_hz, config.bp_high_hz).samples
+        return AudioSignal(_decimate_for_spectral(bandpassed, factor), rate / factor)
+
+    # the plain branch is decimated, and its full-rate copy freed, before the other is built
+    plain = working(signal)
     x = signal.samples
-    warped = x * x if config.nonlinearity == "square" else np.abs(x)
-    nonlinear = bandpass_filter(
-        AudioSignal(warped, signal.sample_rate_hz), config.bp_low_hz, config.bp_high_hz
-    )
-    return plain, nonlinear
+    nonlinear = working(AudioSignal(x * x if config.nonlinearity == "square" else np.abs(x), rate))
+    return plain, nonlinear, centers
 
 
 def compute_nlfer(
@@ -240,18 +252,6 @@ def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-def _frame_and_fft_len(
-    rate: float, config: YaaptConfig, frame_scale: int, n_fft: int
-) -> tuple[int, int]:
-    """Frame and transform lengths of a spectrogram of a decimated
-    branch. ``frame_scale`` stretches the analysis window (the SHC stage
-    uses 2x frames: the narrower mainlobe keeps near-miss harmonic combs
-    on sidelobes); the transform grows to the frame length if the frame
-    is longer."""
-    frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
-    return frame_len, max(n_fft, frame_len)
-
-
 def _magnitudes(
     samples: np.ndarray,
     centers: np.ndarray,
@@ -299,42 +299,22 @@ def _grid_frequencies(config: YaaptConfig) -> np.ndarray:
     return config.fmin_hz * 2.0 ** (np.arange(n_steps + 1) / _GRID_STEPS_PER_OCTAVE)
 
 
-class _WorkingPair(NamedTuple):
-    """Both branches at the working rate, and the sample each frame is centered on."""
-
-    plain: np.ndarray
-    nonlinear: np.ndarray
-    rate: float
-    centers: np.ndarray
-
-
-def _working_pair(
-    pair: tuple[AudioSignal, AudioSignal] | _WorkingPair, config: YaaptConfig
-) -> _WorkingPair:
-    """The branch pair decimated to the working rate, about 16 kHz; frame
-    k is centered on the decimated sample nearest the k-th of the
-    branches' :func:`frame_centers`. A working pair is returned as it is."""
-    if isinstance(pair, _WorkingPair):
-        return pair
-    rate = pair[0].sample_rate_hz
-    factor = _spectral_factor(rate)
-    centers = np.round(frame_centers(len(pair[0]), config.hop_ms, rate) / factor).astype(np.int64)
-    plain, nonlinear = (_decimate_for_spectral(b.samples, factor) for b in pair)
-    return _WorkingPair(plain, nonlinear, rate / factor, centers)
-
-
-def _spectral_from_pair(
-    pair: tuple[AudioSignal, AudioSignal] | _WorkingPair, config: YaaptConfig
+def spectral_pitch_track(
+    branches: tuple[AudioSignal, AudioSignal, np.ndarray], config: YaaptConfig
 ) -> SpectralTrack:
-    """The spectral stage on a branch pair, at the working rate of
-    :func:`_working_pair`."""
-    plain, nonlinear, rate, centers = _working_pair(pair, config)
-    frame_len, n_fft = _frame_and_fft_len(rate, config, 1, _NLFER_FFT)
+    """Coarse pitch from the spectrogram stage, gated by NLFER, on the
+    working-rate branches and frame centers of :func:`yaapt_preprocess`."""
+    plain, nonlinear, centers = branches
+    rate = plain.sample_rate_hz
+    frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
+    n_fft = max(_NLFER_FFT, frame_len)
     res = rate / n_fft
     # NLFER reads no bin above fmax
     bins = min(int(math.floor(config.fmax_hz / res)), n_fft // 2) + 1
     every = np.arange(centers.size)
-    nlfer = compute_nlfer(_magnitudes(plain, centers, every, frame_len, n_fft, bins), config, res)
+    nlfer = compute_nlfer(
+        _magnitudes(plain.samples, centers, every, frame_len, n_fft, bins), config, res
+    )
     coarse = np.zeros(centers.size)
     gated = np.flatnonzero(nlfer >= config.nlfer_threshold)
     if not gated.size:
@@ -346,11 +326,12 @@ def _spectral_from_pair(
     # only if its windowed L1 norm reaches the gated frames' peak (less
     # 1e-9 for round-off), so only those are transformed: bit for bit the
     # peak over all frames.
-    frame_len, n_fft = _frame_and_fft_len(rate, config, 2, _SHC_FFT)
+    frame_len *= 2  # the narrower mainlobe keeps near-miss harmonic combs on sidelobes
+    n_fft = max(_SHC_FFT, frame_len)
     freq_res, bins = rate / n_fft, n_fft // 2 + 1
     rest = np.delete(every, gated)
     combined = None
-    for samples in (plain, nonlinear):
+    for samples in (plain.samples, nonlinear.samples):
         mags = _magnitudes(samples, centers, gated, frame_len, n_fft, bins)
         peak = mags.max(initial=0.0)
         norms = _l1_norms(samples, centers, rest, frame_len)
@@ -382,12 +363,6 @@ def _spectral_from_pair(
         shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
         coarse[gated[start : start + step]] = grid[np.argmax(shc, axis=1)]
     return SpectralTrack(coarse, nlfer)
-
-
-def spectral_pitch_track(signal: AudioSignal, config: YaaptConfig) -> SpectralTrack:
-    """Coarse pitch from the spectrogram stage, gated by NLFER; both
-    branches are decimated to the working rate of :func:`nccf_candidates`."""
-    return _spectral_from_pair(yaapt_preprocess(signal, config), config)
 
 
 def _nccf_peaks(
@@ -447,19 +422,18 @@ def _merge_close(
 
 
 def nccf_candidates(
-    preprocessed: tuple[AudioSignal, AudioSignal], config: YaaptConfig
+    branches: tuple[AudioSignal, AudioSignal, np.ndarray], config: YaaptConfig
 ) -> list[list[NccfCandidate]]:
-    """Per-frame pitch candidates from the NCCF of both branches.
+    """Per-frame pitch candidates from the NCCF of both working-rate
+    branches of :func:`yaapt_preprocess`.
 
-    A pair of full-rate branches, as :func:`yaapt_preprocess` returns
-    them, is first decimated to the working rate of the spectral stage,
-    about 16 kHz, and the NCCF runs there. Each branch contributes up to
-    ``n_candidates_per_frame`` local maxima (merit = NCCF value, lag
-    refined parabolically); the two lists are merged, collapsing
-    candidates within 2% in frequency onto the higher merit. Silent
-    frames yield empty lists.
+    Each branch contributes up to ``n_candidates_per_frame`` local
+    maxima (merit = NCCF value, lag refined parabolically); the two
+    lists are merged, collapsing candidates within 2% in frequency onto
+    the higher merit. Silent frames yield empty lists.
     """
-    plain, nonlinear, rate, centers = _working_pair(preprocessed, config)
+    plain, nonlinear, centers = branches
+    rate = plain.sample_rate_hz
     frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
     lag_min, lag_max = _nccf_lags(rate, config)
 
@@ -467,9 +441,9 @@ def nccf_candidates(
     # entry stands in for an utterance without frames
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
     step = _block_rows(frame_len)
-    for samples in (plain, nonlinear):
+    for branch in (plain, nonlinear):
         for start in range(0, centers.size, step):
-            frames = frame_signal(samples, frame_len, centers[start : start + step])
+            frames = frame_signal(branch.samples, frame_len, centers[start : start + step])
             rows, f0, merit = _nccf_peaks(frames, lag_min, lag_max, rate, config)
             parts.append((rows + start, f0, merit))
     rows, f0, merit = (np.concatenate(column) for column in zip(*parts))
@@ -493,7 +467,7 @@ def yaapt_dp_select(
     candidates: list[list[NccfCandidate]],
     spectral: SpectralTrack,
     config: YaaptConfig,
-    hop_seconds: float = 0.010,
+    hop_seconds: float | None = None,
 ) -> PitchTrack:
     """Pick the cheapest voiced/unvoiced path through the candidates.
 
@@ -505,6 +479,10 @@ def yaapt_dp_select(
     weight times their octave distance; crossing into or out of voicing
     costs the switch cost. Cost ties resolve toward the lower-frequency
     state with unvoiced ordered lowest.
+
+    The track's hop defaults to the config's. Raises ``ValueError`` for
+    the first candidate, in frame order, whose f0 is not finite and
+    > 0 or whose merit lies outside [0, 1].
     """
     n_frames = len(candidates)
     if n_frames != len(spectral):
@@ -521,6 +499,13 @@ def yaapt_dp_select(
     flat = [cand for cands in candidates for cand in cands]
     f0, merit = np.array(flat, dtype=np.float64).reshape(-1, 2).T
     rows = np.repeat(np.arange(n_frames), [n - 1 for n in sizes])
+    bad = np.flatnonzero(~((f0 > 0.0) & (f0 < np.inf) & (merit >= 0.0) & (merit <= 1.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"frame {rows[i]}, candidate {_rank_in_frame(rows)[i]}: f0 {f0[i]} Hz must be"
+            f" finite and > 0 and merit {merit[i]} within [0, 1]"
+        )
     order = np.lexsort((f0, rows))  # stable: each frame's candidates by frequency
     rows, f0, merit = rows[order], f0[order], merit[order]
     cols = 1 + _rank_in_frame(rows)
@@ -549,6 +534,8 @@ def yaapt_dp_select(
         [costs[t, :n] for t, n in enumerate(sizes)],
         lambda t: trans[t - 1, : sizes[t - 1], : sizes[t]],
     )
+    if hop_seconds is None:
+        hop_seconds = config.hop_ms / 1000.0
     return PitchTrack(hop_seconds, freqs[np.arange(n_frames), states])
 
 
@@ -556,9 +543,6 @@ def yaapt_track(signal: AudioSignal, config: YaaptConfig | None = None) -> Pitch
     """Run the full pipeline: preprocess, spectral track, NCCF, DP."""
     if config is None:
         config = YaaptConfig()
-    pair = yaapt_preprocess(signal, config)
-    # one decimation serves both stages, and the full-rate branches go
-    pair = _working_pair(pair, config)
-    spectral = _spectral_from_pair(pair, config)
-    candidates = nccf_candidates(pair, config)
-    return yaapt_dp_select(candidates, spectral, config, hop_seconds=config.hop_ms / 1000.0)
+    branches = yaapt_preprocess(signal, config)
+    spectral = spectral_pitch_track(branches, config)
+    return yaapt_dp_select(nccf_candidates(branches, config), spectral, config)

@@ -7,13 +7,11 @@ import pytest
 from scipy.fft import rfft
 
 from pitchbench import AudioSignal, frame_signal
-from pitchbench.signal import frame_centers, lag_frame_len
+from pitchbench.signal import lag_frame_len
 from pitchbench.yaapt import (
     _LINE_FLOOR,
     _NLFER_FFT,
     _SHC_FFT,
-    _SPECTRAL_TARGET_RATE,
-    _decimate_for_spectral,
     _grid_frequencies,
     _shc_grid,
     compute_nlfer,
@@ -60,24 +58,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def working_rate_pair(pair, config):
-    """YAAPT's full-rate branch pair at the working rate of its spectral and
-    NCCF stages, about 16 kHz: (plain, nonlinear, rate, centers), frame k
-    centered on the decimated sample nearest the k-th full-rate center."""
-    rate = pair[0].sample_rate_hz
-    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
-    centers = frame_centers(len(pair[0]), config.hop_ms, rate)
-    centers = np.round(centers / factor).astype(np.int64)
-    plain, nonlinear = (_decimate_for_spectral(branch.samples, factor) for branch in pair)
-    return plain, nonlinear, rate / factor, centers
-
-
 def all_frames_spectral(signal, config):
     """YAAPT's spectral stage transforming every frame of both branches
     whole, then one SHC call per NLFER-gated frame: the coarse track, the
     NLFER, and per branch the frame holding its peak (None for a silent
     branch)."""
-    plain, nonlinear, rate, centers = working_rate_pair(yaapt_preprocess(signal, config), config)
+    plain, nonlinear, centers = yaapt_preprocess(signal, config)
+    rate = plain.sample_rate_hz
 
     def spectrogram(samples, frame_scale, n_fft):
         frame_len = frame_scale * lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
@@ -85,12 +72,12 @@ def all_frames_spectral(signal, config):
         frames = frame_signal(samples, frame_len, centers) * np.hanning(frame_len)
         return np.abs(rfft(frames, n=n_fft, axis=1)), rate / n_fft
 
-    mags_nlfer, nlfer_res = spectrogram(plain, 1, _NLFER_FFT)
+    mags_nlfer, nlfer_res = spectrogram(plain.samples, 1, _NLFER_FFT)
     nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
     combined = None
     peak_frames = []
     for branch in (plain, nonlinear):
-        mags, freq_res = spectrogram(branch, 2, _SHC_FFT)
+        mags, freq_res = spectrogram(branch.samples, 2, _SHC_FFT)
         if combined is None:
             combined = np.zeros_like(mags)
         peak = mags.max(initial=0.0)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from pitchbench import AudioSignal, YaaptConfig, spectral_pitch_track
+from pitchbench import AudioSignal, YaaptConfig, spectral_pitch_track, yaapt_preprocess
 from pitchbench.signal import _lag_terms
 from conftest import all_frames_spectral, padded_tone, same_bits, sawtooth
 
@@ -67,7 +67,7 @@ class TestLagTermsDoNotWrap:
 # ---------------------------------------------------------------------------
 
 def assert_stage_matches(signal, config):
-    track = spectral_pitch_track(signal, config)
+    track = spectral_pitch_track(yaapt_preprocess(signal, config), config)
     coarse, nlfer, peak_frames = all_frames_spectral(signal, config)
     assert same_bits(track.coarse_f0_hz, coarse)
     assert same_bits(track.nlfer, nlfer)
@@ -114,5 +114,7 @@ class TestShcSpectraOnlyWhereNeeded:
 
     @pytest.mark.parametrize("rate", RATES)
     def test_empty_signal(self, rate):
-        track = spectral_pitch_track(AudioSignal(np.zeros(0), rate), YaaptConfig())
+        config = YaaptConfig()
+        signal = AudioSignal(np.zeros(0), rate)
+        track = spectral_pitch_track(yaapt_preprocess(signal, config), config)
         assert len(track) == 0

@@ -38,7 +38,7 @@ from pitchbench.signal import (
     nccf_rows,
     yin_difference_rows,
 )
-from conftest import padded_tone, sawtooth, working_rate_pair
+from conftest import padded_tone, sawtooth
 from test_pyin import frame_candidates
 
 # (frame length, min lag, max lag) of the engines' default lag searches
@@ -192,16 +192,17 @@ def _assert_tracks_agree(track, oracle):
     np.testing.assert_allclose(track.frames, oracle.frames, rtol=1e-9, atol=0)
 
 
-def _per_frame_nccf_candidates(pair, config):
-    """Candidate extraction one frame at a time from the one-frame NCCF, at
-    the working rate."""
-    *branches, rate, centers = working_rate_pair(pair, config)
+def _per_frame_nccf_candidates(branches, config):
+    """Candidate extraction one frame at a time from the one-frame NCCF, on
+    the working-rate branches."""
+    plain, nonlinear, centers = branches
+    rate = plain.sample_rate_hz
     frame_len = int(round(config.frame_len_ms * rate / 1000.0))
     lag_min = max(1, int(math.ceil(rate / config.fmax_hz)))
     lag_max = min(int(math.floor(rate / config.fmin_hz)), (frame_len - 1) // 2)
     per_branch = []
-    for samples in branches:
-        frames = frame_signal(samples, frame_len, centers)
+    for branch in (plain, nonlinear):
+        frames = frame_signal(branch.samples, frame_len, centers)
         branch_cands = []
         for frame in frames:
             curve = nccf(frame, lag_min, lag_max)
@@ -250,15 +251,15 @@ class TestEnginesAgreeWithPerFrameOracles:
     def test_yaapt_track_matches_per_frame_nccf(self, seed, rate):
         signal = _voiced_signal(seed, rate)
         cfg = YaaptConfig()
-        pair = yaapt_preprocess(signal, cfg)
-        oracle_cands = _per_frame_nccf_candidates(pair, cfg)
-        cands = nccf_candidates(pair, cfg)
+        branches = yaapt_preprocess(signal, cfg)
+        oracle_cands = _per_frame_nccf_candidates(branches, cfg)
+        cands = nccf_candidates(branches, cfg)
         assert [len(c) for c in cands] == [len(c) for c in oracle_cands]
         got = np.array([tuple(c) for cs in cands for c in cs]).reshape(-1, 2)
         want = np.array([tuple(c) for cs in oracle_cands for c in cs]).reshape(-1, 2)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
-        spectral = spectral_pitch_track(signal, cfg)
+        spectral = spectral_pitch_track(branches, cfg)
         oracle = yaapt_dp_select(oracle_cands, spectral, cfg, hop_seconds=cfg.hop_ms / 1000.0)
         _assert_tracks_agree(yaapt_track(signal, cfg), oracle)
 

@@ -145,6 +145,13 @@ class TestPyinViterbi:
     def test_empty_input_empty_track(self):
         assert len(pyin_viterbi([], PyinConfig())) == 0
 
+    @pytest.mark.parametrize("n_frames", [0, 3])
+    def test_hop_defaults_to_the_config(self, n_frames):
+        cfg = PyinConfig(hop_ms=5.0)
+        sets = [[PitchCandidate(150.0, 0.9)] for _ in range(n_frames)]
+        assert pyin_viterbi(sets, cfg).hop_seconds == 0.005
+        assert pyin_viterbi(sets, cfg, hop_seconds=0.02).hop_seconds == 0.02
+
     def test_constant_dominant_candidate(self):
         cfg = PyinConfig()
         sets = [[PitchCandidate(150.0, 0.99)] for _ in range(50)]

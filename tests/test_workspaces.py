@@ -30,6 +30,7 @@ from pitchbench import (
     frame_centers,
     frame_signal,
     spectral_pitch_track,
+    yaapt_preprocess,
 )
 from pitchbench.pyin import _lag_range
 from pitchbench.signal import (
@@ -40,7 +41,7 @@ from pitchbench.signal import (
     nccf_rows,
     yin_difference_rows,
 )
-from pitchbench.yaapt import _NLFER_FFT, _SHC_FFT, _SPECTRAL_TARGET_RATE, _frame_and_fft_len
+from pitchbench.yaapt import _NLFER_FFT, _SHC_FFT, _SPECTRAL_TARGET_RATE
 from conftest import padded_tone, same_bits, sawtooth
 
 RATES = [8000, 11025, 16000, 22050, 44100, 48000]
@@ -91,6 +92,11 @@ class TestFrameViews:
 # Threads and kept results
 # ---------------------------------------------------------------------------
 
+def _spectral_track(signal):
+    config = YaaptConfig()
+    return spectral_pitch_track(yaapt_preprocess(signal, config), config)
+
+
 def _engine_calls(seed):
     """Results of a bandpass and a spectral track (at 48 kHz, with the
     decimation); their sizes grow with the seed."""
@@ -98,7 +104,7 @@ def _engine_calls(seed):
     noise = AudioSignal(rng.standard_normal(8000 * (seed + 1)), 16000)
     tone = sawtooth(rng.uniform(100, 300), 0.2 + 0.05 * seed, 48000)
     tone = padded_tone(tone, 48000, 0.05, 0.05)
-    track = spectral_pitch_track(tone, YaaptConfig())
+    track = _spectral_track(tone)
     return [bandpass_filter(noise, 50.0, 1500.0).samples, track.coarse_f0_hz, track.nlfer]
 
 
@@ -140,8 +146,8 @@ CALLS = [
     ("bandpass_filter", lambda seed: [bandpass_filter(
         AudioSignal(np.random.default_rng(seed).standard_normal(16000), 16000), 50.0, 1500.0
     ).samples]),
-    ("spectral_pitch_track", lambda seed: list(vars(spectral_pitch_track(
-        padded_tone(sawtooth(120.0 + 40 * seed, 0.5, 16000), 16000, 0.1, 0.1), YaaptConfig()
+    ("spectral_pitch_track", lambda seed: list(vars(_spectral_track(
+        padded_tone(sawtooth(120.0 + 40 * seed, 0.5, 16000), 16000, 0.1, 0.1)
     )).values())),
 ]
 
@@ -180,9 +186,11 @@ def engine_transforms(rate):
     for size, max_lag in shapes:
         n = scipy.fft.next_fast_len(size, real=True)
         out += [(size, n), (size - max_lag, n)]
+    # the spectral stage's frames at the working rate; its SHC frames are twice as long
     factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
-    for scale, n_fft in ((1, _NLFER_FFT), (2, _SHC_FFT)):
-        out.append(_frame_and_fft_len(rate / factor, ycfg, scale, n_fft))
+    frame_len = lag_frame_len(ycfg.frame_len_ms, rate / factor, ycfg.fmin_hz)
+    for size, n_fft in ((frame_len, _NLFER_FFT), (2 * frame_len, _SHC_FFT)):
+        out.append((size, max(n_fft, size)))
     taps = _bandpass_taps(ycfg.bp_low_hz, ycfg.bp_high_hz, rate).size
     out.append((rate, scipy.fft.next_fast_len(rate + taps - 1, True)))
     return out

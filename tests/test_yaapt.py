@@ -12,7 +12,9 @@ from pitchbench import (
     NccfCandidate,
     SpectralTrack,
     YaaptConfig,
+    bandpass_filter,
     compute_nlfer,
+    frame_centers,
     nccf_candidates,
     spectral_pitch_track,
     yaapt_dp_select,
@@ -20,7 +22,7 @@ from pitchbench import (
     yaapt_track,
 )
 from pitchbench import yaapt
-from conftest import missing_fundamental, padded_tone, sawtooth, sine
+from conftest import missing_fundamental, padded_tone, same_bits, sawtooth, sine
 
 
 def spectrum_peak_hz(samples, rate):
@@ -79,36 +81,67 @@ def oracle_path_cost(cfg, candidates, spectral, decoded_f0):
     return total
 
 
+def interior(branch):
+    """A working-rate branch without its first and last 0.1 s."""
+    trim = int(round(0.1 * branch.sample_rate_hz))
+    return branch.samples[trim:-trim]
+
+
 class TestPreprocess:
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000])
+    @pytest.mark.parametrize("n", [0, 1, 479, 480, 481, 4801])
+    def test_working_rate_contract(self, rate, n):
+        factor = max(1, round(rate / 16000))
+        cfg = YaaptConfig()
+        x = np.random.default_rng(n).standard_normal(n) * 0.3
+        plain, nonlinear, centers = yaapt_preprocess(AudioSignal(x, rate), cfg)
+        for branch in (plain, nonlinear):
+            assert branch.sample_rate_hz == rate / factor
+            assert len(branch) == -(-n // factor)
+        band = bandpass_filter(AudioSignal(x, rate), cfg.bp_low_hz, cfg.bp_high_hz)
+        assert same_bits(plain.samples, yaapt._decimate_for_spectral(band.samples, factor))
+        full_rate = frame_centers(n, cfg.hop_ms, rate)
+        assert centers.dtype == np.int64
+        np.testing.assert_array_equal(centers, np.round(full_rate / factor))
+
     def test_zero_in_zero_out(self):
         sig = AudioSignal(np.zeros(48000), 48000.0)
-        plain, nonlinear = yaapt_preprocess(sig, YaaptConfig())
+        plain, nonlinear, centers = yaapt_preprocess(sig, YaaptConfig())
         assert not plain.samples.any()
         assert not nonlinear.samples.any()
-        assert len(plain) == len(nonlinear) == 48000
+        assert len(plain) == len(nonlinear) == 16000
+        assert centers.size == 101
 
     def test_sine_passband_and_squared_harmonic(self):
         rate = 48000.0
         sig = AudioSignal(sine(300.0, 1.0, rate), rate)
-        plain, nonlinear = yaapt_preprocess(sig, YaaptConfig())
+        plain, nonlinear, _ = yaapt_preprocess(sig, YaaptConfig())
         rms_ratio = np.sqrt(np.mean(plain.samples**2) / np.mean(sig.samples**2))
         assert abs(20 * np.log10(rms_ratio)) < 1.0
         # squaring a 300 Hz tone puts its energy at 600 Hz (DC removed)
-        assert spectrum_peak_hz(nonlinear.samples[4800:-4800], rate) == pytest.approx(600.0, abs=5.0)
+        peak = spectrum_peak_hz(interior(nonlinear), nonlinear.sample_rate_hz)
+        assert peak == pytest.approx(600.0, abs=5.0)
 
     def test_missing_fundamental_restored(self):
+        # squaring 200 + 300 Hz gives lines of equal amplitude at 100 and
+        # 500 Hz, so the 100 Hz line must be (nearly) the largest
         rate = 48000.0
         t = np.arange(int(rate)) / rate
         x = 0.4 * np.sin(2 * np.pi * 200 * t) + 0.4 * np.sin(2 * np.pi * 300 * t)
-        _, nonlinear = yaapt_preprocess(AudioSignal(x, rate), YaaptConfig())
-        assert spectrum_peak_hz(nonlinear.samples[4800:-4800], rate) == pytest.approx(100.0, abs=5.0)
+        plain, nonlinear, _ = yaapt_preprocess(AudioSignal(x, rate), YaaptConfig())
+        for branch, low, high in ((plain, 0.0, 0.01), (nonlinear, 0.99, 1.0)):
+            samples = interior(branch)
+            mags = np.abs(rfft(samples * np.hanning(samples.size)))
+            line = mags[round(100.0 * samples.size / branch.sample_rate_hz)]
+            assert low <= line / mags.max() <= high
 
     def test_abs_nonlinearity_option(self):
         rate = 48000.0
         sig = AudioSignal(sine(300.0, 0.5, rate), rate)
         cfg = YaaptConfig(nonlinearity="abs")
-        _, nonlinear = yaapt_preprocess(sig, cfg)
-        assert spectrum_peak_hz(nonlinear.samples[4800:-4800], rate) == pytest.approx(600.0, abs=5.0)
+        _, nonlinear, _ = yaapt_preprocess(sig, cfg)
+        peak = spectrum_peak_hz(interior(nonlinear), nonlinear.sample_rate_hz)
+        assert peak == pytest.approx(600.0, abs=5.0)
 
 
 class TestNlfer:
@@ -132,8 +165,10 @@ class TestNlfer:
     def test_no_frames_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = compute_nlfer(np.zeros((0, 513)), YaaptConfig(), 15.625)
-            track = spectral_pitch_track(AudioSignal(np.zeros(0), 16000), YaaptConfig())
+            cfg = YaaptConfig()
+            values = compute_nlfer(np.zeros((0, 513)), cfg, 15.625)
+            branches = yaapt_preprocess(AudioSignal(np.zeros(0), 16000), cfg)
+            track = spectral_pitch_track(branches, cfg)
         assert values.shape == (0,)
         assert len(track) == 0
 
@@ -178,15 +213,28 @@ class TestShc:
             self.shc(np.zeros(2000), 600.0, YaaptConfig())  # 4*600 beyond Nyquist
 
 
+class TestSpectralTrackValues:
+    @pytest.mark.parametrize("field", ["coarse_f0_hz", "nlfer"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_or_negative(self, field, value):
+        values = {"coarse_f0_hz": np.zeros(4), "nlfer": np.zeros(4)}
+        values[field][1] = value
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SpectralTrack(**values)
+
+
 class TestSpectralPitchTrack:
     def test_silence_all_unvoiced(self):
-        track = spectral_pitch_track(AudioSignal(np.zeros(48000), 48000.0), YaaptConfig())
+        cfg = YaaptConfig()
+        branches = yaapt_preprocess(AudioSignal(np.zeros(48000), 48000.0), cfg)
+        track = spectral_pitch_track(branches, cfg)
         assert len(track) == 101
         np.testing.assert_array_equal(track.coarse_f0_hz, 0.0)
 
     def test_sawtooth_coarse_within_grid_step(self):
         sig = AudioSignal(sawtooth(150.0, 1.0, 48000), 48000.0)
-        track = spectral_pitch_track(sig, YaaptConfig())
+        cfg = YaaptConfig()
+        track = spectral_pitch_track(yaapt_preprocess(sig, cfg), cfg)
         interior = track.coarse_f0_hz[3:-3]
         voiced = interior[interior > 0]
         assert voiced.size >= 0.95 * interior.size
@@ -198,7 +246,8 @@ class TestSpectralPitchTrack:
         rate = 48000
         tone = sawtooth(150.0, 1.0, rate)
         ramp = np.linspace(0.0, 1.0, tone.size)
-        track = spectral_pitch_track(AudioSignal(tone * ramp, rate), YaaptConfig())
+        cfg = YaaptConfig()
+        track = spectral_pitch_track(yaapt_preprocess(AudioSignal(tone * ramp, rate), cfg), cfg)
         n = len(track)
         head = track.coarse_f0_hz[: int(0.3 * n)]
         tail = track.coarse_f0_hz[int(0.75 * n) : n - 2]
@@ -208,7 +257,7 @@ class TestSpectralPitchTrack:
     def test_gate_matches_threshold_exactly(self):
         sig = padded_tone(sawtooth(200.0, 0.6, 48000), 48000)
         cfg = YaaptConfig()
-        track = spectral_pitch_track(sig, cfg)
+        track = spectral_pitch_track(yaapt_preprocess(sig, cfg), cfg)
         np.testing.assert_array_equal(
             track.coarse_f0_hz > 0, track.nlfer >= cfg.nlfer_threshold
         )
@@ -216,8 +265,8 @@ class TestSpectralPitchTrack:
 
 class TestNccfCandidates:
     def test_silence_empty_sets(self):
-        pair = yaapt_preprocess(AudioSignal(np.zeros(24000), 48000.0), YaaptConfig())
-        sets = nccf_candidates(pair, YaaptConfig())
+        branches = yaapt_preprocess(AudioSignal(np.zeros(24000), 48000.0), YaaptConfig())
+        sets = nccf_candidates(branches, YaaptConfig())
         assert len(sets) == 51
         assert all(len(s) == 0 for s in sets)
 
@@ -283,6 +332,28 @@ class TestDpSelect:
         spectral = SpectralTrack(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="mismatch"):
             yaapt_dp_select([[], []], spectral, YaaptConfig())
+
+    @pytest.mark.parametrize("f0, merit", [
+        (300.0, math.nan), (300.0, 5.0), (300.0, -0.1),
+        (-300.0, 0.5), (0.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+    ])
+    def test_bad_candidate_named(self, f0, merit):
+        # frame 2's second candidate is the first bad one in frame order
+        candidates = [[NccfCandidate(300.0, 0.9)] for _ in range(4)]
+        candidates[2] = [NccfCandidate(300.0, 0.9), NccfCandidate(f0, merit)]
+        candidates[3] = [NccfCandidate(f0, merit)]
+        spectral = SpectralTrack(np.full(4, 300.0), np.full(4, 2.0))
+        with pytest.raises(ValueError, match="^frame 2, candidate 1: "):
+            yaapt_dp_select(candidates, spectral, YaaptConfig())
+
+    @pytest.mark.parametrize("n_frames", [0, 3])
+    def test_hop_defaults_to_the_config(self, n_frames):
+        cfg = YaaptConfig(hop_ms=5.0)
+        candidates = [[NccfCandidate(150.0, 0.9)] for _ in range(n_frames)]
+        spectral = SpectralTrack(np.full(n_frames, 150.0), np.full(n_frames, 2.0))
+        assert yaapt_dp_select(candidates, spectral, cfg).hop_seconds == 0.005
+        track = yaapt_dp_select(candidates, spectral, cfg, hop_seconds=0.02)
+        assert track.hop_seconds == 0.02
 
     def test_matches_exhaustive_enumeration(self, rng):
         cfg = YaaptConfig()
@@ -358,6 +429,20 @@ class TestYaaptTrack:
         track = yaapt_track(padded_tone(sawtooth(150.0, 0.5, rate), rate))
         assert track.voiced.any()
         assert factors == [factor, factor]
+
+    @pytest.mark.parametrize("rate", [11025, 16000, 44100, 48000])
+    def test_public_stages_compose_into_the_track(self, rate):
+        cfg = YaaptConfig()
+        rng = np.random.default_rng(rate)
+        tone = sawtooth(150.0, 0.5, rate) + 0.01 * rng.standard_normal(rate // 2)
+        sig = padded_tone(tone, rate)
+        branches = yaapt_preprocess(sig, cfg)
+        spectral = spectral_pitch_track(branches, cfg)
+        staged = yaapt_dp_select(nccf_candidates(branches, cfg), spectral, cfg)
+        track = yaapt_track(sig, cfg)
+        assert track.voiced.any()
+        assert staged.hop_seconds == track.hop_seconds
+        assert staged.frames.tobytes() == track.frames.tobytes()
 
     def test_16k_rate_supported(self):
         track = yaapt_track(AudioSignal(sawtooth(150.0, 1.0, 16000), 16000.0))
