@@ -29,6 +29,30 @@ class FrameOutcome(Enum):
     VOICED_TO_UNVOICED = "voiced_to_unvoiced"
 
 
+# outcome code = 2 * ref voiced + est voiced + gross, indexing this tuple
+_OUTCOMES = (
+    FrameOutcome.CORRECT_UNVOICED, FrameOutcome.UNVOICED_TO_VOICED,
+    FrameOutcome.VOICED_TO_UNVOICED, FrameOutcome.CORRECT_VOICED_FINE, FrameOutcome.GROSS_ERROR,
+)
+_FINE = _OUTCOMES.index(FrameOutcome.CORRECT_VOICED_FINE)
+
+
+def _frame_outcomes(
+    f_est: np.ndarray, f_ref: np.ndarray, norm_rate_hz: float, gross_ms: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's outcome code, an index into ``_OUTCOMES``, and its fine
+    error in samples at ``norm_rate_hz`` (0.0 unless the frame is fine)."""
+    ref_voiced = f_ref > 0
+    est_voiced = f_est > 0
+    both = ref_voiced & est_voiced
+    est_period = np.divide(1.0, f_est, out=np.zeros(len(f_est)), where=both)
+    ref_period = np.divide(1.0, f_ref, out=np.zeros(len(f_ref)), where=both)
+    period_diff = np.abs(est_period - ref_period)
+    gross = both & (period_diff > gross_ms / 1000.0)
+    codes = 2 * ref_voiced.astype(np.int8) + est_voiced + gross
+    return codes, np.where(codes == _FINE, period_diff * norm_rate_hz, 0.0)
+
+
 def classify_frame(
     f_est: float,
     f_ref: float,
@@ -47,22 +71,14 @@ def classify_frame(
         raise ValueError(f"non-finite inputs ({f_est}, {f_ref})")
     if f_est < 0 or f_ref < 0:
         raise ValueError(f"negative f0 ({f_est}, {f_ref})")
-
-    if f_ref == 0 and f_est == 0:
-        return FrameOutcome.CORRECT_UNVOICED, 0.0
-    if f_ref == 0:
-        return FrameOutcome.UNVOICED_TO_VOICED, 0.0
-    if f_est == 0:
-        return FrameOutcome.VOICED_TO_UNVOICED, 0.0
-    period_diff = abs(1.0 / f_est - 1.0 / f_ref)
-    if period_diff > gross_ms / 1000.0:
-        return FrameOutcome.GROSS_ERROR, 0.0
-    return FrameOutcome.CORRECT_VOICED_FINE, period_diff * norm_rate_hz
+    est_ref = np.array([[f_est], [f_ref]], dtype=np.float64)
+    codes, errors = _frame_outcomes(*est_ref, norm_rate_hz, gross_ms)
+    return _OUTCOMES[codes[0]], float(errors[0])
 
 
 @dataclass
-class UtteranceStats:
-    """Outcome counters for one estimated/reference track pair."""
+class _FrameCounts:
+    """The frame counters, in field order; CorpusStats holds their sums."""
 
     total_frames: int
     ref_unvoiced_frames: int
@@ -72,6 +88,15 @@ class UtteranceStats:
     v2u_errors: int
     gross_errors: int
     fine_frames: int
+
+
+_COUNTERS = tuple(f.name for f in fields(_FrameCounts))
+
+
+@dataclass
+class UtteranceStats(_FrameCounts):
+    """Outcome counters for one estimated/reference track pair."""
+
     fine_errors_samples: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
@@ -93,10 +118,6 @@ class UtteranceStats:
             )
 
 
-# the frame counters, in field order; CorpusStats holds their sums
-_COUNTERS = tuple(f.name for f in fields(UtteranceStats) if f.name != "fine_errors_samples")
-
-
 def evaluate_pair(
     est: PitchTrack,
     ref: PitchTrack,
@@ -114,38 +135,23 @@ def evaluate_pair(
             f"hop mismatch: est {est.hop_seconds} s vs ref {ref.hop_seconds} s"
         )
     n = min(len(est), len(ref))
-    f_est = est.frames[:n]
-    f_ref = ref.frames[:n]
-
-    ref_voiced = f_ref > 0
-    est_voiced = f_est > 0
-    u2v = ~ref_voiced & est_voiced
-    v2u = ref_voiced & ~est_voiced
-    both = ref_voiced & est_voiced
-
-    period_diff = np.zeros(n)
-    np.divide(1.0, f_est, out=period_diff, where=both)
-    ref_period = np.zeros(n)
-    np.divide(1.0, f_ref, out=ref_period, where=both)
-    period_diff = np.abs(period_diff - ref_period)
-
-    gross = both & (period_diff > gross_ms / 1000.0)
-    fine = both & ~gross
+    codes, errors = _frame_outcomes(est.frames[:n], ref.frames[:n], norm_rate_hz, gross_ms)
+    unvoiced, u2v, v2u, fine, gross = np.bincount(codes, minlength=len(_OUTCOMES)).tolist()
     return UtteranceStats(
         total_frames=n,
-        ref_unvoiced_frames=int(np.sum(~ref_voiced)),
-        ref_voiced_frames=int(np.sum(ref_voiced)),
-        both_voiced_frames=int(np.sum(both)),
-        u2v_errors=int(np.sum(u2v)),
-        v2u_errors=int(np.sum(v2u)),
-        gross_errors=int(np.sum(gross)),
-        fine_frames=int(np.sum(fine)),
-        fine_errors_samples=period_diff[fine] * norm_rate_hz,
+        ref_unvoiced_frames=unvoiced + u2v,
+        ref_voiced_frames=v2u + fine + gross,
+        both_voiced_frames=fine + gross,
+        u2v_errors=u2v,
+        v2u_errors=v2u,
+        gross_errors=gross,
+        fine_frames=fine,
+        fine_errors_samples=errors[codes == _FINE],
     )
 
 
 @dataclass
-class CorpusStats:
+class CorpusStats(_FrameCounts):
     """Summed counters plus pooled fine-error statistics for a corpus.
 
     No cross-field arithmetic is enforced here: published comparison
@@ -153,14 +159,6 @@ class CorpusStats:
     unvoiced columns do not always sum to the total.
     """
 
-    total_frames: int
-    ref_unvoiced_frames: int
-    ref_voiced_frames: int
-    both_voiced_frames: int
-    u2v_errors: int
-    v2u_errors: int
-    gross_errors: int
-    fine_frames: int
     u2v_pct: float
     v2u_pct: float
     mean_fine_samples: float
@@ -243,6 +241,10 @@ def pitch_histogram(ref: PitchTrack, bin_width_hz: float = 10.0) -> list[tuple[f
     if not 0 < bin_width_hz < np.inf:
         raise ValueError(f"bin width must be finite and > 0, got {bin_width_hz}")
     voiced = ref.frames[ref.voiced]
+    # the largest f0 has the largest bin index, which must fit in int64
+    top = float(voiced.max(initial=0.0))
+    if not top / float(bin_width_hz) < 2.0**63:
+        raise ValueError(f"bin width {bin_width_hz} Hz is too small to index f0 {top} Hz")
     indices = np.floor(voiced / bin_width_hz).astype(np.int64)
     uniq, counts = np.unique(indices, return_counts=True)
     return [(float(k * bin_width_hz), int(c)) for k, c in zip(uniq, counts)]

@@ -157,14 +157,17 @@ def yaapt_preprocess(
     factor = _spectral_factor(rate)
     centers = np.round(frame_centers(len(signal), config.hop_ms, rate) / factor).astype(np.int64)
 
-    def working(branch: AudioSignal) -> AudioSignal:
-        bandpassed = bandpass_filter(branch, config.bp_low_hz, config.bp_high_hz).samples
-        return AudioSignal(_decimate_for_spectral(bandpassed, factor), rate / factor)
+    def working(bandpassed: AudioSignal) -> AudioSignal:
+        return AudioSignal(_decimate_for_spectral(bandpassed.samples, factor), rate / factor)
 
-    # the plain branch is decimated, and its full-rate copy freed, before the other is built
-    plain = working(signal)
+    # the plain branch is decimated, and its full-rate copy freed, before the other is built;
+    # the full-rate nonlinearity is only the bandpass's argument, so it is freed before decimating
+    low, high = config.bp_low_hz, config.bp_high_hz
+    plain = working(bandpass_filter(signal, low, high))
     x = signal.samples
-    nonlinear = working(AudioSignal(x * x if config.nonlinearity == "square" else np.abs(x), rate))
+    nonlinear = working(bandpass_filter(
+        AudioSignal(x * x if config.nonlinearity == "square" else np.abs(x), rate), low, high
+    ))
     return plain, nonlinear, centers
 
 

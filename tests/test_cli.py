@@ -620,6 +620,16 @@ class TestHist:
     def test_unreadable_file_exit_one(self, tmp_path):
         assert main(["hist", "--ref", str(tmp_path / "no.txt"), "--out", str(tmp_path / "h.csv")]) == 1
 
+    def test_bin_width_too_small_to_index_exit_one(self, tmp_path, capsys):
+        # it used to exit 0 and write the one bin "-9.22337e-282,2"
+        ref = tmp_path / "ref.txt"
+        ref.write_text("100\n0\n250\n")
+        out = tmp_path / "h.csv"
+        assert main(["hist", "--ref", str(ref), "--bin-hz", "1e-300", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bin width 1e-300 Hz is too small to index f0 250.0 Hz"]
+        assert not out.exists()
+
 
 class TestUsage:
     def test_no_command_exits_two(self):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pitchbench import (
@@ -50,6 +50,13 @@ def classify_oracle(f_est, f_ref):
     if dp > 1e-3:
         return "gross", 0.0
     return "fine", dp * 16000.0
+
+
+ORACLE_KINDS = {
+    "cu": FrameOutcome.CORRECT_UNVOICED, "u2v": FrameOutcome.UNVOICED_TO_VOICED,
+    "v2u": FrameOutcome.VOICED_TO_UNVOICED, "gross": FrameOutcome.GROSS_ERROR,
+    "fine": FrameOutcome.CORRECT_VOICED_FINE,
+}
 
 
 def count_oracle(est_frames, ref_frames):
@@ -175,6 +182,79 @@ COUNTERS = (
 utterances = st.lists(st.tuples(track_frames, track_frames), max_size=4).map(
     lambda pairs: [evaluate_pair(PitchTrack(0.01, e), PitchTrack(0.01, r)) for e, r in pairs]
 )
+
+
+f0_values = st.one_of(st.just(0.0), st.floats(20.0, 2000.0))
+
+
+def near_boundary(f_ref, sign, ulps):
+    """An estimate whose period is ``f_ref``'s plus or minus 1 ms, moved
+    by a few ulps, so the pair lands on either side of the gross rule."""
+    f_est = 1.0 / (1.0 / f_ref + sign * 1e-3)
+    for _ in range(abs(ulps)):
+        f_est = math.nextafter(f_est, math.copysign(math.inf, ulps))
+    return f_est, f_ref
+
+
+# (f_est, f_ref) pairs: either voiced or not, and exact-boundary periods
+frame_pairs = st.one_of(
+    st.tuples(f0_values, f0_values),
+    st.sampled_from([(500.0, 1000.0), (1000.0, 500.0)]),
+    st.builds(near_boundary, st.floats(20.0, 900.0), st.sampled_from([-1, 1]), st.integers(-2, 2)),
+)
+
+
+def one_frame_track(f0):
+    return PitchTrack(0.01, np.array([f0], dtype=np.float64))
+
+
+class TestOneFrameRule:
+    """``classify_frame`` is ``evaluate_pair``'s one-frame case, and
+    ``evaluate_pair`` counts what ``classify_frame`` says of each frame."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=frame_pairs)
+    @example(pair=(500.0, 1000.0))
+    @example(pair=(1000.0, 500.0))
+    def test_classify_frame_is_the_one_frame_case(self, pair):
+        f_est, f_ref = pair
+        outcome, error = classify_frame(f_est, f_ref)
+        s = evaluate_pair(one_frame_track(f_est), one_frame_track(f_ref))
+        counted = {
+            FrameOutcome.CORRECT_UNVOICED: s.ref_unvoiced_frames - s.u2v_errors,
+            FrameOutcome.UNVOICED_TO_VOICED: s.u2v_errors,
+            FrameOutcome.VOICED_TO_UNVOICED: s.v2u_errors,
+            FrameOutcome.GROSS_ERROR: s.gross_errors,
+            FrameOutcome.CORRECT_VOICED_FINE: s.fine_frames,
+        }
+        assert counted == {o: int(o is outcome) for o in FrameOutcome}
+        fine = outcome is FrameOutcome.CORRECT_VOICED_FINE
+        assert s.fine_errors_samples.tobytes() == (np.float64([error]).tobytes() if fine else b"")
+        kind, oracle_error = classify_oracle(f_est, f_ref)
+        assert (outcome, error) == (ORACLE_KINDS[kind], oracle_error)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(frame_pairs, max_size=150), tail=st.lists(f0_values, max_size=5),
+           tail_on_est=st.booleans())
+    def test_evaluate_pair_counts_classify_frame(self, pairs, tail, tail_on_est):
+        est = np.array([e for e, _ in pairs] + (tail if tail_on_est else []), dtype=np.float64)
+        ref = np.array([r for _, r in pairs] + ([] if tail_on_est else tail), dtype=np.float64)
+        s = evaluate_pair(PitchTrack(0.01, est), PitchTrack(0.01, ref))
+        outcomes = [classify_frame(e, r) for e, r in pairs]
+        count = {o: sum(c is o for c, _ in outcomes) for o in FrameOutcome}
+        ref_voiced = sum(r > 0 for _, r in pairs)
+        assert {name: getattr(s, name) for name in COUNTERS} == {
+            "total_frames": len(pairs),
+            "ref_unvoiced_frames": len(pairs) - ref_voiced,
+            "ref_voiced_frames": ref_voiced,
+            "both_voiced_frames": sum(e > 0 and r > 0 for e, r in pairs),
+            "u2v_errors": count[FrameOutcome.UNVOICED_TO_VOICED],
+            "v2u_errors": count[FrameOutcome.VOICED_TO_UNVOICED],
+            "gross_errors": count[FrameOutcome.GROSS_ERROR],
+            "fine_frames": count[FrameOutcome.CORRECT_VOICED_FINE],
+        }
+        fine = [e for c, e in outcomes if c is FrameOutcome.CORRECT_VOICED_FINE]
+        assert s.fine_errors_samples.tobytes() == np.array(fine, dtype=np.float64).tobytes()
 
 
 class TestAggregateProperty:
@@ -329,6 +409,20 @@ class TestPitchHistogram:
         # edge is 0 * inf, that is nan
         with pytest.raises(ValueError, match="finite"):
             pitch_histogram(PitchTrack(0.01, np.array([150.0, 210.0])), bin_width_hz=width)
+
+    @pytest.mark.parametrize("width", [1e-300, 1e-320, 250.0 / 2.0**63])
+    def test_bin_width_too_small_to_index(self, width):
+        # 1e-300 used to write one negative bin holding both 100 and 250 Hz;
+        # at 1e-320 the quotient overflowed to inf
+        track = PitchTrack(0.01, np.array([100.0, 0.0, 250.0]))
+        with pytest.raises(ValueError, match=rf"bin width {width} Hz .* f0 250\.0 Hz"):
+            pitch_histogram(track, bin_width_hz=width)
+
+    def test_smallest_indexable_bin_width(self):
+        # the largest f0's bin index just fits in int64
+        width = math.nextafter(250.0 / 2.0**63, math.inf)
+        (low, count), = pitch_histogram(PitchTrack(0.01, np.array([250.0])), bin_width_hz=width)
+        assert count == 1 and 0 < low <= 250.0
 
 
 class TestStatsJson:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -142,6 +143,27 @@ class TestPreprocess:
         _, nonlinear, _ = yaapt_preprocess(sig, cfg)
         peak = spectrum_peak_hz(interior(nonlinear), nonlinear.sample_rate_hz)
         assert peak == pytest.approx(600.0, abs=5.0)
+
+    @staticmethod
+    def peak(seconds, rate, nonlinearity) -> int:
+        signal = AudioSignal(sawtooth(150.0, seconds, rate), rate)
+        config = YaaptConfig(nonlinearity=nonlinearity)
+        yaapt_preprocess(signal, config)  # fills the filter caches for this length
+        tracemalloc.start()
+        try:
+            yaapt_preprocess(signal, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("nonlinearity", ["square", "abs"])
+    def test_peak_per_audio_second(self, nonlinearity):
+        # a full-rate float64 array is 0.37 MiB per audio second at 48 kHz;
+        # the front end peaks at 1.47 MiB per audio second, and at 1.83 while
+        # the full-rate nonlinearity was still held through its decimation
+        peaks = [self.peak(seconds, 48000, nonlinearity) for seconds in (2.0, 10.0)]
+        mib_per_second = (peaks[1] - peaks[0]) / 8.0 / 2**20
+        assert mib_per_second < 1.65
 
 
 class TestNlfer:
