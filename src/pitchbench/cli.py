@@ -262,6 +262,8 @@ def cmd_compare(args) -> int:
         (utt, wav, ref, engines, externals, args.confidence_threshold)
         for utt, wav, ref in entries
     ]
+    # a pool forks all its workers at once: no more than there are utterances
+    n_workers = min(n_workers, len(jobs))
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             scored = list(pool.map(_score_utterance, jobs))
@@ -317,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--confidence-threshold", type=float, default=0.5)
     compare.add_argument(
         "--jobs", default=None,
-        help="utterance-level worker processes (default: $PITCHBENCH_JOBS or 1)",
+        help="worker processes, at most one per utterance (default: $PITCHBENCH_JOBS or 1)",
     )
     compare.set_defaults(func=cmd_compare)
     for dest in _ENGINE_FLAGS:

@@ -35,6 +35,7 @@ from .signal import (
     _check_engine_rate,
     _check_count,
     _check_engine_settings,
+    _candidate_table,
     cmnd_rows,
     frame_centers,
     frame_signal,
@@ -179,32 +180,18 @@ def _trellis(
     candidate total, or 0 from a total of 1 up) and emitting 0.0. State
     1+b exists only where the probabilities of bin b's candidates sum
     above 0; it observes that sum and emits the refined frequency of
-    the first most probable of them. Sums run in candidate order, and
-    invalid input raises the error a frame-by-frame,
-    candidate-by-candidate check would raise first.
+    the first most probable of them. Sums run in candidate order.
     """
     n_frames = len(candidate_sets)
-    flat = [cand for cands in candidate_sets for cand in cands]
-    f0, prob = np.array(flat, dtype=np.float64).reshape(-1, 2).T
-    rows = np.repeat(np.arange(n_frames), [len(cands) for cands in candidate_sets])
-    ratio = f0 / config.fmin_hz
-
+    rows, f0, prob = _candidate_table(candidate_sets, "probability")
     total = np.zeros(n_frames)
     np.add.at(total, rows, prob)  # in candidate order, as a running sum
-    # raise the first failure in frame order; within a frame, candidates
-    # are checked one by one before their total
-    bad = np.flatnonzero(~((prob >= 0.0) & (prob <= 1.0)) | ~((ratio > 0.0) & (ratio < np.inf)))
     over = np.flatnonzero(total > 1.0 + 1e-9)
-    if bad.size and (not over.size or rows[bad[0]] <= over[0]):
-        cand = flat[bad[0]]
-        if not 0.0 <= cand.probability <= 1.0:
-            raise ValueError(f"candidate probability {cand.probability} outside [0, 1]")
-        config.bin_of(cand.f0_hz)  # raises: the frequency has no bin
     if over.size:
         t = over[0]
         raise ValueError(f"frame {t}: candidate probabilities sum to {total[t]} > 1")
 
-    bins = _bins_of(ratio, config)
+    bins = _bins_of(f0, config)
     order = np.lexsort((-prob, bins, rows))  # stable: first most probable per (frame, bin)
     lead = np.ones(order.size, dtype=bool)
     lead[1:] = (np.diff(rows[order]) != 0) | (np.diff(bins[order]) != 0)
@@ -220,9 +207,12 @@ def _trellis(
     return frame[by_frame], state[by_frame], obs[by_frame], f0[by_frame]
 
 
-def _bins_of(ratio: np.ndarray, config: PyinConfig) -> np.ndarray:
-    """:meth:`PyinConfig.bin_of` of frequencies given as positive, finite
-    ratios ``f0 / fmin``, by its own arithmetic."""
+def _bins_of(f0: np.ndarray, config: PyinConfig) -> np.ndarray:
+    """:meth:`PyinConfig.bin_of` of positive, finite frequencies, by its
+    own arithmetic; a ratio ``f0 / fmin`` that underflows to 0 takes the
+    lowest bin, and one that overflows the top bin, as their neighbours do."""
+    with np.errstate(over="ignore"):
+        ratio = np.maximum(f0 / config.fmin_hz, 5e-324)  # the least positive float
     steps = 12.0 * config.bins_per_semitone
     raw = steps * np.fromiter(map(math.log2, ratio.tolist()), np.float64, ratio.size)
     return np.clip(np.round(raw), 0, config.n_bins - 1).astype(np.int64)
@@ -273,7 +263,8 @@ def _decode_trellis(
     cost never wins a step whose best cost is finite, and a step whose
     best cost is infinite falls to the first state in either form, state 0.
     """
-    bounds = np.searchsorted(frame, np.arange(frame[-1] + 2)).tolist()
+    starts = np.flatnonzero(np.diff(frame, prepend=-1))  # each frame's first state
+    bounds = [*starts.tolist(), frame.size]
     subsets = [state[a:b] for a, b in zip(bounds, bounds[1:])]
     with np.errstate(divide="ignore"):
         costs = -np.log(obs)
@@ -282,7 +273,7 @@ def _decode_trellis(
         [costs[a:b] for a, b in zip(bounds, bounds[1:])],
         lambda t: trans.take(subsets[t - 1], axis=0).take(subsets[t], axis=1),
     )
-    return np.array(bounds[:-1]) + path
+    return starts + path
 
 
 def pyin_viterbi(
@@ -295,11 +286,13 @@ def pyin_viterbi(
     Voiced frames carry the refined frequency of the candidate behind
     the decoded bin; unvoiced frames carry 0.0. Empty input decodes to
     an empty track. The track's hop defaults to the config's.
+
+    Raises ``ValueError`` for the first candidate, in frame order, whose
+    f0 is not finite and > 0 or whose probability lies outside [0, 1];
+    then for the first frame whose probabilities sum above 1.
     """
     if hop_seconds is None:
         hop_seconds = config.hop_ms / 1000.0
-    if not candidate_sets:
-        return PitchTrack(hop_seconds, np.zeros(0))
     frame, state, obs, f0 = _trellis(candidate_sets, config)
     return PitchTrack(hop_seconds, f0[_decode_trellis(frame, state, obs, config)])
 

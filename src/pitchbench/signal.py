@@ -1,11 +1,12 @@
 """Frame-level signal primitives shared by the pitch engines.
 
 Frame placement, lag-frame sizing and centered framing, the min-cost
-trellis decoder both engines smooth their tracks with, windowed-sinc
-bandpass filtering, parabolic lag refinement, and the three lag-domain
-curves the time-domain estimators are built on: the YIN difference
-function, its cumulative mean normalized form (CMND), and the
-normalized cross-correlation function (NCCF).
+trellis decoder both engines smooth their tracks with, the one reader of
+their decoders' candidate lists, windowed-sinc bandpass filtering,
+parabolic lag refinement, and the three lag-domain curves the
+time-domain estimators are built on: the YIN difference function, its
+cumulative mean normalized form (CMND), and the normalized
+cross-correlation function (NCCF).
 
 The lag curves are computed for a 2-D array of frames at once
 (``yin_difference_rows``, ``cmnd_rows``, ``nccf_rows``): window
@@ -226,6 +227,24 @@ def min_cost_path(
     for t in range(n_frames - 1, 0, -1):
         states[t - 1] = backptrs[t - 1][states[t]]
     return states
+
+
+def _candidate_table(candidate_sets: Sequence, weight_name: str) -> tuple[np.ndarray, ...]:
+    """Both decoders' per-frame ``(f0, weight)`` candidate lists as
+    ``(rows, f0, weight)`` arrays, in frame order, then list order.
+    Raises ``ValueError`` for the first candidate in that order whose f0
+    is not finite and > 0 or whose weight lies outside [0, 1]."""
+    flat = [cand for cands in candidate_sets for cand in cands]
+    f0, weight = np.array(flat, dtype=np.float64).reshape(-1, 2).T
+    rows = np.repeat(np.arange(len(candidate_sets)), [len(cands) for cands in candidate_sets])
+    bad = np.flatnonzero(~((f0 > 0.0) & (f0 < np.inf) & (weight >= 0.0) & (weight <= 1.0)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"frame {rows[i]}, candidate {i - np.searchsorted(rows, rows[i])}: f0 {f0[i]} Hz"
+            f" must be finite and > 0 and {weight_name} {weight[i]} within [0, 1]"
+        )
+    return rows, f0, weight
 
 
 # Bytes one block of rows may take, all its arrays together: a

@@ -33,6 +33,7 @@ from .signal import (
     _check_engine_rate,
     _check_count,
     _check_engine_settings,
+    _candidate_table,
     _fir_taps,
     bandpass_filter,
     budget_rows,
@@ -496,19 +497,10 @@ def yaapt_dp_select(
     w_jump = config.dp_freq_jump_weight
     w_switch = config.dp_voicing_switch_cost
 
+    rows, f0, merit = _candidate_table(candidates, "merit")
     # state 0 is unvoiced; voiced states follow in ascending frequency,
     # padded with zeros to the largest frame
-    sizes = [len(cands) + 1 for cands in candidates]
-    flat = [cand for cands in candidates for cand in cands]
-    f0, merit = np.array(flat, dtype=np.float64).reshape(-1, 2).T
-    rows = np.repeat(np.arange(n_frames), [n - 1 for n in sizes])
-    bad = np.flatnonzero(~((f0 > 0.0) & (f0 < np.inf) & (merit >= 0.0) & (merit <= 1.0)))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"frame {rows[i]}, candidate {_rank_in_frame(rows)[i]}: f0 {f0[i]} Hz must be"
-            f" finite and > 0 and merit {merit[i]} within [0, 1]"
-        )
+    sizes = (np.bincount(rows, minlength=n_frames) + 1).tolist()
     order = np.lexsort((f0, rows))  # stable: each frame's candidates by frequency
     rows, f0, merit = rows[order], f0[order], merit[order]
     cols = 1 + _rank_in_frame(rows)
@@ -521,14 +513,18 @@ def yaapt_dp_select(
     local = 1.0 - merit
     coarse = spectral.coarse_f0_hz[rows]
     near = np.flatnonzero(coarse > 0)
-    # math.log2 keeps the costs of the scalar definition bit for bit
-    octaves = map(math.log2, (f0[near] / coarse[near]).tolist())
+    # math.log2 keeps the costs of the scalar definition bit for bit; a
+    # ratio that underflows to 0 costs as the least positive float does,
+    # and one that overflows costs infinity
+    with np.errstate(over="ignore"):
+        ratio = np.maximum(f0[near] / coarse[near], 5e-324)
+    octaves = map(math.log2, ratio.tolist())
     local[near] += w_jump * np.abs(np.fromiter(octaves, np.float64, near.size))
     costs[rows, cols] = local
 
     # every transition matrix at once; frame t's is trans[t - 1]
     prev, cur = freqs[:-1, :, None], freqs[1:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         jump = w_jump * np.abs(np.log2(cur / prev))
     unvoiced = (prev == 0) & (cur == 0)
     trans = np.where((prev > 0) & (cur > 0), jump, np.where(unvoiced, 0.0, w_switch))

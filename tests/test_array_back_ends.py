@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pitchbench import (
     NccfCandidate,
     PitchCandidate,
+    PitchTrack,
     PyinConfig,
     SpectralTrack,
     YaaptConfig,
@@ -36,10 +37,27 @@ from conftest import all_frames_spectral, padded_tone, same_bits, sawtooth
 # pYIN trellis
 # ---------------------------------------------------------------------------
 
+def first_bad_candidate(candidate_sets, weight_name):
+    """Candidate by candidate, frame by frame: the error of the first pair
+    whose f0 is not finite and > 0 or whose weight lies outside [0, 1]."""
+    for t, cands in enumerate(candidate_sets):
+        for i, (f0, weight) in enumerate(cands):
+            if not (0.0 < f0 < math.inf and 0.0 <= weight <= 1.0):
+                return ValueError(
+                    f"frame {t}, candidate {i}: f0 {f0} Hz must be finite and > 0"
+                    f" and {weight_name} {weight} within [0, 1]"
+                )
+    return None
+
+
 def literal_observations(candidate_sets, config):
-    """Candidate by candidate, frame by frame, over every state: the
-    observation of each state and the frequency each bin emits (its
-    center while it holds no candidate of probability above 0)."""
+    """Every candidate checked, then frame by frame, candidate by
+    candidate, over every state: the observation of each state and the
+    frequency each bin emits (its center while it holds no candidate of
+    probability above 0)."""
+    error = first_bad_candidate(candidate_sets, "probability")
+    if error:
+        raise error
     n_frames = len(candidate_sets)
     n_bins = config.n_bins
     obs = np.zeros((n_frames, n_bins + 1))
@@ -49,8 +67,6 @@ def literal_observations(candidate_sets, config):
     for t, cands in enumerate(candidate_sets):
         total = 0.0
         for cand in cands:
-            if not 0.0 <= cand.probability <= 1.0:
-                raise ValueError(f"candidate probability {cand.probability} outside [0, 1]")
             total += cand.probability
             b = config.bin_of(cand.f0_hz)
             obs[t, 1 + b] += cand.probability
@@ -83,7 +99,7 @@ def dense_track(candidate_sets, config):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except (ValueError, OverflowError) as exc:
+    except Exception as exc:  # its type is compared too
         return type(exc), str(exc)
 
 
@@ -183,7 +199,9 @@ class TestVectorizedObservations:
         cfg = PyinConfig()
         ok = PitchCandidate(200.0, 0.3)
         over = [PitchCandidate(200.0, 0.7), PitchCandidate(210.0, 0.7)]
-        # frame 2 sums past 1; the bad candidate sits before, in, or after it
+        # frame 2 sums past 1; the bad candidate sits before, in, or after
+        # it, and is named first: a total over invalid probabilities means
+        # nothing
         sets = [[ok], [ok, ok], list(over), [ok], [ok]]
         if where == 0:
             sets[1].insert(1, bad)
@@ -195,12 +213,74 @@ class TestVectorizedObservations:
             sets[2] = [ok]
             sets[4].insert(0, bad)
         want = outcome(literal_observations, sets, cfg)
-        assert isinstance(want[0], type)  # every case fails
+        named = ["frame 1, candidate 1: ", "frame 2, candidate 2: ",
+                 "frame 3, candidate 1: ", "frame 4, candidate 0: "][where]
+        assert want[0] is ValueError and want[1].startswith(named)
+        assert outcome(_trellis, sets, cfg) == want
+
+    def test_frame_total_past_one_is_named(self):
+        cfg = PyinConfig()
+        sets = [[PitchCandidate(200.0, 0.3)], [PitchCandidate(200.0, 0.7)] * 2]
+        want = outcome(literal_observations, sets, cfg)
+        assert want == (ValueError, "frame 1: candidate probabilities sum to 1.4 > 1")
         assert outcome(_trellis, sets, cfg) == want
 
     def test_no_candidates_at_all(self):
         cfg = PyinConfig()
         assert_same_outcome([[], [], []], cfg)
+
+
+# ---------------------------------------------------------------------------
+# Both decoders' candidate rule
+# ---------------------------------------------------------------------------
+
+BAD_F0 = [math.nan, math.inf, -math.inf, 0.0, -150.0]
+BAD_WEIGHT = [math.nan, math.inf, -math.inf, 1.5, -0.1]
+
+
+@st.composite
+def candidate_lists(draw):
+    """Per-frame ``(f0, weight)`` lists, at most four a frame of weight
+    at most 1/4 each so no frame total passes 1, with up to two pairs
+    given a bad f0 or a bad weight."""
+    pair = st.tuples(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.floats(0.0, 0.25)
+    )
+    frames = draw(st.lists(st.lists(pair, max_size=4), max_size=8))
+    slots = [(t, i) for t, cands in enumerate(frames) for i in range(len(cands))]
+    for t, i in draw(st.lists(st.sampled_from(slots), max_size=2)) if slots else []:
+        f0, weight = frames[t][i]
+        if draw(st.booleans()):
+            f0 = draw(st.sampled_from(BAD_F0))
+        else:
+            weight = draw(st.sampled_from(BAD_WEIGHT))
+        frames[t][i] = (f0, weight)
+    return frames
+
+
+class TestOneCandidateRule:
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_lists())
+    def test_both_decoders_name_the_first_bad_pair(self, frames):
+        n = len(frames)
+        pyin = outcome(
+            pyin_viterbi, [[PitchCandidate(*c) for c in cands] for cands in frames], PyinConfig()
+        )
+        spectral = SpectralTrack(np.resize([0.0, 150.0], n), np.full(n, 0.5))
+        yaapt = outcome(
+            yaapt_dp_select,
+            [[NccfCandidate(*c) for c in cands] for cands in frames],
+            spectral,
+            YaaptConfig(),
+        )
+        error = first_bad_candidate(frames, "weight")
+        if error is None:
+            for got in (pyin, yaapt):
+                assert isinstance(got, PitchTrack) and len(got) == n
+            return
+        prefix = str(error).split(": ")[0] + ": "
+        for got in (pyin, yaapt):
+            assert got[0] is ValueError and got[1].startswith(prefix)
 
 
 # ---------------------------------------------------------------------------

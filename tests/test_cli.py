@@ -24,6 +24,29 @@ def write_reference_for_tone(path, n_frames, f0, voiced_span):
 
 
 @pytest.fixture
+def pools_started(monkeypatch):
+    """The ``max_workers`` of every pool compare starts; the pool runs its
+    jobs in this process, so no worker is ever forked."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("pitchbench.cli.ProcessPoolExecutor", SerialPool)
+    return started
+
+
+@pytest.fixture
 def tone_wav(tmp_path):
     rate = 16000
     samples = np.concatenate([np.zeros(4000), sine(220.0, 0.8, rate), np.zeros(4000)])
@@ -405,29 +428,23 @@ class TestCompare:
         assert not out.exists()
 
     @pytest.mark.parametrize("value, flag, workers", [("2", [], [2]), ("2", ["--jobs", "1"], [])])
-    def test_jobs_variable_is_the_default_of_the_flag(self, tmp_path, monkeypatch, value, flag,
-                                                      workers):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("pitchbench.cli.ProcessPoolExecutor", SerialPool)
+    def test_jobs_variable_is_the_default_of_the_flag(self, tmp_path, monkeypatch, pools_started,
+                                                      value, flag, workers):
         monkeypatch.setenv("PITCHBENCH_JOBS", value)
-        manifest = self._build_corpus(tmp_path, n=1)
+        manifest = self._build_corpus(tmp_path, n=2)
         out = tmp_path / "table.csv"
         assert main(["compare", "--manifest", str(manifest), "--out", str(out), *flag]) == 0
-        assert started == workers
+        assert pools_started == workers
+
+    @pytest.mark.parametrize("n, workers", [(1, []), (2, [2]), (3, [3])])
+    def test_at_most_one_worker_per_utterance(self, tmp_path, pools_started, n, workers):
+        manifest = self._build_corpus(tmp_path, n=n)
+        out = tmp_path / "table.csv"
+        assert main([
+            "compare", "--manifest", str(manifest), "--out", str(out), "--jobs", "64",
+        ]) == 0
+        assert pools_started == workers
+        assert len(out.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("rate", [11025, 22050])
     def test_rates_with_fractional_hop_are_scored(self, tmp_path, rate):

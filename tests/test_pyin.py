@@ -145,6 +145,18 @@ class TestPyinViterbi:
     def test_empty_input_empty_track(self):
         assert len(pyin_viterbi([], PyinConfig())) == 0
 
+    @pytest.mark.parametrize("f0, fmin, top", [
+        (1e-320, 60.0, False),
+        (5e-324, 60.0, False),  # f0 / fmin underflows to 0
+        (1e300, 0.5, True),
+        (1.7e308, 0.5, True),  # f0 / fmin overflows to infinity
+    ])
+    def test_any_finite_f0_above_0_takes_a_bin(self, f0, fmin, top):
+        cfg = PyinConfig(fmin_hz=fmin)
+        _frame, state, _obs, _f0 = _trellis([[PitchCandidate(f0, 0.9)]], cfg)
+        np.testing.assert_array_equal(state, [0, cfg.n_bins if top else 1])
+        np.testing.assert_array_equal(pyin_viterbi([[PitchCandidate(f0, 0.9)]], cfg).frames, [f0])
+
     @pytest.mark.parametrize("n_frames", [0, 3])
     def test_hop_defaults_to_the_config(self, n_frames):
         cfg = PyinConfig(hop_ms=5.0)

@@ -368,6 +368,14 @@ class TestDpSelect:
         with pytest.raises(ValueError, match="^frame 2, candidate 1: "):
             yaapt_dp_select(candidates, spectral, YaaptConfig())
 
+    def test_any_finite_f0_above_0_decodes(self):
+        # against the coarse track and the previous frame, 5e-324 Hz
+        # underflows to a ratio of 0 and 1.7e308 Hz overflows to infinity
+        candidates = [[NccfCandidate(f0, 0.9)] for f0 in (5e-324, 1e-320, 1.7e308, 150.0)]
+        spectral = SpectralTrack(np.array([150.0, 150.0, 0.5, 150.0]), np.full(4, 2.0))
+        track = yaapt_dp_select(candidates, spectral, YaaptConfig())
+        assert len(track) == 4 and track.frames[3] == 150.0
+
     @pytest.mark.parametrize("n_frames", [0, 3])
     def test_hop_defaults_to_the_config(self, n_frames):
         cfg = YaaptConfig(hop_ms=5.0)
