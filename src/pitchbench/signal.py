@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.fft import next_fast_len
 
 
 @dataclass
@@ -275,11 +274,30 @@ def budget_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
+# a search costs about 15 us, and the lag stage asks again for every block
+# at one of a few frame sizes
+@lru_cache(maxsize=64)
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c that is at least ``n`` (``n`` >= 1): the
+    length ``scipy.fft.next_fast_len(n, real=True)`` gives, so every
+    transform keeps the bits it had at that length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the fewest doublings of p35 that reach n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _block_rows(size: int) -> int:
     """Rows per block of the lag stage for frames of ``size`` samples: as
     many as its arrays (energies and two spectra) keep within the block
     budget."""
-    n = next_fast_len(size, real=True)
+    n = _fast_len(size)
     return budget_rows(8 * (size + 1) + 32 * (n // 2 + 1))
 
 
@@ -304,7 +322,7 @@ def _lag_terms(frames: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray
     np.multiply(frames, frames, out=energy[:, 1:])
     np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
 
-    n = next_fast_len(size, real=True)
+    n = _fast_len(size)
     spec = rfft(frames, n, axis=1)
     head_spec = rfft(frames[:, :width], n, axis=1)
     spec *= np.conjugate(head_spec, out=head_spec)
@@ -468,7 +486,7 @@ def bandpass_filter(signal: AudioSignal, low_hz: float, high_hz: float) -> Audio
     # operand order, or a plain product for a one-sample input
     if x.size == 1:
         return AudioSignal((x * taps)[delay : delay + 1], rate)
-    n = next_fast_len(x.size + taps.size - 1, True)
+    n = _fast_len(x.size + taps.size - 1)
     spectrum = rfft(x, n)
     spectrum *= _taps_spectrum(low_hz, high_hz, rate, n)
     full = irfft(spectrum, n)

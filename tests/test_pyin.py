@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pitchbench import AudioSignal, PitchCandidate, PyinConfig, pyin_track, pyin_viterbi
-from pitchbench.pyin import _candidate_sets, _decode_trellis, _lag_range, _threshold_weights, _trellis
+from pitchbench.pyin import _bins_of, _candidate_sets, _decode_trellis, _lag_range, _threshold_weights, _trellis
 from pitchbench.signal import cmnd_rows, yin_difference_rows
 from conftest import padded_tone, sawtooth, sine
 
@@ -156,6 +158,23 @@ class TestPyinViterbi:
         _frame, state, _obs, _f0 = _trellis([[PitchCandidate(f0, 0.9)]], cfg)
         np.testing.assert_array_equal(state, [0, cfg.n_bins if top else 1])
         np.testing.assert_array_equal(pyin_viterbi([[PitchCandidate(f0, 0.9)]], cfg).frames, [f0])
+
+    @given(
+        f0=st.floats(min_value=5e-324, allow_infinity=False, allow_nan=False),
+        fmin=st.sampled_from([0.5, 60.0, 399.0]),
+    )
+    @example(f0=5e-324, fmin=60.0)  # log2 of an underflowed ratio
+    @example(f0=1.7e308, fmin=0.5)  # an overflowed ratio
+    def test_bin_of_is_the_one_frequency_case(self, f0, fmin):
+        cfg = PyinConfig(fmin_hz=fmin)
+        b = cfg.bin_of(f0)
+        assert type(b) is int
+        assert b == int(_bins_of(np.array([f0]), cfg)[0])
+        assert 0 <= b < cfg.n_bins
+        ratio = f0 / fmin
+        if 0.0 < ratio < math.inf:  # the textbook rule, where it is defined
+            raw = 12.0 * cfg.bins_per_semitone * math.log2(ratio)
+            assert b == min(max(round(raw), 0), cfg.n_bins - 1)
 
     @pytest.mark.parametrize("n_frames", [0, 3])
     def test_hop_defaults_to_the_config(self, n_frames):
