@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .metrics import (
     CorpusStats,
-    FomScore,
     UtteranceStats,
     aggregate,
     evaluate_pair,
@@ -51,14 +50,18 @@ class UsageError(Exception):
     """Bad flag combination or unusable request; maps to exit code 2."""
 
 
-# the engine flags detect and compare share: argparse dest -> config field
+# argparse dest -> config field; compare has no --hop-ms, as references are 10 ms apart
 _ENGINE_FLAGS = {
     "fmin": "fmin_hz", "fmax": "fmax_hz", "frame_ms": "frame_len_ms", "hop_ms": "hop_ms",
 }
 
+# the errors a command reports as one error line: the readers' are
+# ValueErrors, and a MemoryError is a frame or a file too large
+_ERRORS = (ValueError, OverflowError, MemoryError, OSError)
+
 
 def _engine_config(algo: str, args) -> PyinConfig | YaaptConfig:
-    values = {field: getattr(args, dest) for dest, field in _ENGINE_FLAGS.items()}
+    values = {field: getattr(args, dest, None) for dest, field in _ENGINE_FLAGS.items()}
     config_type = PyinConfig if algo == "pyin" else YaaptConfig
     return config_type(**{field: v for field, v in values.items() if v is not None})
 
@@ -98,13 +101,26 @@ def _check_confidence_threshold(value: float) -> None:
         raise UsageError(f"--confidence-threshold: {exc}") from None
 
 
+@contextlib.contextmanager
+def _naming(context: str, errors=_ERRORS):
+    """Prefix ``context`` to any of ``errors`` raised inside."""
+    try:
+        yield
+    except errors as exc:
+        # a plain ValueError carrying the context pickles back from a worker
+        raise ValueError(f"{context}: {exc}") from exc
+
+
 def cmd_evaluate(args) -> int:
     _check_confidence_threshold(args.confidence_threshold)
-    est = read_external_track(args.est, confidence_threshold=args.confidence_threshold)
-    ref = read_reference_track(args.ref)
-    corpus = aggregate([evaluate_pair(est, ref)])
-    payload = stats_json_dict(corpus, fom_rank(corpus))
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    # a reader's other errors name the file already
+    with _naming(args.est, UnicodeDecodeError):
+        est = read_external_track(args.est, confidence_threshold=args.confidence_threshold)
+    with _naming(args.ref, UnicodeDecodeError):
+        ref = read_reference_track(args.ref)
+    with _naming(f"{args.est} against {args.ref}"):
+        corpus = aggregate([evaluate_pair(est, ref)])
+    _write_text(args.out, json.dumps(stats_json_dict(corpus), indent=2) + "\n")
     return 0
 
 
@@ -115,7 +131,7 @@ def cmd_evaluate(args) -> int:
 def _read_manifest(path) -> list[tuple[str, Path, Path]]:
     base = Path(path).resolve().parent
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv_records(path, fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -149,46 +165,37 @@ def _read_manifest(path) -> list[tuple[str, Path, Path]]:
     return entries
 
 
-@contextlib.contextmanager
-def _naming(utt_id: str, label: str, path):
-    try:
-        yield
-    except (ValueError, OverflowError, MemoryError, OSError) as exc:  # as main() catches
-        # a plain ValueError carrying the context pickles back from a worker
-        raise ValueError(f"utterance {utt_id} [{label}] {path}: {exc}") from exc
-
-
 def _score_utterance(job) -> list[UtteranceStats]:
     """Statistics of one utterance for every engine, then every external
     label, in table order. The reference is read once, and the WAV is
     decoded once, only when an engine is requested."""
     utt_id, wav_path, ref_path, engines, externals, confidence_threshold = job
-    with _naming(utt_id, "reference", ref_path):
+    with _naming(f"utterance {utt_id} [reference] {ref_path}"):
         ref = read_reference_track(ref_path)
     if engines:
-        with _naming(utt_id, "wav", wav_path):
+        with _naming(f"utterance {utt_id} [wav] {wav_path}"):
             signal = read_wav(wav_path)
     stats = []
     for algo, config in engines:
-        with _naming(utt_id, algo, wav_path):
+        with _naming(f"utterance {utt_id} [{algo}] {wav_path}"):
             stats.append(evaluate_pair(_run_engine(algo, signal, config), ref))
     for label, directory in externals:
         path = directory / f"{utt_id}.csv"
-        with _naming(utt_id, label, path):
+        with _naming(f"utterance {utt_id} [{label}] {path}"):
             est = read_external_track(path, confidence_threshold=confidence_threshold)
             stats.append(evaluate_pair(est, ref))
     return stats
 
 
-def format_comparison_csv(rows: list[tuple[str, CorpusStats, FomScore]]) -> str:
-    """Render labelled corpus statistics as the comparison table."""
+def format_comparison_csv(rows: list[tuple[str, CorpusStats]]) -> str:
+    """Render labelled corpus statistics, each with its FOM, as the comparison table."""
     lines = [_COMPARISON_COLUMNS]
-    for label, corpus, fom in rows:
+    for label, corpus in rows:
         lines.append(
             f"{label},{corpus.total_frames},{corpus.ref_unvoiced_frames},"
             f"{corpus.u2v_pct:.6g},{corpus.ref_voiced_frames},{corpus.v2u_pct:.6g},"
-            f"{corpus.gross_errors},{corpus.fine_frames},"
-            f"{corpus.mean_fine_samples:.6g},{corpus.stdev_fine_samples:.6g},{fom.total}"
+            f"{corpus.gross_errors},{corpus.fine_frames},{corpus.mean_fine_samples:.6g},"
+            f"{corpus.stdev_fine_samples:.6g},{fom_rank(corpus).total}"
         )
     return "\n".join(lines) + "\n"
 
@@ -237,7 +244,8 @@ def cmd_compare(args) -> int:
         externals.append((label, Path(directory)))
     labels = _table_labels(algos, externals)
 
-    entries = _read_manifest(args.manifest)
+    with _naming(args.manifest, UnicodeDecodeError):
+        entries = _read_manifest(args.manifest)
     if not entries:
         raise UsageError(f"manifest {args.manifest} lists no utterances")
     entries.sort(key=lambda e: e[0])
@@ -270,11 +278,8 @@ def cmd_compare(args) -> int:
     else:
         scored = [_score_utterance(job) for job in jobs]
 
-    rows = []
-    for column, label in enumerate(labels):
-        corpus = aggregate([stats[column] for stats in scored])
-        rows.append((label, corpus, fom_rank(corpus)))
-
+    rows = [(label, aggregate([stats[column] for stats in scored]))
+            for column, label in enumerate(labels)]
     _write_text(args.out, format_comparison_csv(rows))
     return 0
 
@@ -282,7 +287,8 @@ def cmd_compare(args) -> int:
 def cmd_hist(args) -> int:
     if not 0 < args.bin_hz < float("inf"):
         raise UsageError(f"--bin-hz must be finite and > 0, got {args.bin_hz}")
-    ref = read_reference_track(args.ref)
+    with _naming(args.ref, UnicodeDecodeError):
+        ref = read_reference_track(args.ref)
     bins = pitch_histogram(ref, bin_width_hz=args.bin_hz)
     _write_text(args.out, "bin_low_hz,count\n" + "".join(f"{low:.6g},{n}\n" for low, n in bins))
     return 0
@@ -323,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compare.set_defaults(func=cmd_compare)
     for dest in _ENGINE_FLAGS:
-        for command in (detect, compare):
+        for command in (detect,) if dest == "hop_ms" else (detect, compare):
             command.add_argument("--" + dest.replace("_", "-"), type=float)
 
     hist = sub.add_parser("hist", help="histogram of reference pitch values")
@@ -345,8 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    # the reader errors are ValueErrors; a MemoryError is a frame or a file too large
-    except (ValueError, OverflowError, MemoryError, OSError) as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -118,13 +118,9 @@ class UtteranceStats(_FrameCounts):
             )
 
 
-def evaluate_pair(
-    est: PitchTrack,
-    ref: PitchTrack,
-    norm_rate_hz: float = NORM_RATE_HZ,
-    gross_ms: float = GROSS_THRESHOLD_MS,
-) -> UtteranceStats:
-    """Score an estimated track against a reference.
+def evaluate_pair(est: PitchTrack, ref: PitchTrack) -> UtteranceStats:
+    """Score an estimated track against a reference, as ``classify_frame``
+    does at its defaults.
 
     Both tracks must share a 10 ms-class hop (equal within 1e-6 s);
     comparison runs over the first ``min(len(est), len(ref))`` frames,
@@ -135,7 +131,8 @@ def evaluate_pair(
             f"hop mismatch: est {est.hop_seconds} s vs ref {ref.hop_seconds} s"
         )
     n = min(len(est), len(ref))
-    codes, errors = _frame_outcomes(est.frames[:n], ref.frames[:n], norm_rate_hz, gross_ms)
+    codes, errors = _frame_outcomes(est.frames[:n], ref.frames[:n], NORM_RATE_HZ,
+                                    GROSS_THRESHOLD_MS)
     unvoiced, u2v, v2u, fine, gross = np.bincount(codes, minlength=len(_OUTCOMES)).tolist()
     return UtteranceStats(
         total_frames=n,
@@ -163,8 +160,6 @@ class CorpusStats(_FrameCounts):
     v2u_pct: float
     mean_fine_samples: float
     stdev_fine_samples: float
-    u2v_pct_defined: bool = True
-    v2u_pct_defined: bool = True
 
 
 def aggregate(stats: list[UtteranceStats]) -> CorpusStats:
@@ -172,8 +167,7 @@ def aggregate(stats: list[UtteranceStats]) -> CorpusStats:
 
     Fine-error mean and standard deviation (population) are computed
     over the pooled fine errors of all utterances. A zero unvoiced or
-    voiced denominator defines the corresponding percentage as 0 and
-    clears its ``*_defined`` flag.
+    voiced denominator defines the corresponding percentage as 0.
     """
     if not stats:
         raise ValueError("cannot aggregate an empty list of utterance stats")
@@ -186,8 +180,6 @@ def aggregate(stats: list[UtteranceStats]) -> CorpusStats:
         v2u_pct=100.0 * sums["v2u_errors"] / voiced if voiced else 0.0,
         mean_fine_samples=float(np.mean(pooled)) if pooled.size else 0.0,
         stdev_fine_samples=float(np.std(pooled)) if pooled.size else 0.0,
-        u2v_pct_defined=unvoiced > 0,
-        v2u_pct_defined=voiced > 0,
     )
 
 
@@ -258,10 +250,8 @@ _JSON_KEYS = (
 )
 
 
-def stats_json_dict(corpus: CorpusStats, fom: FomScore | None = None) -> dict:
-    """Serialize corpus statistics (plus FOM) with the canonical keys."""
-    if fom is None:
-        fom = fom_rank(corpus)
+def stats_json_dict(corpus: CorpusStats) -> dict:
+    """Serialize corpus statistics, then their FOM ranks, with the canonical keys."""
     payload = {key: getattr(corpus, key) for key in _JSON_KEYS}
-    payload["fom"] = asdict(fom)
+    payload["fom"] = asdict(fom_rank(corpus))
     return payload

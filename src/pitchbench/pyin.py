@@ -35,6 +35,7 @@ from .signal import (
     _check_count,
     _check_engine_settings,
     _candidate_table,
+    _log2_ratios,
     cmnd_rows,
     frame_centers,
     frame_signal,
@@ -210,14 +211,10 @@ def _trellis(
 def _bins_of(f0: np.ndarray, config: PyinConfig) -> np.ndarray:
     """Pitch bin of each positive, finite frequency: ``12 *
     bins_per_semitone * log2(f0 / fmin)`` rounded half to even and clipped
-    to the bins, ``math.log2`` per value. A ratio ``f0 / fmin`` that
-    underflows to 0 takes the lowest bin, and one that overflows the top
-    bin, as their neighbours do. :meth:`PyinConfig.bin_of` is the
-    one-frequency case."""
-    with np.errstate(over="ignore"):
-        ratio = np.maximum(f0 / config.fmin_hz, 5e-324)  # the least positive float
-    steps = 12.0 * config.bins_per_semitone
-    raw = steps * np.fromiter(map(math.log2, ratio.tolist()), np.float64, ratio.size)
+    to the bins. A ratio ``f0 / fmin`` that underflows to 0 takes the
+    lowest bin, and one that overflows the top bin, as their neighbours
+    do. :meth:`PyinConfig.bin_of` is the one-frequency case."""
+    raw = 12.0 * config.bins_per_semitone * _log2_ratios(f0, config.fmin_hz)
     return np.clip(np.round(raw), 0, config.n_bins - 1).astype(np.int64)
 
 

@@ -246,6 +246,14 @@ def _candidate_table(candidate_sets: Sequence, weight_name: str) -> tuple[np.nda
     return rows, f0, weight
 
 
+def _log2_ratios(num: np.ndarray, den) -> np.ndarray:
+    """``math.log2(num / den)`` per value, bit for bit; a ratio that underflows
+    to 0 is taken as the least positive float, one that overflows as inf."""
+    with np.errstate(over="ignore"):
+        ratio = np.maximum(num / den, 5e-324)
+    return np.fromiter(map(math.log2, ratio.tolist()), np.float64, ratio.size)
+
+
 # Bytes one block of rows may take, all its arrays together: a
 # block this size stays in cache, where a whole utterance's 2-D transform
 # at 48 kHz is slower than a loop over blocks. It gives the lag stage the

@@ -210,17 +210,17 @@ def _c_columns(lines, delimiter: str | None, usecols: list[int]) -> np.ndarray |
         return None
 
 
-def read_reference_track(path, hop_seconds: float = 0.010) -> PitchTrack:
-    """Read a reference pitch trajectory: one frame per line, first
-    whitespace-separated field is f0 in Hz (0 = unvoiced), any further
-    columns ignored, blank lines skipped.
+def read_reference_track(path) -> PitchTrack:
+    """Read a reference pitch trajectory at its format's 10 ms hop: one
+    frame per line, first whitespace-separated field is f0 in Hz (0 =
+    unvoiced), any further columns ignored, blank lines skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         columns = _c_columns(fh, None, [0])
         if columns is None or not np.all((columns >= 0) & (columns < np.inf)):
             fh.seek(0)
-            return PitchTrack(hop_seconds, _reference_lines(path, fh))
-    return PitchTrack(hop_seconds, columns[0])
+            return PitchTrack(0.010, _reference_lines(path, fh))
+    return PitchTrack(0.010, columns[0])
 
 
 def _reference_lines(path, lines) -> list[float]:
@@ -268,7 +268,7 @@ def read_external_track(path, confidence_threshold: float = 0.5) -> PitchTrack:
     check_confidence_threshold(confidence_threshold)
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
     columns = None if any(byte in raw for byte in _ROW_LOOP_BYTES) else _c_csv(path, text)
     if columns is None or _broken_rule(columns):
         text.seek(0)

@@ -35,6 +35,7 @@ from .signal import (
     _check_engine_settings,
     _candidate_table,
     _fir_taps,
+    _log2_ratios,
     bandpass_filter,
     budget_rows,
     frame_centers,
@@ -513,13 +514,7 @@ def yaapt_dp_select(
     local = 1.0 - merit
     coarse = spectral.coarse_f0_hz[rows]
     near = np.flatnonzero(coarse > 0)
-    # math.log2 keeps the costs of the scalar definition bit for bit; a
-    # ratio that underflows to 0 costs as the least positive float does,
-    # and one that overflows costs infinity
-    with np.errstate(over="ignore"):
-        ratio = np.maximum(f0[near] / coarse[near], 5e-324)
-    octaves = map(math.log2, ratio.tolist())
-    local[near] += w_jump * np.abs(np.fromiter(octaves, np.float64, near.size))
+    local[near] += w_jump * np.abs(_log2_ratios(f0[near], coarse[near]))
     costs[rows, cols] = local
 
     # every transition matrix at once; frame t's is trans[t - 1]

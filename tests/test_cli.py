@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pitchbench.cli import format_comparison_csv, main
-from pitchbench.metrics import fom_rank
 from conftest import sine
 from test_metrics import TABLE_ROWS, corpus_from_row
 
@@ -244,13 +250,16 @@ class TestEvaluate:
         assert code == 0
         assert json.loads(out.read_text())["v2u_errors"] == int(threshold)
 
-    def test_hop_mismatch_exits_one_without_output(self, tmp_path):
+    def test_hop_mismatch_exits_one_without_output(self, tmp_path, capsys):
         ref = tmp_path / "ref.txt"
         ref.write_text("100.0\n100.0\n")
         est = tmp_path / "est.csv"
         est.write_text("time_s,f0_hz\n0.00,100\n0.02,100\n")  # 20 ms hop
         out = tmp_path / "stats.json"
         assert main(["evaluate", "--est", str(est), "--ref", str(ref), "--out", str(out)]) == 1
+        # the error names both files
+        err = capsys.readouterr().err
+        assert err == f"error: {est} against {ref}: hop mismatch: est 0.02 s vs ref 0.01 s\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text,line", [
@@ -592,9 +601,19 @@ class TestCompare:
         assert f"missing input: {tmp_path / 'utt1.wav'}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_takes_no_hop_flag(self, tmp_path, capsys):
+        # references are 10 ms apart by their format; argparse refuses the
+        # flag before the manifest, absent here, is opened
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--manifest", str(tmp_path / "absent.csv"), "--out", str(out),
+                     "--hop-ms", "5"])
+        assert code == 2
+        assert "unrecognized arguments: --hop-ms 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_published_rows_reproduce_fom_column(self):
         rows = [
-            (label, corpus_from_row(row), fom_rank(corpus_from_row(row)))
+            (label, corpus_from_row(row))
             for row, label in zip(TABLE_ROWS, ["CREPE", "YAAPT", "pYIN"])
         ]
         text = format_comparison_csv(rows)
@@ -660,3 +679,124 @@ class TestUsage:
 
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Text inputs: a byte-order mark, an undecodable byte, mutated files
+# ---------------------------------------------------------------------------
+
+BOM = b"\xef\xbb\xbf"
+REF_BYTES = b"0\n0\n150.5\n151\n152.25\n0\n"
+CSV_BYTES = (b"time_s,f0_hz,confidence\n0.000000,0,0.9\n0.010000,0,0.9\n0.020000,150,0.8\n"
+             b"0.030000,151.5,0.6\n0.040000,152,0.4\n0.050000,0,0.9\n")
+MANIFEST_BYTES = b"utterance_id,wav_path,reference_path\nu0,u0.wav,u0.txt\n"
+
+
+def text_inputs(directory: Path) -> dict[str, Path]:
+    """A reference, an external track of the same utterance and a manifest
+    listing it, written to ``directory``."""
+    (directory / "ext").mkdir()
+    paths = {"ref": directory / "u0.txt", "est": directory / "ext" / "u0.csv",
+             "manifest": directory / "manifest.csv"}
+    for name, data in (("ref", REF_BYTES), ("est", CSV_BYTES), ("manifest", MANIFEST_BYTES)):
+        paths[name].write_bytes(data)
+    return paths
+
+
+def harness_argv(command: str, paths: dict[str, Path], out: Path) -> list[str]:
+    """``command`` over the files of ``text_inputs``; compare scores the
+    external track alone, so no WAV is read."""
+    if command == "evaluate":
+        return ["evaluate", "--est", str(paths["est"]), "--ref", str(paths["ref"]),
+                "--out", str(out)]
+    if command == "compare":
+        return ["compare", "--manifest", str(paths["manifest"]), "--algos", "",
+                "--external", f"ext={paths['est'].parent}", "--out", str(out)]
+    return ["hist", "--ref", str(paths["ref"]), "--out", str(out)]
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)`` and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+READS = [("evaluate", "est"), ("evaluate", "ref"), ("compare", "manifest"), ("compare", "ref"),
+         ("compare", "est"), ("hist", "ref")]
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("command, name", READS)
+    def test_output_bytes_do_not_change(self, tmp_path, command, name):
+        paths = text_inputs(tmp_path)
+        plain, marked = tmp_path / "plain.out", tmp_path / "marked.out"
+        assert run_main(harness_argv(command, paths, plain)) == (0, "")
+        paths[name].write_bytes(BOM + paths[name].read_bytes())
+        assert run_main(harness_argv(command, paths, marked)) == (0, "")
+        assert marked.read_bytes() == plain.read_bytes()
+
+
+class TestErrorsNameTheFile:
+    @pytest.mark.parametrize("command, name", READS)
+    def test_undecodable_byte_names_the_file(self, tmp_path, command, name):
+        paths = text_inputs(tmp_path)
+        paths[name].write_bytes(paths[name].read_bytes() + b"\xff\n")
+        out = tmp_path / "out"
+        code, err = run_main(harness_argv(command, paths, out))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(paths[name]) in err and "can't decode byte 0xff" in err
+        assert not out.exists()
+
+
+# bytes inserted into a valid file: CSV and number syntax, NUL, a byte
+# that is never UTF-8, and a byte-order mark
+INSERTS = [bytes([c]) for c in b",.\r\n-+e_"] + [b"\0", b"\xff", BOM]
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """``data`` with one to four bytes flipped or inserted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        if at < len(data) and draw(st.booleans()):
+            data[at] ^= draw(st.integers(1, 255))
+        else:
+            data[at:at] = draw(st.sampled_from(INSERTS))
+    return bytes(data)
+
+
+class TestMutatedInputs:
+    """``evaluate`` and ``hist`` on a valid reference or external track with
+    a few bytes changed: the file scores, or the command exits nonzero with
+    one error line and no output; no exception escapes ``main``. Each
+    ``evaluate`` error names the changed file."""
+
+    @staticmethod
+    def run(command: str, name: str, data: bytes) -> tuple[int, str, Path]:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = text_inputs(Path(tmp))
+            paths[name].write_bytes(data)
+            out = Path(tmp) / "out"
+            code, err = run_main(harness_argv(command, paths, out))
+            assert code in (0, 1, 2)
+            if code:
+                assert err.count("\n") == 1 and re.match(r"(usage )?error: ", err), err
+                assert not out.exists()
+            return code, err, paths[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["ref", "est"]).flatmap(
+        lambda name: st.tuples(st.just(name),
+                               mutations(REF_BYTES if name == "ref" else CSV_BYTES))))
+    def test_evaluate(self, mutated):
+        code, err, path = self.run("evaluate", *mutated)
+        assert not code or str(path) in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(mutations(REF_BYTES))
+    def test_hist(self, data):
+        self.run("hist", "ref", data)

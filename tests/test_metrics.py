@@ -271,7 +271,6 @@ class TestAggregateProperty:
         unvoiced, voiced = sums["ref_unvoiced_frames"], sums["ref_voiced_frames"]
         assert corpus.u2v_pct == (100.0 * sums["u2v_errors"] / unvoiced if unvoiced else 0.0)
         assert corpus.v2u_pct == (100.0 * sums["v2u_errors"] / voiced if voiced else 0.0)
-        assert (corpus.u2v_pct_defined, corpus.v2u_pct_defined) == (unvoiced > 0, voiced > 0)
 
 
 class TestAggregate:
@@ -323,8 +322,8 @@ class TestAggregate:
 
     def test_zero_denominators_flagged(self):
         corpus = aggregate([self._stats(total_frames=0)])
-        assert corpus.u2v_pct == 0.0 and not corpus.u2v_pct_defined
-        assert corpus.v2u_pct == 0.0 and not corpus.v2u_pct_defined
+        assert corpus.u2v_pct == 0.0
+        assert corpus.v2u_pct == 0.0
 
 
 class TestFomRank:
