@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .metrics import (
@@ -48,6 +48,17 @@ _COMPARISON_COLUMNS = (
 
 class UsageError(Exception):
     """Bad flag combination or unusable request; maps to exit code 2."""
+
+
+def __getattr__(name: str):
+    # the pool's import (multiprocessing) waits for the first compare that
+    # starts a pool; the name stays this module's, so it can be replaced
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # argparse dest -> config field; compare has no --hop-ms, as references are 10 ms apart
@@ -273,7 +284,9 @@ def cmd_compare(args) -> int:
     # a pool forks all its workers at once: no more than there are utterances
     n_workers = min(n_workers, len(jobs))
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # looked up on the module, so that its __getattr__ and any
+        # replacement of the name apply
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=n_workers) as pool:
             scored = list(pool.map(_score_utterance, jobs))
     else:
         scored = [_score_utterance(job) for job in jobs]
@@ -289,12 +302,16 @@ def cmd_hist(args) -> int:
         raise UsageError(f"--bin-hz must be finite and > 0, got {args.bin_hz}")
     with _naming(args.ref, UnicodeDecodeError):
         ref = read_reference_track(args.ref)
-    bins = pitch_histogram(ref, bin_width_hz=args.bin_hz)
+    with _naming(args.ref):
+        bins = pitch_histogram(ref, bin_width_hz=args.bin_hz)
     _write_text(args.out, "bin_low_hz,count\n" + "".join(f"{low:.6g},{n}\n" for low, n in bins))
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: tests, scripts and the
+    benchmark call ``main`` many times in one interpreter."""
     parser = argparse.ArgumentParser(
         prog="pitchbench",
         description="Pitch detection engines and pitch-track evaluation.",

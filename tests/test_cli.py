@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import scipy.io.wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pitchbench.cli import format_comparison_csv, main
+import pitchbench
+from pitchbench.cli import _build_parser, format_comparison_csv, main
 from conftest import sine
 from test_metrics import TABLE_ROWS, corpus_from_row
 
@@ -27,6 +31,15 @@ def write_reference_for_tone(path, n_frames, f0, voiced_span):
         voiced = voiced_span[0] <= k <= voiced_span[1]
         lines.append(f"{f0 if voiced else 0.0}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def fresh_interpreter(code: str, *args) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter that imports this package, with
+    ``args`` as its ``sys.argv[1:]``."""
+    src = str(Path(pitchbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture
@@ -283,6 +296,21 @@ class TestEvaluate:
         assert not out.exists()
 
 
+# detect with both engines and a serial compare import no pool; the
+# first compare with --jobs 2 does, and writes the serial table
+POOL_CHILD = """
+import sys
+from pitchbench.cli import main
+
+wav, track, manifest, serial, parallel = sys.argv[1:]
+for algo in ("pyin", "yaapt"):
+    assert main(["detect", "--algo", algo, "--in", wav, "--out", track]) == 0
+for jobs, table in (("1", serial), ("2", parallel)):
+    assert main(["compare", "--manifest", manifest, "--out", table, "--jobs", jobs]) == 0
+    print(",".join(m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
 class TestCompare:
     def _build_corpus(self, tmp_path, n=3, rate=16000):
         manifest = tmp_path / "manifest.csv"
@@ -416,6 +444,15 @@ class TestCompare:
         assert main([
             "compare", "--manifest", str(manifest), "--out", str(parallel), "--jobs", "2",
         ]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_pool_is_imported_by_the_first_compare_that_starts_one(self, tmp_path):
+        manifest = self._build_corpus(tmp_path, n=2)
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        result = fresh_interpreter(POOL_CHILD, tmp_path / "utt0.wav", tmp_path / "track.csv",
+                                   manifest, serial, parallel)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["", "multiprocessing,concurrent.futures.process"]
         assert serial.read_bytes() == parallel.read_bytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-1", "abc", "1.5"])
@@ -663,7 +700,7 @@ class TestHist:
         out = tmp_path / "h.csv"
         assert main(["hist", "--ref", str(ref), "--bin-hz", "1e-300", "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: bin width 1e-300 Hz is too small to index f0 250.0 Hz"]
+        assert err == [f"error: {ref}: bin width 1e-300 Hz is too small to index f0 250.0 Hz"]
         assert not out.exists()
 
 
@@ -749,6 +786,49 @@ class TestErrorsNameTheFile:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(paths[name]) in err and "can't decode byte 0xff" in err
         assert not out.exists()
+
+
+MAIN_CHILD = """
+import json, sys
+from pitchbench.cli import main
+sys.exit(main(json.loads(sys.argv[1])))
+"""
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once per process: a usage error, then
+    help, then two valid commands in one process write what each writes
+    in a fresh interpreter."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_in_one_process_match_fresh_interpreters(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps alike on both sides
+        paths = text_inputs(tmp_path)
+
+        def commands(tag: str) -> list[list[str]]:
+            return [
+                ["evaluate", "--est", str(paths["est"])],  # no --ref or --out
+                ["detect", "--help"],
+                harness_argv("evaluate", paths, tmp_path / f"{tag}.json"),
+                harness_argv("compare", paths, tmp_path / f"{tag}.csv") + ["--jobs", "1"],
+            ]
+
+        in_process = []
+        for argv in commands("reused"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            in_process.append((code, out.getvalue(), err.getvalue()))
+        fresh = []
+        for argv in commands("fresh"):
+            result = fresh_interpreter(MAIN_CHILD, json.dumps(argv))
+            fresh.append((result.returncode, result.stdout, result.stderr))
+        assert [code for code, _out, _err in in_process] == [2, 0, 0, 0]
+        assert in_process == fresh
+        for suffix in (".json", ".csv"):
+            assert (tmp_path / f"reused{suffix}").read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
 
 
 # bytes inserted into a valid file: CSV and number syntax, NUL, a byte
