@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -100,7 +99,9 @@ def cmd_detect(args) -> int:
         "crepe is not computed here; ingest its output with "
         "'evaluate --est <csv>' or 'compare --external crepe=<dir>'",
     )
-    track = _run_engine(args.algo, read_wav(args.in_wav), _engine_config(args.algo, args))
+    config = _engine_config(args.algo, args)
+    with _naming(args.in_wav):
+        track = _run_engine(args.algo, read_wav(args.in_wav), config)
     write_track(track, args.out)
     return 0
 
@@ -212,16 +213,13 @@ def format_comparison_csv(rows: list[tuple[str, CorpusStats]]) -> str:
 
 
 def _worker_count(args) -> int:
-    """``--jobs``, else ``$PITCHBENCH_JOBS``, else 1; a positive integer."""
-    source, value = "--jobs", args.jobs
-    if value is None:
-        source, value = "PITCHBENCH_JOBS", os.environ.get("PITCHBENCH_JOBS", "1")
+    """``--jobs``, a positive integer."""
     try:
-        jobs = int(value)
+        jobs = int(args.jobs)
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise UsageError(f"{source} must be a positive integer, got {value!r}")
+        raise UsageError(f"--jobs must be a positive integer, got {args.jobs!r}")
     return jobs
 
 
@@ -341,8 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--out", required=True, help="output comparison CSV")
     compare.add_argument("--confidence-threshold", type=float, default=0.5)
     compare.add_argument(
-        "--jobs", default=None,
-        help="worker processes, at most one per utterance (default: $PITCHBENCH_JOBS or 1)",
+        "--jobs", default="1", help="worker processes, at most one per utterance (default: 1)",
     )
     compare.set_defaults(func=cmd_compare)
     for dest in _ENGINE_FLAGS:

@@ -78,25 +78,12 @@ class PyinConfig:
 
     def validate_rate(self, sample_rate_hz: float) -> None:
         _check_engine_rate(self, sample_rate_hz)
-        # a minimum at lag_min .. lag_max - 1 is compared with the lags either side
-        frame_len = lag_frame_len(self.frame_len_ms, sample_rate_hz, self.fmin_hz)
-        lag_min, lag_max = _lag_range(self, sample_rate_hz, frame_len)
-        if lag_min >= lag_max:
-            raise ValueError(
-                f"pitch search range {self.fmin_hz}-{self.fmax_hz} Hz spans less than"
-                f" two lags at {sample_rate_hz} Hz"
-            )
+        _lag_range(self, sample_rate_hz)
 
     @property
     def n_bins(self) -> int:
         span_semitones = 12.0 * math.log2(self.fmax_hz / self.fmin_hz)
         return int(math.floor(span_semitones * self.bins_per_semitone)) + 1
-
-    def bin_frequency(self, index: int) -> float:
-        return self.fmin_hz * 2.0 ** (index / (12.0 * self.bins_per_semitone))
-
-    def bin_of(self, f0_hz: float) -> int:
-        return int(_bins_of(np.array([f0_hz], dtype=np.float64), self)[0])
 
 
 class PitchCandidate(NamedTuple):
@@ -125,9 +112,16 @@ def _threshold_weights(config: PyinConfig) -> tuple[np.ndarray, np.ndarray]:
     return thresholds, weights
 
 
-def _lag_range(config: PyinConfig, sample_rate_hz: float, frame_len: int) -> tuple[int, int]:
+def _lag_range(config: PyinConfig, sample_rate_hz: float) -> tuple[int, int]:
+    """The CMND's shortest and longest searched lag; raises ``ValueError``
+    unless they differ, as a minimum is compared with the lags either side."""
     lag_min = max(2, int(math.ceil(sample_rate_hz / config.fmax_hz)))
-    lag_max = min(int(math.floor(sample_rate_hz / config.fmin_hz)), (frame_len - 1) // 2)
+    lag_max = int(math.floor(sample_rate_hz / config.fmin_hz))
+    if lag_min >= lag_max:
+        raise ValueError(
+            f"pitch search range {config.fmin_hz}-{config.fmax_hz} Hz spans less than"
+            f" two lags at {sample_rate_hz} Hz"
+        )
     return lag_min, lag_max
 
 
@@ -213,7 +207,7 @@ def _bins_of(f0: np.ndarray, config: PyinConfig) -> np.ndarray:
     bins_per_semitone * log2(f0 / fmin)`` rounded half to even and clipped
     to the bins. A ratio ``f0 / fmin`` that underflows to 0 takes the
     lowest bin, and one that overflows the top bin, as their neighbours
-    do. :meth:`PyinConfig.bin_of` is the one-frequency case."""
+    do."""
     raw = 12.0 * config.bins_per_semitone * _log2_ratios(f0, config.fmin_hz)
     return np.clip(np.round(raw), 0, config.n_bins - 1).astype(np.int64)
 
@@ -308,7 +302,7 @@ def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTr
     config.validate_rate(signal.sample_rate_hz)
     rate = signal.sample_rate_hz
     frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
-    lag_min, lag_max = _lag_range(config, rate, frame_len)
+    lag_min, lag_max = _lag_range(config, rate)
     centers = frame_centers(len(signal), config.hop_ms, rate)
     step = _block_rows(frame_len)
     candidate_sets = []

@@ -500,15 +500,14 @@ def yaapt_dp_select(
 
     rows, f0, merit = _candidate_table(candidates, "merit")
     # state 0 is unvoiced; voiced states follow in ascending frequency,
-    # padded with zeros to the largest frame
-    sizes = (np.bincount(rows, minlength=n_frames) + 1).tolist()
+    # padded to the largest frame with states of frequency 0 and cost inf
     order = np.lexsort((f0, rows))  # stable: each frame's candidates by frequency
     rows, f0, merit = rows[order], f0[order], merit[order]
     cols = 1 + _rank_in_frame(rows)
-    freqs = np.zeros((n_frames, max(sizes, default=1)))
+    freqs = np.zeros((n_frames, cols.max(initial=0) + 1))
     freqs[rows, cols] = f0
 
-    costs = np.zeros_like(freqs)
+    costs = np.full_like(freqs, np.inf)
     margin = spectral.nlfer - config.nlfer_threshold
     costs[:, 0] = np.where(margin > 0.0, margin, 0.0)
     local = 1.0 - merit
@@ -524,10 +523,8 @@ def yaapt_dp_select(
     unvoiced = (prev == 0) & (cur == 0)
     trans = np.where((prev > 0) & (cur > 0), jump, np.where(unvoiced, 0.0, w_switch))
 
-    states = min_cost_path(
-        [costs[t, :n] for t, n in enumerate(sizes)],
-        lambda t: trans[t - 1, : sizes[t - 1], : sizes[t]],
-    )
+    # padded states follow every real one and cost inf, so none wins a step or the end
+    states = min_cost_path(costs, lambda t: trans[t - 1])
     if hop_seconds is None:
         hop_seconds = config.hop_ms / 1000.0
     return PitchTrack(hop_seconds, freqs[np.arange(n_frames), states])

@@ -27,7 +27,7 @@ from pitchbench import (
     yaapt_preprocess,
     yaapt_track,
 )
-from pitchbench.pyin import _transition_costs, _trellis
+from pitchbench.pyin import _bins_of, _transition_costs, _trellis
 from pitchbench.signal import lag_frame_len
 from pitchbench.yaapt import _grid_frequencies, _merge_close, _shc_grid
 from conftest import all_frames_spectral, padded_tone, same_bits, sawtooth
@@ -50,6 +50,11 @@ def first_bad_candidate(candidate_sets, weight_name):
     return None
 
 
+def bin_center(config, index):
+    """The frequency at the center of pitch bin ``index``."""
+    return config.fmin_hz * 2.0 ** (index / (12.0 * config.bins_per_semitone))
+
+
 def literal_observations(candidate_sets, config):
     """Every candidate checked, then frame by frame, candidate by
     candidate, over every state: the observation of each state and the
@@ -61,14 +66,14 @@ def literal_observations(candidate_sets, config):
     n_frames = len(candidate_sets)
     n_bins = config.n_bins
     obs = np.zeros((n_frames, n_bins + 1))
-    centers = np.array([config.bin_frequency(b) for b in range(n_bins)])
+    centers = np.array([bin_center(config, b) for b in range(n_bins)])
     freqs = np.tile(centers, (n_frames, 1))
     best_prob = np.zeros((n_frames, n_bins))
     for t, cands in enumerate(candidate_sets):
         total = 0.0
         for cand in cands:
             total += cand.probability
-            b = config.bin_of(cand.f0_hz)
+            b = int(_bins_of(np.array([cand.f0_hz]), config)[0])
             obs[t, 1 + b] += cand.probability
             if cand.probability > best_prob[t, b]:
                 best_prob[t, b] = cand.probability
@@ -165,9 +170,9 @@ class TestSparseDecode:
         # bins 40, 41 and 42 and the unvoiced state observe 0.25 each: exact
         # four-way ties everywhere but frame 3, an even split of the
         # unvoiced state and bin 90
-        quarter = [PitchCandidate(cfg.bin_frequency(b), 0.25) for b in (40, 41, 42)]
+        quarter = [PitchCandidate(bin_center(cfg, b), 0.25) for b in (40, 41, 42)]
         sets = [list(quarter) for _ in range(6)]
-        sets[3] = [PitchCandidate(cfg.bin_frequency(90), 0.5)]
+        sets[3] = [PitchCandidate(bin_center(cfg, 90), 0.5)]
         obs, _freqs = literal_observations(sets, cfg)
         assert (obs[:, [0, 41, 42, 43]] == 0.25).all(axis=1).sum() == 5
         assert same_bits(pyin_viterbi(sets, cfg).frames, dense_track(sets, cfg))
@@ -441,6 +446,25 @@ class TestArrayDp:
             spectral = SpectralTrack(coarse, rng.uniform(0, 2, n))
             track = yaapt_dp_select(candidates, spectral, config)
             assert same_bits(track.frames, literal_dp(candidates, spectral, config))
+
+    @pytest.mark.parametrize("config", [YaaptConfig(), YaaptConfig(dp_freq_jump_weight=0.0)])
+    @pytest.mark.parametrize("full", [0, 2, 4])
+    def test_one_full_frame_among_empty_ones(self, config, full):
+        # both branches' candidates with none merged, the widest frame the DP
+        # gets: every other frame is its unvoiced state, then padding
+        width = 2 * config.n_candidates_per_frame
+        rng = np.random.default_rng(full)
+        for nlfer in (0.0, 1.0, 4.0):
+            candidates = [[] for _ in range(5)]
+            f0 = rng.uniform(config.fmin_hz, config.fmax_hz, width)
+            merit = np.where(rng.random(width) < 0.3, 0.5, rng.uniform(0, 1, width))
+            candidates[full] = [NccfCandidate(float(f), float(m)) for f, m in zip(f0, merit)]
+            coarse = np.where(rng.random(5) < 0.5, rng.uniform(60, 400, 5), 0.0)
+            spectral = SpectralTrack(coarse, np.full(5, nlfer))
+            track = yaapt_dp_select(candidates, spectral, config)
+            assert same_bits(track.frames, literal_dp(candidates, spectral, config))
+            # at 4.0, staying unvoiced costs more than any candidate and two switches
+            assert (track.frames > 0).tolist() == [nlfer == 4.0 and t == full for t in range(5)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -172,6 +173,20 @@ class TestDetect:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(float(value)) in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["pyin", "yaapt"])
+    def test_bad_wav_is_one_error_line_naming_it(self, tmp_path, tone_wav, capsys, algo):
+        data = tone_wav.read_bytes()
+        truncated, rate_3 = tmp_path / "truncated.wav", tmp_path / "rate_3.wav"
+        truncated.write_bytes(data[:-10])
+        rate_3.write_bytes(data[:24] + struct.pack("<I", 3) + data[28:])
+        out = tmp_path / "t.csv"
+        for wav, message in [(truncated, "truncated 'data' chunk (byte offset 36)"),
+                             (rate_3, "fmax 400.0 Hz must be below Nyquist 1.5 Hz")]:
+            code = main(["detect", "--algo", algo, "--in", str(wav), "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {wav}: {message}\n"
+            assert not out.exists()
 
     def test_hop_flag_changes_timebase(self, tmp_path, tone_wav):
         out = tmp_path / "hop20.csv"
@@ -455,7 +470,7 @@ class TestCompare:
         assert result.stdout.splitlines() == ["", "multiprocessing,concurrent.futures.process"]
         assert serial.read_bytes() == parallel.read_bytes()
 
-    @pytest.mark.parametrize("jobs", ["0", "-1", "abc", "1.5"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "abc", "1.5", ""])
     def test_bad_jobs_flag_is_a_usage_error(self, tmp_path, capsys, jobs):
         manifest = self._build_corpus(tmp_path, n=1)
         out = tmp_path / "table.csv"
@@ -464,23 +479,17 @@ class TestCompare:
         assert f"--jobs must be a positive integer, got '{jobs}'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "0", ""])
-    def test_bad_jobs_variable_is_a_usage_error(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("PITCHBENCH_JOBS", value)
-        manifest = self._build_corpus(tmp_path, n=1)
-        out = tmp_path / "table.csv"
-        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
-        assert f"PITCHBENCH_JOBS must be a positive integer, got {value!r}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value, flag, workers", [("2", [], [2]), ("2", ["--jobs", "1"], [])])
-    def test_jobs_variable_is_the_default_of_the_flag(self, tmp_path, monkeypatch, pools_started,
-                                                      value, flag, workers):
-        monkeypatch.setenv("PITCHBENCH_JOBS", value)
+    @pytest.mark.parametrize("value", ["2", "abc", "0", ""])
+    def test_jobs_variable_is_ignored(self, tmp_path, monkeypatch, pools_started, value):
+        # --jobs alone sets the worker count, and it defaults to 1
         manifest = self._build_corpus(tmp_path, n=2)
-        out = tmp_path / "table.csv"
-        assert main(["compare", "--manifest", str(manifest), "--out", str(out), *flag]) == 0
-        assert pools_started == workers
+        serial, out = tmp_path / "serial.csv", tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(serial),
+                     "--jobs", "1"]) == 0
+        monkeypatch.setenv("PITCHBENCH_JOBS", value)
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert pools_started == []
+        assert out.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("n, workers", [(1, []), (2, [2]), (3, [3])])
     def test_at_most_one_worker_per_utterance(self, tmp_path, pools_started, n, workers):
@@ -545,10 +554,10 @@ class TestCompare:
         monkeypatch.setattr(f"pitchbench.cli.{algo}_track", refused)
         manifest = self._build_corpus(tmp_path, n=1)
         out = tmp_path / "out.csv"
-        code = main(["detect", "--algo", algo, "--in", str(tmp_path / "utt0.wav"),
-                     "--out", str(out)])
+        wav = tmp_path / "utt0.wav"
+        code = main(["detect", "--algo", algo, "--in", str(wav), "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "error: Unable to allocate 119. GiB for an array\n"
+        assert capsys.readouterr().err == f"error: {wav}: Unable to allocate 119. GiB for an array\n"
         code = main(["compare", "--manifest", str(manifest), "--out", str(out),
                      "--algos", algo])
         assert code == 1
@@ -708,12 +717,6 @@ class TestUsage:
     def test_no_command_exits_two(self):
         assert main([]) == 2
 
-    def test_jobs_variable_is_read_only_by_compare(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PITCHBENCH_JOBS", "abc")
-        ref = tmp_path / "ref.txt"
-        ref.write_text("100.0\n")
-        assert main(["hist", "--ref", str(ref), "--out", str(tmp_path / "h.csv")]) == 0
-
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2
 
@@ -837,11 +840,13 @@ INSERTS = [bytes([c]) for c in b",.\r\n-+e_"] + [b"\0", b"\xff", BOM]
 
 
 @st.composite
-def mutations(draw, data: bytes) -> bytes:
-    """``data`` with one to four bytes flipped or inserted."""
+def mutations(draw, data: bytes, header: int = 0) -> bytes:
+    """``data`` with one to four bytes flipped or inserted, half of them in
+    its first ``header`` bytes when it has one."""
     data = bytearray(data)
     for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(data)))
+        head = header and draw(st.booleans())
+        at = draw(st.integers(0, header - 1) if head else st.integers(0, len(data)))
         if at < len(data) and draw(st.booleans()):
             data[at] ^= draw(st.integers(1, 255))
         else:
@@ -880,3 +885,86 @@ class TestMutatedInputs:
     @given(mutations(REF_BYTES))
     def test_hist(self, data):
         self.run("hist", "ref", data)
+
+
+def tone_wav_bytes() -> bytes:
+    """A 16-bit mono WAV of a 150 Hz tone: 50 ms at 8 kHz, as many 10 ms
+    frames as REF_BYTES has values, after a 44-byte header."""
+    rate = 8000
+    t = np.arange(rate // 20) / rate
+    buf = io.BytesIO()
+    scipy.io.wavfile.write(buf, rate, np.round(16384 * np.sin(2 * np.pi * 150.0 * t)).astype("<i2"))
+    return buf.getvalue()
+
+
+WAV_BYTES = tone_wav_bytes()
+# every mutated WAV keeps byte 27, the rate field's top byte, at 0: set, it gives
+# rates of 16.7 MHz to 4.3 GHz, and near the top a detect on these 400 samples
+# allocates frames of over a GiB
+MUTATED = {"wav": mutations(WAV_BYTES, header=44).filter(lambda data: data[27] == 0),
+           "manifest": mutations(MANIFEST_BYTES), "ref": mutations(REF_BYTES),
+           "est": mutations(CSV_BYTES)}
+
+
+class TestMutatedEngineInputs:
+    """``detect`` with both engines, and ``compare`` of both engines and an
+    external track at ``--jobs 1``, on valid inputs with a few bytes changed:
+    the command succeeds, or exits nonzero with no output and every stderr
+    line an error naming the changed file; no exception escapes ``main``.
+    A changed manifest may instead name what it lists: a missing input, or
+    an utterance's file."""
+
+    @staticmethod
+    def check(argv: list[str], path: Path, out: Path, listed: bool = False) -> int:
+        code, err = run_main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert err, argv
+            for line in err.splitlines():
+                assert re.match(r"(error|usage error|missing input): ", line), err
+                assert str(path) in line or (
+                    listed and re.match(r"missing input: |error: utterance ", line)), err
+            assert not out.exists()
+        return code
+
+    @staticmethod
+    def inputs(directory: Path) -> dict[str, Path]:
+        paths = text_inputs(directory)
+        paths["wav"] = directory / "u0.wav"
+        paths["wav"].write_bytes(WAV_BYTES)
+        return paths
+
+    @staticmethod
+    def compare_argv(paths: dict[str, Path], out: Path) -> list[str]:
+        return ["compare", "--manifest", str(paths["manifest"]), "--external",
+                f"ext={paths['est'].parent}", "--jobs", "1", "--out", str(out)]
+
+    def test_unchanged_inputs_succeed(self, tmp_path):
+        paths, out = self.inputs(tmp_path), tmp_path / "out.csv"
+        for algo in ("pyin", "yaapt"):
+            assert self.check(["detect", "--algo", algo, "--in", str(paths["wav"]),
+                               "--out", str(out)], paths["wav"], out) == 0
+        assert self.check(self.compare_argv(paths, out), paths["manifest"], out) == 0
+        assert [row.split(",")[0] for row in out.read_text().splitlines()] == [
+            "pda", "pyin", "yaapt", "ext"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(MUTATED["wav"])
+    def test_detect(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            wav, out = Path(tmp) / "u0.wav", Path(tmp) / "out.csv"
+            wav.write_bytes(data)
+            for algo in ("pyin", "yaapt"):
+                if self.check(["detect", "--algo", algo, "--in", str(wav), "--out", str(out)],
+                              wav, out) == 0:
+                    out.unlink()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(MUTATED)).flatmap(
+        lambda name: st.tuples(st.just(name), MUTATED[name])))
+    def test_compare(self, mutated):
+        name, data = mutated
+        with tempfile.TemporaryDirectory() as tmp:
+            paths, out = self.inputs(Path(tmp)), Path(tmp) / "out.csv"
+            paths[name].write_bytes(data)
+            self.check(self.compare_argv(paths, out), paths[name], out, name == "manifest")

@@ -15,10 +15,10 @@ from conftest import padded_tone, sawtooth, sine
 
 def frame_candidates(frame, config, rate):
     """pyin_track's candidate stage on one frame, the engine's own path: the
-    rate check, the lag band of a frame this long, the lag curves of a
-    one-row block and their candidates."""
+    rate check, the lag band, the lag curves of a one-row block and their
+    candidates."""
     config.validate_rate(rate)
-    lag_min, lag_max = _lag_range(config, rate, len(frame))
+    lag_min, lag_max = _lag_range(config, rate)
     d = cmnd_rows(yin_difference_rows(np.asarray(frame, dtype=np.float64)[None], lag_max))
     return _candidate_sets(d, lag_min, config, rate)[0]
 
@@ -166,10 +166,9 @@ class TestPyinViterbi:
     @example(f0=5e-324, fmin=60.0)  # log2 of an underflowed ratio
     @example(f0=1.7e308, fmin=0.5)  # an overflowed ratio
     def test_bin_of_is_the_one_frequency_case(self, f0, fmin):
+        # _bins_of on a one-element array: a bin in range, by the textbook rule
         cfg = PyinConfig(fmin_hz=fmin)
-        b = cfg.bin_of(f0)
-        assert type(b) is int
-        assert b == int(_bins_of(np.array([f0]), cfg)[0])
+        (b,) = _bins_of(np.array([f0]), cfg).tolist()
         assert 0 <= b < cfg.n_bins
         ratio = f0 / fmin
         if 0.0 < ratio < math.inf:  # the textbook rule, where it is defined

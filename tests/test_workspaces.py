@@ -178,7 +178,7 @@ def engine_transforms(rate):
     shapes = []
     pcfg, ycfg = PyinConfig(), YaaptConfig()
     frame_len = lag_frame_len(pcfg.frame_len_ms, rate, pcfg.fmin_hz)
-    lag_max = _lag_range(pcfg, rate, frame_len)[1]
+    lag_max = _lag_range(pcfg, rate)[1]
     shapes.append((frame_len, lag_max))
     frame_len = lag_frame_len(ycfg.frame_len_ms, rate, ycfg.fmin_hz)
     shapes.append((frame_len, int(math.floor(rate / ycfg.fmin_hz))))
