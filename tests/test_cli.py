@@ -491,6 +491,16 @@ class TestCompare:
         assert pools_started == []
         assert out.read_bytes() == serial.read_bytes()
 
+    @pytest.mark.parametrize("value, flag, workers", [("2", ["--jobs", "1"], []),
+                                                      ("1", ["--jobs", "2"], [2])])
+    def test_jobs_flag_alone_sets_the_workers(self, tmp_path, monkeypatch, pools_started,
+                                              value, flag, workers):
+        monkeypatch.setenv("PITCHBENCH_JOBS", value)
+        manifest = self._build_corpus(tmp_path, n=2)
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out), *flag]) == 0
+        assert pools_started == workers
+
     @pytest.mark.parametrize("n, workers", [(1, []), (2, [2]), (3, [3])])
     def test_at_most_one_worker_per_utterance(self, tmp_path, pools_started, n, workers):
         manifest = self._build_corpus(tmp_path, n=n)
@@ -716,6 +726,14 @@ class TestHist:
 class TestUsage:
     def test_no_command_exits_two(self):
         assert main([]) == 2
+
+    def test_jobs_variable_is_read_by_no_command(self, tmp_path, tone_wav, monkeypatch):
+        monkeypatch.setenv("PITCHBENCH_JOBS", "abc")
+        paths = text_inputs(tmp_path)
+        for command in ("evaluate", "compare", "hist"):
+            assert main(harness_argv(command, paths, tmp_path / f"{command}.csv")) == 0
+        track = tmp_path / "track.csv"
+        assert main(["detect", "--algo", "pyin", "--in", str(tone_wav), "--out", str(track)]) == 0
 
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2
