@@ -177,22 +177,28 @@ def _read_manifest(path) -> list[tuple[str, Path, Path]]:
     return entries
 
 
+def _inputs(job) -> list[tuple[str, Path]]:
+    """The ``(label, path)`` of each file a job reads, in reading order."""
+    _utt_id, ref_path, wav_path, externals = job[:4]
+    wav = [] if wav_path is None else [("wav", wav_path)]
+    return [("reference", ref_path), *wav, *externals]
+
+
 def _score_utterance(job) -> list[UtteranceStats]:
     """Statistics of one utterance for every engine, then every external
     label, in table order. The reference is read once, and the WAV is
-    decoded once, only when an engine is requested."""
-    utt_id, wav_path, ref_path, engines, externals, confidence_threshold = job
+    decoded once, only when the job holds its path."""
+    utt_id, ref_path, wav_path, externals, engines, confidence_threshold = job
     with _naming(f"utterance {utt_id} [reference] {ref_path}"):
         ref = read_reference_track(ref_path)
-    if engines:
+    if wav_path is not None:
         with _naming(f"utterance {utt_id} [wav] {wav_path}"):
             signal = read_wav(wav_path)
     stats = []
     for algo, config in engines:
         with _naming(f"utterance {utt_id} [{algo}] {wav_path}"):
             stats.append(evaluate_pair(_run_engine(algo, signal, config), ref))
-    for label, directory in externals:
-        path = directory / f"{utt_id}.csv"
+    for label, path in externals:
         with _naming(f"utterance {utt_id} [{label}] {path}"):
             est = read_external_track(path, confidence_threshold=confidence_threshold)
             stats.append(evaluate_pair(est, ref))
@@ -259,26 +265,20 @@ def cmd_compare(args) -> int:
         raise UsageError(f"manifest {args.manifest} lists no utterances")
     entries.sort(key=lambda e: e[0])
 
-    missing = []
-    for utt, wav_path, ref_path in entries:
-        # only an engine decodes the WAV
-        for p in (wav_path, ref_path) if algos else (ref_path,):
-            if not p.is_file():
-                missing.append(str(p))
-        for _label, directory in externals:
-            ext = directory / f"{utt}.csv"
-            if not ext.is_file():
-                missing.append(str(ext))
-    if missing:
-        for p in missing:
-            print(f"missing input: {p}", file=sys.stderr)
-        return 1
-
     engines = [(algo, _engine_config(algo, args)) for algo in algos]
+    # only an engine decodes the WAV
     jobs = [
-        (utt, wav, ref, engines, externals, args.confidence_threshold)
+        (utt, ref, wav if engines else None,
+         [(label, directory / f"{utt}.csv") for label, directory in externals],
+         engines, args.confidence_threshold)
         for utt, wav, ref in entries
     ]
+    missing = [f"error: utterance {job[0]} [{label}] {path}: missing input"
+               for job in jobs for label, path in _inputs(job) if not path.is_file()]
+    if missing:
+        print("\n".join(missing), file=sys.stderr)
+        return 1
+
     # a pool forks all its workers at once: no more than there are utterances
     n_workers = min(n_workers, len(jobs))
     if n_workers > 1:

@@ -179,8 +179,7 @@ def _trellis(
     """
     n_frames = len(candidate_sets)
     rows, f0, prob = _candidate_table(candidate_sets, "probability")
-    total = np.zeros(n_frames)
-    np.add.at(total, rows, prob)  # in candidate order, as a running sum
+    total = np.bincount(rows, prob, minlength=n_frames)  # in candidate order, as a running sum
     over = np.flatnonzero(total > 1.0 + 1e-9)
     if over.size:
         t = over[0]
@@ -190,8 +189,7 @@ def _trellis(
     order = np.lexsort((-prob, bins, rows))  # stable: first most probable per (frame, bin)
     lead = np.ones(order.size, dtype=bool)
     lead[1:] = (np.diff(rows[order]) != 0) | (np.diff(bins[order]) != 0)
-    mass = np.zeros(np.count_nonzero(lead))
-    np.add.at(mass, np.cumsum(lead)[np.argsort(order)] - 1, prob)  # in candidate order
+    mass = np.bincount(np.cumsum(lead)[np.argsort(order)] - 1, prob)  # in candidate order
     kept = mass > 0.0
     best = order[lead][kept]
     frame = np.concatenate([np.arange(n_frames), rows[best]])

@@ -654,7 +654,62 @@ class TestCompare:
         code = main(["compare", "--manifest", str(manifest), "--algos", "pyin",
                      "--external", f"ext={ext_dir}", "--out", str(out)])
         assert code == 1
-        assert f"missing input: {tmp_path / 'utt1.wav'}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: utterance utt1 [wav] {tmp_path / 'utt1.wav'}: missing input\n")
+        assert not out.exists()
+
+    # a missing WAV: test_engine_compare_still_needs_its_wavs
+    @pytest.mark.parametrize("label, name", [("reference", "utt1_f0.txt"), ("ext", "ext/utt1.csv")])
+    def test_missing_input_is_one_line_naming_its_label(self, tmp_path, capsys, label, name):
+        manifest = self._build_corpus(tmp_path, n=2)
+        ext_dir = self._external_dir(tmp_path)
+        (tmp_path / name).unlink()
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--manifest", str(manifest), "--external", f"ext={ext_dir}",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: utterance utt1 [{label}] {tmp_path / name}: missing input\n")
+        assert not out.exists()
+
+    def test_missing_inputs_are_listed_by_utterance_then_reading_order(self, tmp_path, capsys):
+        manifest = self._build_corpus(tmp_path, n=3)
+        # the manifest lists utt2 first; the lines follow the utterance ids
+        header, *rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        ext_dir = self._external_dir(tmp_path, n=3)
+        crepe_dir = self._external_dir(tmp_path, name="crepe", n=3)
+        missing = [("utt0", "crepe", "crepe/utt0.csv"),
+                   ("utt1", "reference", "utt1_f0.txt"), ("utt1", "wav", "utt1.wav"),
+                   ("utt1", "ext", "ext/utt1.csv"), ("utt1", "crepe", "crepe/utt1.csv"),
+                   ("utt2", "wav", "utt2.wav")]
+        for _utt, _label, name in missing:
+            (tmp_path / name).unlink()
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--manifest", str(manifest), "--algos", "yaapt",
+                     "--external", f"ext={ext_dir}", "--external", f"crepe={crepe_dir}",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: utterance {utt} [{label}] {tmp_path / name}: missing input"
+            for utt, label, name in missing]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_missing_input_stops_compare_before_any_engine(self, tmp_path, monkeypatch, jobs):
+        def refused(*args, **kwargs):
+            raise AssertionError("called after an input was found missing")
+
+        for name in ("pyin_track", "yaapt_track", "ProcessPoolExecutor"):
+            monkeypatch.setattr(f"pitchbench.cli.{name}", refused)
+        manifest = self._build_corpus(tmp_path, n=3)
+        ext_dir = self._external_dir(tmp_path, n=3)
+        (ext_dir / "utt2.csv").unlink()
+        out = tmp_path / "table.csv"
+        code, err = run_main(["compare", "--manifest", str(manifest), "--jobs", jobs,
+                              "--external", f"ext={ext_dir}", "--out", str(out)])
+        assert code == 1
+        assert err == f"error: utterance utt2 [ext] {ext_dir / 'utt2.csv'}: missing input\n"
         assert not out.exists()
 
     def test_compare_takes_no_hop_flag(self, tmp_path, capsys):
@@ -929,19 +984,19 @@ class TestMutatedEngineInputs:
     external track at ``--jobs 1``, on valid inputs with a few bytes changed:
     the command succeeds, or exits nonzero with no output and every stderr
     line an error naming the changed file; no exception escapes ``main``.
-    A changed manifest may instead name what it lists: a missing input, or
-    an utterance's file."""
+    A changed manifest may instead name what it lists, in an error about
+    one of its utterances."""
 
     @staticmethod
     def check(argv: list[str], path: Path, out: Path, listed: bool = False) -> int:
         code, err = run_main(argv)
         assert code in (0, 1, 2)
         if code:
-            assert err, argv
-            for line in err.splitlines():
-                assert re.match(r"(error|usage error|missing input): ", line), err
-                assert str(path) in line or (
-                    listed and re.match(r"missing input: |error: utterance ", line)), err
+            assert err.endswith("\n"), argv
+            # a line ends at "\n" alone: a changed path may hold another line break
+            for line in err[:-1].split("\n"):
+                assert re.match(r"(usage )?error: ", line), err
+                assert str(path) in line or (listed and line.startswith("error: utterance ")), err
             assert not out.exists()
         return code
 
@@ -986,3 +1041,67 @@ class TestMutatedEngineInputs:
             paths, out = self.inputs(Path(tmp)), Path(tmp) / "out.csv"
             paths[name].write_bytes(data)
             self.check(self.compare_argv(paths, out), paths[name], out, name == "manifest")
+
+
+# what an extra cell may hold: no separator, quote or line break of any reader
+CELL = st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._+-", max_size=6)
+
+
+@st.composite
+def uninterpreted(draw) -> dict[str, bytes]:
+    """The files of ``TestMutatedEngineInputs.inputs`` with bytes that no
+    reader interprets added: a second column on some reference lines, an
+    extra external CSV column, manifest columns after the third, and an
+    unknown RIFF chunk before ``data``; each added or not."""
+    files = {}
+    if draw(st.booleans()):
+        lines = []
+        for line in REF_BYTES.splitlines():
+            if draw(st.booleans()):
+                line += (draw(st.sampled_from(" \t")) + draw(CELL.filter(bool))).encode()
+            lines.append(line + b"\n")
+        files["ref"] = b"".join(lines)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, 3))
+        name = draw(CELL.filter(lambda c: c not in ("time_s", "f0_hz", "confidence")))
+        rows = [line.split(b",") for line in CSV_BYTES.splitlines()]
+        for k, row in enumerate(rows):
+            row.insert(at, (draw(CELL) if k else name).encode())
+        files["est"] = b"".join(b",".join(row) + b"\n" for row in rows)
+    if draw(st.booleans()):
+        rows = []
+        for line in MANIFEST_BYTES.splitlines():
+            extra = [cell.encode() for cell in draw(st.lists(CELL, max_size=2))]
+            rows.append(b",".join([line, *extra]) + b"\n")
+        files["manifest"] = b"".join(rows)
+    if draw(st.booleans()):
+        chunk_id = draw(st.binary(min_size=4, max_size=4).filter(
+            lambda c: c not in (b"fmt ", b"data")))
+        body = draw(st.binary(max_size=9))
+        chunk = chunk_id + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2)
+        # WAV_BYTES holds 'fmt ' at byte 12 and 'data' at 36: the chunk goes before either
+        at = draw(st.sampled_from([12, 36]))
+        wav = bytearray(WAV_BYTES[:at] + chunk + WAV_BYTES[at:])
+        struct.pack_into("<I", wav, 4, len(wav) - 8)
+        files["wav"] = bytes(wav)
+    return files
+
+
+class TestUninterpretedBytes:
+    """``compare`` of both engines and an external track at ``--jobs 1``
+    on inputs that differ from clean ones only in bytes no reader
+    interprets: it succeeds and writes the clean inputs' table."""
+
+    @staticmethod
+    def table(files: dict[str, bytes]) -> bytes:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths, out = TestMutatedEngineInputs.inputs(Path(tmp)), Path(tmp) / "out.csv"
+            for name, data in files.items():
+                paths[name].write_bytes(data)
+            assert run_main(TestMutatedEngineInputs.compare_argv(paths, out)) == (0, "")
+            return out.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(uninterpreted())
+    def test_compare_writes_the_clean_table(self, files):
+        assert self.table(files) == self.table({})
