@@ -70,6 +70,16 @@ _ENGINE_FLAGS = {
 _ERRORS = (ValueError, OverflowError, MemoryError, OSError)
 
 
+# the characters str.splitlines breaks a line at, each with its escape
+_LINE_BREAKS = {c: ascii(chr(c))[1:-1]
+                for c in (*range(0x0A, 0x0E), 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)}
+
+
+def _print_error(line: str) -> None:
+    """Write ``line`` to stderr as one line, whatever paths or values it names."""
+    print(line.translate(_LINE_BREAKS), file=sys.stderr)
+
+
 def _engine_config(algo: str, args) -> PyinConfig | YaaptConfig:
     values = {field: getattr(args, dest, None) for dest, field in _ENGINE_FLAGS.items()}
     config_type = PyinConfig if algo == "pyin" else YaaptConfig
@@ -275,8 +285,9 @@ def cmd_compare(args) -> int:
     ]
     missing = [f"error: utterance {job[0]} [{label}] {path}: missing input"
                for job in jobs for label, path in _inputs(job) if not path.is_file()]
+    for line in missing:
+        _print_error(line)
     if missing:
-        print("\n".join(missing), file=sys.stderr)
         return 1
 
     # a pool forks all its workers at once: no more than there are utterances
@@ -363,10 +374,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _print_error(f"usage error: {exc}")
         return 2
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return 1
 
 

@@ -130,23 +130,27 @@ def _candidate_sets(
 ) -> list[list[PitchCandidate]]:
     """Candidates of every row of CMND curves ``d`` (lags 0..lag_max)."""
     lag_max = d.shape[1] - 1
-    # local minima of the CMND inside the search band, in lag order
+    # local minima of the CMND inside the search band, in lag order, less
+    # those at or above the top threshold, 1: no threshold selects one, and
+    # none lowers a later minimum's ceiling below 1
     band = d[:, lag_min:lag_max]
     is_min = (band < d[:, lag_min - 1 : lag_max - 1]) & (band <= d[:, lag_min + 1 :])
+    is_min &= band < 1.0
     rows, cols = np.nonzero(is_min)
 
     # threshold s selects the first minimum with depth < s, i.e. minimum k
     # exactly when ceiling[k] >= s > depth[k], ceiling being the best depth
     # of the earlier minima in its frame
     best = np.minimum.accumulate(np.where(is_min, band, np.inf), axis=1)
-    ceiling = np.full_like(band, np.inf)
-    ceiling[:, 1:] = best[:, :-1]
+    ceiling = np.where(cols > 0, best[rows, cols - 1], np.inf)
     thresholds, weights = _threshold_weights(config)
     first = np.searchsorted(thresholds, band[rows, cols], side="right")
-    stop = np.searchsorted(thresholds, ceiling[rows, cols], side="right")
+    stop = np.searchsorted(thresholds, ceiling, side="right")
     selected = np.flatnonzero(stop > first)
-    spans = zip(first[selected].tolist(), stop[selected].tolist())
-    mass = np.array([weights[a:b].sum() for a, b in spans])
+    # the sum of weights[a:b] for each span: reduceat sums a[i:j] as .sum()
+    # does, and the padding 0 lets a span end past the last weight
+    spans = np.stack([first[selected], stop[selected]], axis=1).ravel()
+    mass = np.add.reduceat(np.append(weights, 0.0), spans)[::2]
     kept = mass > 0.0
     rows, lags, mass = rows[selected][kept], cols[selected][kept] + lag_min, mass[kept]
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -231,17 +232,29 @@ def min_cost_path(
 def _candidate_table(candidate_sets: Sequence, weight_name: str) -> tuple[np.ndarray, ...]:
     """Both decoders' per-frame ``(f0, weight)`` candidate lists as
     ``(rows, f0, weight)`` arrays, in frame order, then list order.
-    Raises ``ValueError`` for the first candidate in that order whose f0
-    is not finite and > 0 or whose weight lies outside [0, 1]."""
-    flat = [cand for cands in candidate_sets for cand in cands]
-    f0, weight = np.array(flat, dtype=np.float64).reshape(-1, 2).T
-    rows = np.repeat(np.arange(len(candidate_sets)), [len(cands) for cands in candidate_sets])
+    Raises ``ValueError`` for the first candidate in that order that is
+    not a pair; then for the first whose f0 is not finite and > 0 or
+    whose weight lies outside [0, 1]."""
+    flat = list(chain.from_iterable(candidate_sets))
+    rows = np.repeat(np.arange(len(candidate_sets)), list(map(len, candidate_sets)))
+
+    def named(i: int) -> str:
+        return f"frame {rows[i]}, candidate {i - np.searchsorted(rows, rows[i])}"
+
+    try:
+        pairs = set(map(len, flat)) <= {2}
+    except TypeError:  # a candidate without a length
+        pairs = False
+    if not pairs:
+        i = next(i for i, c in enumerate(flat) if not (hasattr(c, "__len__") and len(c) == 2))
+        raise ValueError(f"{named(i)}: {flat[i]!r} is not an (f0, {weight_name}) pair")
+    f0, weight = np.fromiter(chain.from_iterable(flat), np.float64, 2 * len(flat)).reshape(-1, 2).T
     bad = np.flatnonzero(~((f0 > 0.0) & (f0 < np.inf) & (weight >= 0.0) & (weight <= 1.0)))
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"frame {rows[i]}, candidate {i - np.searchsorted(rows, rows[i])}: f0 {f0[i]} Hz"
-            f" must be finite and > 0 and {weight_name} {weight[i]} within [0, 1]"
+            f"{named(i)}: f0 {f0[i]} Hz must be finite and > 0 and {weight_name} {weight[i]}"
+            " within [0, 1]"
         )
     return rows, f0, weight
 

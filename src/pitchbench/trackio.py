@@ -382,11 +382,11 @@ def write_track(track: PitchTrack, path) -> None:
     back to the same float: rounded, a confidence just below the
     reader's threshold could read back at it and voice its frame.
     """
-    with_conf = track.confidence is not None
+    hop = track.hop_seconds
+    lines = [f"{i},{i * hop:.6f},{f0:.6g}" for i, f0 in enumerate(track.frames.tolist())]
+    header = "frame,time_s,f0_hz"
+    if track.confidence is not None:
+        header += ",confidence"
+        lines = [f"{line},{conf!r}" for line, conf in zip(lines, track.confidence.tolist())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame,time_s,f0_hz,confidence\n" if with_conf else "frame,time_s,f0_hz\n")
-        for i, f0 in enumerate(track.frames):
-            row = f"{i},{i * track.hop_seconds:.6f},{f0:.6g}"
-            if with_conf:
-                row += f",{float(track.confidence[i])!r}"
-            fh.write(row + "\n")
+        fh.write("\n".join([header, *lines]) + "\n")

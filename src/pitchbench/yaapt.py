@@ -213,12 +213,16 @@ def _shc_grid(
     idx = _shc_bins(grid_hz, config, freq_resolution_hz)
     if idx.max() >= spectra.shape[-1]:
         raise IndexError(f"SHC bin {idx.max()} is past the {spectra.shape[-1]} bins of a spectrum")
-    # as spectra[..., idx], negative bins counting from the end
-    gathered = np.take(spectra, idx, axis=-1, mode="wrap")
-    # NumPy sums a contiguous axis pairwise and a strided one in sequence;
-    # summing over contiguous offsets, as for one spectrum, gives every
-    # row the same bits as a one-spectrum call
-    return np.sum(np.prod(gathered, axis=-2), axis=-1)
+    # one (grid point, offset) slab per harmonic, as spectra[..., idx[:, r]]
+    # with negative bins counting from the end, multiplied in harmonic
+    # order: the order a product over a strided harmonic axis takes
+    product = np.take(spectra, idx[:, 0], axis=-1, mode="wrap")
+    for r in range(1, idx.shape[1]):
+        product *= np.take(spectra, idx[:, r], axis=-1, mode="wrap")
+    # NumPy sums a contiguous axis pairwise; summing over contiguous
+    # offsets, as for one spectrum, gives every row the same bits as a
+    # one-spectrum call
+    return np.sum(product, axis=-1)
 
 
 def _shc_bins(grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: float) -> np.ndarray:
@@ -294,6 +298,36 @@ def _l1_norms(
     return norms
 
 
+def _l1_bounds(
+    samples: np.ndarray, centers: np.ndarray, rows: np.ndarray, frame_len: int
+) -> np.ndarray:
+    """An upper bound on :func:`_l1_norms` of the frames ``rows``: each
+    frame's plain sum ``sum |x|`` (the Hann window lies in [0, 1]), from one
+    running sum of ``|x|``, with slack for the rounding of both sums."""
+    running = np.zeros(samples.size + 1)
+    np.cumsum(np.abs(samples), out=running[1:])
+    # a prefix sum errs by under n eps of the total, and a norm by under
+    # frame_len eps of its value (eps = 2^-52); the slack is four times each
+    slack = 2.0 ** -50 * samples.size * running[-1]
+    if not slack < np.inf:  # a frame's sum could read inf - inf
+        return np.full(rows.size, np.inf)
+    first = centers[rows] - frame_len // 2
+    sums = running[np.clip(first + frame_len, 0, samples.size)]
+    sums -= running[np.clip(first, 0, samples.size)]
+    sums += slack
+    return sums * (1.0 + 2.0 ** -50 * frame_len)
+
+
+def _loud_rows(
+    samples: np.ndarray, centers: np.ndarray, rows: np.ndarray, frame_len: int, level: float
+) -> np.ndarray:
+    """The frames ``rows`` whose :func:`_l1_norms` is > 0 and at least
+    ``level``; a norm is computed only where its upper bound reaches it."""
+    near = rows[_l1_bounds(samples, centers, rows, frame_len) >= level]
+    norms = _l1_norms(samples, centers, near, frame_len)
+    return near[(norms > 0.0) & (norms >= level)]
+
+
 def _spectral_factor(rate: float) -> int:
     """Decimation factor that brings ``rate`` nearest the 16 kHz working rate."""
     return max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
@@ -330,7 +364,8 @@ def spectral_pitch_track(
     # scored, so only theirs are kept. Another frame can raise the peak
     # only if its windowed L1 norm reaches the gated frames' peak (less
     # 1e-9 for round-off), so only those are transformed: bit for bit the
-    # peak over all frames.
+    # peak over all frames. A norm is computed only where its upper bound
+    # reaches that level.
     frame_len *= 2  # the narrower mainlobe keeps near-miss harmonic combs on sidelobes
     n_fft = max(_SHC_FFT, frame_len)
     freq_res, bins = rate / n_fft, n_fft // 2 + 1
@@ -339,8 +374,7 @@ def spectral_pitch_track(
     for samples in (plain.samples, nonlinear.samples):
         mags = _magnitudes(samples, centers, gated, frame_len, n_fft, bins)
         peak = mags.max(initial=0.0)
-        norms = _l1_norms(samples, centers, rest, frame_len)
-        loud = rest[(norms > 0.0) & (norms >= peak * (1.0 - 1e-9))]
+        loud = _loud_rows(samples, centers, rest, frame_len, peak * (1.0 - 1e-9))
         peak = _magnitudes(samples, centers, loud, frame_len, n_fft, bins).max(initial=peak)
         if peak > 0:
             mags /= peak
@@ -354,17 +388,19 @@ def spectral_pitch_track(
     # Absent harmonics enter the SHC product at a fixed floor rather than
     # at the leakage level: a spectrum with two real lines then always
     # outscores one with a single line, instead of the argmax drifting on
-    # leakage noise when the signal is harmonic-poor. A block's arrays per
-    # frame are its floored spectrum, gathered SHC terms and their products
-    # over harmonics.
+    # leakage noise when the signal is harmonic-poor. Only the bins the SHC
+    # terms reach are floored, the floor still set by the whole spectrum. A
+    # block's arrays per frame are its floored bins, one harmonic's gathered
+    # terms and their running product.
     terms = _shc_bins(grid, config, freq_res)
-    step = budget_rows(8 * (combined.shape[1] + terms.size + grid.size * terms.shape[-1]))
+    reach = int(terms.max()) + 1
+    step = budget_rows(8 * (reach + 2 * grid.size * terms.shape[-1]))
     for start in range(0, gated.size, step):
         spectra = combined[start : start + step]
         band_peak = spectra[:, lo : hi + 1].max(axis=1, keepdims=True)
         line_ok = spectra[:, grid_bins] >= _LINE_FLOOR * band_peak
         line_ok[~line_ok.any(axis=1)] = True  # degenerate; fall back to the full grid
-        floored = np.maximum(spectra, _LINE_FLOOR * spectra.max(axis=1, keepdims=True))
+        floored = np.maximum(spectra[:, :reach], _LINE_FLOOR * spectra.max(axis=1, keepdims=True))
         shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
         coarse[gated[start : start + step]] = grid[np.argmax(shc, axis=1)]
     return SpectralTrack(coarse, nlfer)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -864,6 +865,42 @@ class TestErrorsNameTheFile:
         assert not out.exists()
 
 
+# every character str.splitlines breaks a line at
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestOneLinePerError:
+    """An error line names paths as given; each line break a path holds is
+    written as its escape, so every error stays one line."""
+
+    @pytest.mark.parametrize("char", LINE_BREAKS)
+    def test_missing_input_line(self, tmp_path, char):
+        paths = text_inputs(tmp_path)
+        with open(paths["manifest"], "w", newline="") as fh:  # quotes a cell holding \n or \r
+            csv.writer(fh).writerows([["utterance_id", "wav_path", "reference_path"],
+                                      ["u0", f"u0.{char}av", "u0.txt"]])
+        out = tmp_path / "out.csv"
+        code, err = run_main(["compare", "--manifest", str(paths["manifest"]), "--algos", "pyin",
+                              "--out", str(out)])
+        assert code == 1 and not out.exists()
+        wav = tmp_path / f"u0.{ascii(char)[1:-1]}av"
+        assert err.splitlines() == [f"error: utterance u0 [wav] {wav}: missing input"]
+
+    @pytest.mark.parametrize("char", LINE_BREAKS)
+    def test_error_and_usage_error_lines(self, tmp_path, char):
+        name = f"r{char}f"
+        escaped = tmp_path / f"r{ascii(char)[1:-1]}f"
+        (tmp_path / name).write_text("abc\n")
+        code, err = run_main(["hist", "--ref", str(tmp_path / name), "--out", str(tmp_path / "h")])
+        assert code == 1
+        assert err.splitlines() == [f"error: {escaped}:1: non-numeric f0 field 'abc'"]
+        (tmp_path / name).write_text("utterance_id,wav_path,reference_path\n")
+        code, err = run_main(["compare", "--manifest", str(tmp_path / name), "--out",
+                              str(tmp_path / "t")])
+        assert code == 2
+        assert err.splitlines() == [f"usage error: manifest {escaped} lists no utterances"]
+
+
 MAIN_CHILD = """
 import json, sys
 from pitchbench.cli import main
@@ -993,8 +1030,7 @@ class TestMutatedEngineInputs:
         assert code in (0, 1, 2)
         if code:
             assert err.endswith("\n"), argv
-            # a line ends at "\n" alone: a changed path may hold another line break
-            for line in err[:-1].split("\n"):
+            for line in err.splitlines():
                 assert re.match(r"(usage )?error: ", line), err
                 assert str(path) in line or (listed and line.startswith("error: utterance ")), err
             assert not out.exists()

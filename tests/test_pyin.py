@@ -138,6 +138,18 @@ class TestPyinCandidates:
 
 
 class TestPyinViterbi:
+    @pytest.mark.parametrize("sets, named", [
+        ([[(200.0, 0.5, 1.0)], [(210.0, 0.4, 1.0)]], "frame 0, candidate 0: (200.0, 0.5, 1.0)"),
+        ([[(200.0, 0.5)], [(210.0, 0.4), (210.0,)], [(220.0, 0.3, 0.1)]],
+         "frame 1, candidate 1: (210.0,)"),
+        # a bad value before it: the pair rule is checked first
+        ([[(-200.0, 0.5)], [], [[220.0, 0.3], 220.0]], "frame 2, candidate 1: 220.0"),
+    ])
+    def test_candidate_that_is_not_a_pair_is_named(self, sets, named):
+        with pytest.raises(ValueError) as raised:
+            pyin_viterbi(sets, PyinConfig())
+        assert str(raised.value) == f"{named} is not an (f0, probability) pair"
+
     def test_empty_candidates_all_unvoiced(self):
         cfg = PyinConfig()
         track = pyin_viterbi([[] for _ in range(20)], cfg)

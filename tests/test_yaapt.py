@@ -368,6 +368,20 @@ class TestDpSelect:
         with pytest.raises(ValueError, match="^frame 2, candidate 1: "):
             yaapt_dp_select(candidates, spectral, YaaptConfig())
 
+    @pytest.mark.parametrize("candidates, named", [
+        ([[(200.0, 0.5, 1.0)], [(210.0, 0.4, 1.0)]], "frame 0, candidate 0: (200.0, 0.5, 1.0)"),
+        ([[(200.0, 0.5)], [(210.0, 0.4), (210.0,)], [(220.0, 0.3, 0.1)]],
+         "frame 1, candidate 1: (210.0,)"),
+        # a bad value before it: the pair rule is checked first
+        ([[(-200.0, 0.5)], [], [[220.0, 0.3], 220.0]], "frame 2, candidate 1: 220.0"),
+    ])
+    def test_candidate_that_is_not_a_pair_is_named(self, candidates, named):
+        n = len(candidates)
+        spectral = SpectralTrack(np.full(n, 200.0), np.ones(n))
+        with pytest.raises(ValueError) as raised:
+            yaapt_dp_select(candidates, spectral, YaaptConfig())
+        assert str(raised.value) == f"{named} is not an (f0, merit) pair"
+
     def test_any_finite_f0_above_0_decodes(self):
         # against the coarse track and the previous frame, 5e-324 Hz
         # underflows to a ratio of 0 and 1.7e308 Hz overflows to infinity
