@@ -66,6 +66,9 @@ class PitchTrack:
                 raise ValueError(
                     f"confidence length {conf.size} does not match {frames.size} frames"
                 )
+            outside = np.flatnonzero(~((conf >= 0) & (conf <= 1)))  # nan too
+            if outside.size:
+                raise ValueError(f"confidence must lie in [0, 1], got {conf[outside[0]]}")
             self.confidence = conf
 
     def __len__(self) -> int:

@@ -52,6 +52,7 @@ _NLFER_FFT = 1024
 _SHC_FFT = 2048  # the SHC stage doubles the analysis window, needing more room
 _GRID_STEPS_PER_OCTAVE = 24
 _LINE_FLOOR = 0.05  # fraction of the band maximum a grid point's own line must reach
+_BOUND_SPANS = 16  # spans per frame of the bound on a frame's windowed L1 norm
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,9 @@ class YaaptConfig:
                 f"SHC reaches {shc_top} Hz ((shc_num_harmonics + 1) * fmax + shc_window / 2),"
                 f" past the spectral stage's Nyquist {shc_nyquist} Hz"
             )
+        # the NLFER's band rule, at its resolution
+        n_fft = max(_NLFER_FFT, lag_frame_len(self.frame_len_ms, working_rate, self.fmin_hz))
+        _band_bins(self, working_rate / n_fft, n_fft // 2 + 1)
         _nccf_lags(working_rate, self)
 
 
@@ -187,16 +191,26 @@ def compute_nlfer(
     spectra = np.asarray(spectra, dtype=np.float64)
     if spectra.ndim != 2:
         raise ValueError(f"expected a 2-D spectrogram, got shape {spectra.shape}")
-    lo = int(math.ceil(config.fmin_hz / freq_resolution_hz))
-    hi = min(int(math.floor(config.fmax_hz / freq_resolution_hz)), spectra.shape[1] - 1)
-    if lo > hi:
-        raise ValueError("search band is empty at this frequency resolution")
+    lo, hi = _band_bins(config, freq_resolution_hz, spectra.shape[1])
     band = spectra[:, lo : hi + 1]
     energy = np.sum(band * band, axis=1)
     mean = energy.mean() if energy.size else 0.0
     if mean == 0.0:
         return np.zeros(spectra.shape[0])
     return energy / mean
+
+
+def _band_bins(config: YaaptConfig, freq_resolution_hz: float, n_bins: int) -> tuple[int, int]:
+    """First and last of ``n_bins`` bins ``freq_resolution_hz`` apart that
+    lie in [fmin, fmax]; raises ``ValueError`` if none does."""
+    lo = int(math.ceil(config.fmin_hz / freq_resolution_hz))
+    hi = min(int(math.floor(config.fmax_hz / freq_resolution_hz)), n_bins - 1)
+    if lo > hi:
+        raise ValueError(
+            f"pitch search range {config.fmin_hz}-{config.fmax_hz} Hz holds no spectral bin"
+            f" at a resolution of {freq_resolution_hz} Hz"
+        )
+    return lo, hi
 
 
 def _shc_grid(
@@ -283,49 +297,29 @@ def _magnitudes(
     return mags
 
 
-def _l1_norms(
-    samples: np.ndarray, centers: np.ndarray, rows: np.ndarray, frame_len: int
-) -> np.ndarray:
-    """Windowed L1 norm ``sum |w x|`` of the frames ``rows``, cut and
-    windowed as :func:`_magnitudes` does, a block at a time; it bounds
-    every magnitude of the frame's spectrum."""
-    window = np.hanning(frame_len)
-    norms = np.empty(rows.size)
-    step = budget_rows(16 * frame_len)  # per row: the windowed frame and its absolute values
-    for start in range(0, rows.size, step):
-        frames = frame_signal(samples, frame_len, centers[rows[start : start + step]]) * window
-        np.abs(frames).sum(axis=1, out=norms[start : start + step])
-    return norms
-
-
 def _l1_bounds(
     samples: np.ndarray, centers: np.ndarray, rows: np.ndarray, frame_len: int
 ) -> np.ndarray:
-    """An upper bound on :func:`_l1_norms` of the frames ``rows``: each
-    frame's plain sum ``sum |x|`` (the Hann window lies in [0, 1]), from one
-    running sum of ``|x|``, with slack for the rounding of both sums."""
+    """An upper bound on the windowed L1 norm ``sum |w x|`` of the frames
+    ``rows`` as :func:`_magnitudes` cuts them, which bounds every magnitude
+    of a frame's spectrum: over ``_BOUND_SPANS`` equal spans (one a sample
+    in a shorter frame), the sum of the window's largest value in a span
+    times the span's ``sum |x|``, read from one running sum of ``|x|``,
+    with slack for rounding."""
     running = np.zeros(samples.size + 1)
     np.cumsum(np.abs(samples), out=running[1:])
     # a prefix sum errs by under n eps of the total, and a norm by under
     # frame_len eps of its value (eps = 2^-52); the slack is four times each
     slack = 2.0 ** -50 * samples.size * running[-1]
-    if not slack < np.inf:  # a frame's sum could read inf - inf
+    if not slack < np.inf:  # a span's sum could read inf - inf
         return np.full(rows.size, np.inf)
-    first = centers[rows] - frame_len // 2
-    sums = running[np.clip(first + frame_len, 0, samples.size)]
-    sums -= running[np.clip(first, 0, samples.size)]
+    spans = min(_BOUND_SPANS, frame_len)
+    edges = np.arange(spans + 1) * frame_len // spans
+    weights = np.maximum.reduceat(np.hanning(frame_len), edges[:-1])
+    ends = np.clip((centers[rows] - frame_len // 2)[:, None] + edges, 0, samples.size)
+    sums = np.diff(running[ends], axis=1)
     sums += slack
-    return sums * (1.0 + 2.0 ** -50 * frame_len)
-
-
-def _loud_rows(
-    samples: np.ndarray, centers: np.ndarray, rows: np.ndarray, frame_len: int, level: float
-) -> np.ndarray:
-    """The frames ``rows`` whose :func:`_l1_norms` is > 0 and at least
-    ``level``; a norm is computed only where its upper bound reaches it."""
-    near = rows[_l1_bounds(samples, centers, rows, frame_len) >= level]
-    norms = _l1_norms(samples, centers, near, frame_len)
-    return near[(norms > 0.0) & (norms >= level)]
+    return (sums * weights).sum(axis=1) * (1.0 + 2.0 ** -50 * frame_len)
 
 
 def _spectral_factor(rate: float) -> int:
@@ -363,9 +357,8 @@ def spectral_pitch_track(
     # utterance-wide peak so absolute gain cancels; only gated frames are
     # scored, so only theirs are kept. Another frame can raise the peak
     # only if its windowed L1 norm reaches the gated frames' peak (less
-    # 1e-9 for round-off), so only those are transformed: bit for bit the
-    # peak over all frames. A norm is computed only where its upper bound
-    # reaches that level.
+    # 1e-9 for round-off), so only those whose upper bound on that norm
+    # reaches it are transformed: bit for bit the peak over all frames.
     frame_len *= 2  # the narrower mainlobe keeps near-miss harmonic combs on sidelobes
     n_fft = max(_SHC_FFT, frame_len)
     freq_res, bins = rate / n_fft, n_fft // 2 + 1
@@ -374,7 +367,7 @@ def spectral_pitch_track(
     for samples in (plain.samples, nonlinear.samples):
         mags = _magnitudes(samples, centers, gated, frame_len, n_fft, bins)
         peak = mags.max(initial=0.0)
-        loud = _loud_rows(samples, centers, rest, frame_len, peak * (1.0 - 1e-9))
+        loud = rest[_l1_bounds(samples, centers, rest, frame_len) >= peak * (1.0 - 1e-9)]
         peak = _magnitudes(samples, centers, loud, frame_len, n_fft, bins).max(initial=peak)
         if peak > 0:
             mags /= peak
@@ -382,8 +375,7 @@ def spectral_pitch_track(
 
     grid = _grid_frequencies(config)
     grid_bins = np.round(grid / freq_res).astype(np.int64)
-    lo = int(math.ceil(config.fmin_hz / freq_res))
-    hi = min(int(math.floor(config.fmax_hz / freq_res)), combined.shape[1] - 1)
+    lo, hi = _band_bins(config, freq_res, bins)
 
     # Absent harmonics enter the SHC product at a fixed floor rather than
     # at the leakage level: a spectrum with two real lines then always

@@ -80,15 +80,26 @@ RATES = [8000, 11025, 16000, 22050, 44100, 48000]
 
 
 class TestShcSpectraOnlyWhereNeeded:
-    @pytest.mark.parametrize("rate", RATES)
-    def test_loud_ungated_burst_sets_the_peak(self, rate):
+    # the norm bound splits a frame into 16 spans of about 4.4 ms; the 3 ms
+    # burst lies within one or two. It is Hann-shaped, so that its spectrum
+    # stays out of the search band, and follows a silent gap, so that no
+    # voiced frame holds it
+    @pytest.mark.parametrize("rate,short", [
+        *(pytest.param(rate, False, id=str(rate)) for rate in RATES),
+        *(pytest.param(rate, True, id=f"{rate}-short") for rate in RATES),
+    ])
+    def test_loud_ungated_burst_sets_the_peak(self, rate, short):
         # quiet voicing, then a loud 1.2 kHz burst: its frames carry little
         # band energy, so they are not gated, yet they hold the peak of the
         # plain branch and cannot be skipped
         voiced = 0.05 * sawtooth(140.0, 0.5, rate)
-        t = np.arange(int(round(0.3 * rate))) / rate
+        t = np.arange(int(round((0.003 if short else 0.3) * rate))) / rate
         burst = 0.9 * np.sin(2 * np.pi * 1200.0 * t)
-        signal = padded_tone(np.concatenate([voiced, burst]), rate, 0.1, 0.1)
+        gap = np.zeros(0)
+        if short:
+            burst *= np.hanning(t.size)
+            gap = np.zeros(int(round(0.1 * rate)))
+        signal = padded_tone(np.concatenate([voiced, gap, burst]), rate, 0.1, 0.1)
         gated, peak_frames = assert_stage_matches(signal, YaaptConfig())
         assert gated.any()
         assert peak_frames[0] is not None and not gated[peak_frames[0]]

@@ -1,11 +1,12 @@
 """Each rewritten per-frame kernel against the literal form it replaced.
 
-YAAPT's SHC product and floored reach, its bound on the windowed L1
-norms, pYIN's threshold search, the decoders' candidate flattening and
-the track writer each do less work than their first forms with the same
-floating-point operations in the same order. Each test runs the literal
-form beside the kernel, on random inputs and on edge values (zeros,
-subnormals, 1e300), and compares bytes.
+YAAPT's SHC product and floored reach, pYIN's threshold search, the
+decoders' candidate flattening and the track writer each do less work
+than their first forms with the same floating-point operations in the
+same order. Each test runs the literal form beside the kernel, on random
+inputs and on edge values (zeros, subnormals, 1e300), and compares
+bytes. YAAPT's bound on a frame's windowed L1 norm is checked against
+the literal norm it must never fall below.
 """
 import numpy as np
 import pytest
@@ -30,14 +31,7 @@ from pitchbench.signal import (
     yin_difference_rows,
 )
 from pitchbench.trackio import write_track
-from pitchbench.yaapt import (
-    _grid_frequencies,
-    _l1_bounds,
-    _l1_norms,
-    _loud_rows,
-    _shc_bins,
-    _shc_grid,
-)
+from pitchbench.yaapt import _grid_frequencies, _l1_bounds, _shc_bins, _shc_grid
 from conftest import all_frames_spectral, padded_tone, same_bits, sawtooth
 
 EDGES = [0.0, 5e-324, 2.5e-310, 1e300]
@@ -138,35 +132,34 @@ def framed_signals(draw):
     return samples, centers, frame_len
 
 
+def literal_l1_norms(samples, centers, frame_len):
+    """The windowed L1 norm ``sum |w x|`` of every frame, cut and windowed
+    as the spectral stage cuts them: it bounds every magnitude of the
+    frame's spectrum."""
+    return np.abs(frame_signal(samples, frame_len, centers) * np.hanning(frame_len)).sum(axis=1)
+
+
 class TestL1Bound:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
-    @given(framed_signals(), st.data())
-    def test_bound_covers_every_norm_and_loud_rows_are_exhaustive(self, framed, data):
+    @given(framed_signals())
+    def test_bound_covers_every_norm(self, framed):
         samples, centers, frame_len = framed
         every = np.arange(centers.size)
-        norms = _l1_norms(samples, centers, every, frame_len)
-        assert np.all(_l1_bounds(samples, centers, every, frame_len) >= norms)
-
-        rows = every[np.array(data.draw(st.lists(st.booleans(), min_size=every.size,
-                                                  max_size=every.size)), dtype=bool)]
-        peak = norms.max(initial=0.0)
-        level = data.draw(st.sampled_from([0.0, peak, peak * (1.0 - 1e-9), *norms.tolist()]))
-        exhaustive = rows[(norms[rows] > 0.0) & (norms[rows] >= level)]
-        assert same_bits(_loud_rows(samples, centers, rows, frame_len, level), exhaustive)
+        bounds = _l1_bounds(samples, centers, every, frame_len)
+        assert np.all(bounds >= literal_l1_norms(samples, centers, frame_len))
+        assert same_bits(_l1_bounds(samples, centers, every[::2], frame_len), bounds[::2])
 
     def test_edge_padded_frames_of_a_tone(self):
         # every frame of a 1 s tone at the engine's hop, the first and last
-        # reaching past the signal
+        # reaching past the signal; a plain sum would be about twice the norm
         tone = sawtooth(140.0, 1.0, 16000)
         centers = np.arange(101, dtype=np.int64) * 160
-        every = np.arange(centers.size)
-        norms = _l1_norms(tone, centers, every, 1120)
-        bounds = _l1_bounds(tone, centers, every, 1120)
+        norms = literal_l1_norms(tone, centers, 1120)
+        bounds = _l1_bounds(tone, centers, np.arange(centers.size), 1120)
         assert np.all(bounds >= norms)
-        # the window halves a frame's norm; the bound is the plain sum
-        np.testing.assert_allclose(
-            bounds, np.abs(frame_signal(tone, 1120, centers)).sum(axis=1), rtol=1e-9)
+        interior = (centers >= 560) & (centers + 560 <= tone.size)
+        assert np.all(bounds[interior] <= 1.15 * norms[interior])
 
 
 # ---------------------------------------------------------------------------

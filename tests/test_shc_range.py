@@ -1,10 +1,11 @@
-"""YAAPT configurations whose SHC terms would leave the spectrum.
+"""YAAPT configurations whose spectral terms would leave the spectrum.
 
 The spectral stage runs near 16 kHz whatever the input rate, and every SHC
 term reads bins from ``(f - W/2)`` to ``(NH + 1) f + W/2``. A configuration
-that puts either end outside ``[0, Nyquist]`` of that stage is rejected when
-it is made or checked against a rate, rather than failing inside the engine
-or reading a wrapped bin.
+that puts either end outside ``[0, Nyquist]`` of that stage, or whose
+search band holds no bin of the NLFER's spectrum, is rejected when it is
+made or checked against a rate, rather than failing inside the engine or
+reading a wrapped bin.
 """
 import numpy as np
 import pytest
@@ -70,3 +71,36 @@ class TestFminAgainstShcWindow:
         signal = AudioSignal(sine(55.0, 0.4, rate) + sine(110.0, 0.4, rate), rate)
         track = yaapt_track(signal, YaaptConfig(fmin_hz=20.0))
         assert np.all(np.isfinite(track.frames)) and np.all(track.frames >= 0)
+
+
+class TestSearchBandAgainstNlferBins:
+    # the NLFER's bins lie 16000 / 1024 = 15.625 Hz apart at the 16 kHz
+    # working rate: bins 6 and 7 sit at 93.75 and 109.375 Hz, so 101-109 Hz
+    # holds none
+    NARROW = YaaptConfig(fmin_hz=101.0, fmax_hz=109.0)
+    MESSAGE = r"101\.0-109\.0 Hz holds no spectral bin at a resolution of 15\.625 Hz"
+
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_band_without_a_bin_is_rejected(self, rate):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            self.NARROW.validate_rate(rate)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            yaapt_track(AudioSignal(sine(105.0, 0.3, rate), rate), self.NARROW)
+
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_detect_names_the_file_and_the_band(self, tmp_path, capsys, rate):
+        wav, out = tmp_path / "tone.wav", tmp_path / "t.csv"
+        write_wav(wav, rate, sine(105.0, 0.3, rate))
+        code = main(["detect", "--algo", "yaapt", "--in", str(wav), "--out", str(out),
+                     "--fmin", "101", "--fmax", "109"])
+        err = capsys.readouterr().err
+        assert code == 1 and not out.exists()
+        assert err.count("\n") == 1 and err.startswith(f"error: {wav}: ")
+        assert "101.0-109.0 Hz" in err
+
+    def test_band_with_one_bin_tracks_at_8_khz(self):
+        # 7.8125 Hz apart at 8 kHz: bin 13, at 101.56 Hz, lies in the band
+        track = yaapt_track(AudioSignal(sine(105.0, 1.0, 8000), 8000), self.NARROW)
+        voiced = track.frames[track.voiced]
+        assert len(track) == 101 and voiced.size == 97
+        np.testing.assert_allclose(voiced, 105.0, rtol=0.03)

@@ -327,6 +327,8 @@ class TestWriteReadProperty:
     @given(written_tracks())
     # a confidence that six significant digits would round up to the threshold
     @example((PitchTrack(HOP_S, np.array([200.0, 200.0]), np.array([0.4999996, 0.5])), 0.5))
+    # the edges of the confidence range
+    @example((PitchTrack(HOP_S, np.array([200.0, 0.0, 210.0]), np.array([0.0, 1.0, 1.0])), 0.0))
     def test_round_trip(self, case):
         track, threshold = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -356,3 +358,9 @@ class TestTrackTypes:
             PitchTrack(0.0, np.array([100.0]))
         with pytest.raises(ValueError):
             PitchTrack(0.01, np.array([100.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("value", [-5e-324, np.nextafter(1.0, 2.0), 2.0, math.nan,
+                                       -math.inf, math.inf])
+    def test_confidence_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=r"confidence must lie in \[0, 1\]"):
+            PitchTrack(0.01, np.array([100.0, 0.0]), np.array([0.5, value]))
