@@ -35,7 +35,9 @@ from .signal import (
     _check_count,
     _check_engine_settings,
     _candidate_table,
+    _decimate,
     _log2_ratios,
+    _working_factor,
     cmnd_rows,
     frame_centers,
     frame_signal,
@@ -293,23 +295,47 @@ def pyin_viterbi(
     return PitchTrack(hop_seconds, f0[_decode_trellis(frame, state, obs, config)])
 
 
+def _pyin_factor(config: PyinConfig, rate: float) -> int:
+    """The largest decimation factor up to ``round(rate / 16000)`` at which
+    ``config`` validates and ``fmax_hz`` lies below a quarter of the
+    decimated rate, well inside the decimator's passband; else 1."""
+    for factor in range(_working_factor(rate), 1, -1):
+        if config.fmax_hz < rate / factor / 4:
+            try:
+                config.validate_rate(rate / factor)
+                return factor
+            except ValueError:
+                pass
+    return 1
+
+
 def pyin_track(signal: AudioSignal, config: PyinConfig | None = None) -> PitchTrack:
     """Run the full engine on a signal: framing, candidates, decoding.
 
-    Raises ``ValueError`` if the search band holds fewer than two lags
-    at the signal's rate, where no frame could ever be voiced.
+    The lag search runs at the working rate of :func:`_pyin_factor`, frame
+    k centered on the decimated sample nearest the k-th of the signal's
+    :func:`frame_centers`; each block of frames decimates only the span
+    it reads. Raises ``ValueError`` if the search band holds fewer than
+    two lags at the signal's rate, where no frame could ever be voiced.
     """
     if config is None:
         config = PyinConfig()
     config.validate_rate(signal.sample_rate_hz)
-    rate = signal.sample_rate_hz
+    factor = _pyin_factor(config, signal.sample_rate_hz)
+    rate = signal.sample_rate_hz / factor
     frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
     lag_min, lag_max = _lag_range(config, rate)
-    centers = frame_centers(len(signal), config.hop_ms, rate)
+    centers = frame_centers(len(signal), config.hop_ms, signal.sample_rate_hz)
+    centers = np.round(centers / factor).astype(np.int64)
+    n_out = -(-len(signal) // factor)
     step = _block_rows(frame_len)
     candidate_sets = []
     for start in range(0, centers.size, step):
-        frames = frame_signal(signal.samples, frame_len, centers[start : start + step])
+        block = centers[start : start + step]
+        # the decimated samples the block's frames read, less those past either end
+        ends = [block[0] - frame_len // 2, block[-1] - frame_len // 2 + frame_len]
+        lo, hi = np.clip(ends, 0, n_out).tolist()
+        frames = frame_signal(_decimate(signal.samples, factor, lo, hi), frame_len, block - lo)
         d = cmnd_rows(yin_difference_rows(frames, lag_max))
         candidate_sets += _candidate_sets(d, lag_min, config, rate)
     return pyin_viterbi(candidate_sets, config)

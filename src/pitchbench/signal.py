@@ -2,8 +2,9 @@
 
 Frame placement, lag-frame sizing and centered framing, the min-cost
 trellis decoder both engines smooth their tracks with, the one reader of
-their decoders' candidate lists, windowed-sinc bandpass filtering,
-parabolic lag refinement, and the three lag-domain curves the
+their decoders' candidate lists, windowed-sinc bandpass filtering, the
+decimator to the 16 kHz working rate both engines search at, parabolic
+lag refinement, and the three lag-domain curves the
 time-domain estimators are built on: the YIN difference function, its
 cumulative mean normalized form (CMND), and the normalized
 cross-correlation function (NCCF).
@@ -522,6 +523,44 @@ def _taps_spectrum(low_hz: float, high_hz: float, sample_rate_hz: float, n: int)
     spectrum = rfft(_bandpass_taps(low_hz, high_hz, sample_rate_hz), n)
     spectrum.flags.writeable = False
     return spectrum
+
+
+def _working_factor(rate: float) -> int:
+    """Decimation factor that brings ``rate`` nearest the 16 kHz working rate."""
+    return max(1, int(round(rate / 16000.0)))
+
+
+def _decimate(samples: np.ndarray, factor: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Outputs ``lo .. hi - 1`` (by default all ``ceil(n / factor)``) of
+    every ``factor``-th sample after a zero-phase low-pass to the new
+    Nyquist (Hamming-windowed sinc, ``20 * factor + 1`` taps).
+
+    Output m is centred on input sample ``m * factor``. Each output sums
+    its terms from +0.0 in increasing input order, as the polyphase
+    filter of ``scipy.signal.decimate(..., ftype="fir")`` does, so the
+    bits are that function's whichever span is asked for.
+    """
+    n_out = -(-samples.size // factor)
+    hi = n_out if hi is None else hi
+    if factor == 1:
+        return samples[lo:hi]
+    half = 10 * factor
+    taps = _fir_taps(2 * half + 1, 1.0 / factor)
+    # padded[i] is samples[first + i], 0 outside them; phases[r, i] is
+    # padded[i * factor + r], so input offset u = a * factor + r of output
+    # lo + m is phases[r, m + a]
+    n = hi - lo
+    rows = n + 2 * half // factor
+    first = lo * factor - half
+    padded = np.zeros(rows * factor)
+    start, stop = max(first, 0), min(first + padded.size, samples.size)
+    padded[start - first : stop - first] = samples[start:stop]
+    phases = padded.reshape(rows, factor).T.copy()
+    out = np.zeros(n)
+    for u in range(2 * half + 1):
+        a, r = divmod(u, factor)
+        out += phases[r, a : a + n] * taps[2 * half - u]
+    return out
 
 
 def parabolic_vertex(y0, y1, y2, lag):

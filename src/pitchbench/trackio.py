@@ -87,6 +87,9 @@ class PitchTrack:
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# the highest common PCM rate; the engines size frames and filters from the
+# rate field, so a larger one would cost work the file's bytes do not bound
+_MAX_RATE_HZ = 768_000
 
 
 def _decode_pcm(raw: bytes, bits: int, fmt: int, data_offset: int) -> np.ndarray:
@@ -116,7 +119,8 @@ def read_wav(path) -> AudioSignal:
     Integer PCM samples are scaled by the full-scale of their bit depth
     to [-1, 1]; 32-bit float data is taken as-is. Multi-channel files
     contribute channel 0 only. Malformed or unsupported files raise
-    :class:`WavFormatError` naming the offending chunk and byte offset.
+    :class:`WavFormatError` naming the offending chunk and byte offset;
+    so does a sample rate above 768 kHz.
     """
     data = Path(path).read_bytes()
     if len(data) < 12:
@@ -171,6 +175,10 @@ def read_wav(path) -> AudioSignal:
         raise WavFormatError("channel count is 0", fmt_offset)
     if sample_rate == 0:
         raise WavFormatError("sample rate is 0", fmt_offset)
+    if sample_rate > _MAX_RATE_HZ:
+        raise WavFormatError(
+            f"sample rate {sample_rate} Hz is above the {_MAX_RATE_HZ} Hz ceiling", fmt_offset + 4
+        )
 
     samples = _decode_pcm(pcm_raw, bits, audio_format, data_offset)
     if n_channels > 1:

@@ -34,8 +34,9 @@ from .signal import (
     _check_count,
     _check_engine_settings,
     _candidate_table,
-    _fir_taps,
+    _decimate,
     _log2_ratios,
+    _working_factor,
     bandpass_filter,
     budget_rows,
     frame_centers,
@@ -47,7 +48,6 @@ from .signal import (
 )
 from .trackio import PitchTrack
 
-_SPECTRAL_TARGET_RATE = 16000.0
 _NLFER_FFT = 1024
 _SHC_FFT = 2048  # the SHC stage doubles the analysis window, needing more room
 _GRID_STEPS_PER_OCTAVE = 24
@@ -102,7 +102,7 @@ class YaaptConfig:
         if not self.bp_high_hz < nyquist:
             raise ValueError(f"band edge {self.bp_high_hz} Hz must be below Nyquist {nyquist} Hz")
         # the SHC terms' range rule and the NCCF's lag rule, at the working rate
-        working_rate = sample_rate_hz / _spectral_factor(sample_rate_hz)
+        working_rate = sample_rate_hz / _working_factor(sample_rate_hz)
         shc_top = (self.shc_num_harmonics + 1) * self.fmax_hz + self.shc_window_hz / 2
         shc_nyquist = working_rate / 2
         if shc_top > shc_nyquist:
@@ -160,11 +160,11 @@ def yaapt_preprocess(
     """
     rate = signal.sample_rate_hz
     config.validate_rate(rate)
-    factor = _spectral_factor(rate)
+    factor = _working_factor(rate)
     centers = np.round(frame_centers(len(signal), config.hop_ms, rate) / factor).astype(np.int64)
 
     def working(bandpassed: AudioSignal) -> AudioSignal:
-        return AudioSignal(_decimate_for_spectral(bandpassed.samples, factor), rate / factor)
+        return AudioSignal(_decimate(bandpassed.samples, factor), rate / factor)
 
     # the plain branch is decimated, and its full-rate copy freed, before the other is built;
     # the full-rate nonlinearity is only the bandpass's argument, so it is freed before decimating
@@ -248,33 +248,6 @@ def _shc_bins(grid_hz: np.ndarray, config: YaaptConfig, freq_resolution_hz: floa
     return base[:, :, None] + np.arange(-k, k + 1)[None, None, :]
 
 
-def _decimate_for_spectral(samples: np.ndarray, factor: int) -> np.ndarray:
-    """Every ``factor``-th sample after a zero-phase low-pass to the new
-    Nyquist (Hamming-windowed sinc, ``20 * factor + 1`` taps).
-
-    Output m is centred on input sample ``m * factor``. Each output sums
-    its terms from +0.0 in increasing input order, as the polyphase
-    filter of ``scipy.signal.decimate(..., ftype="fir")`` does, so the
-    bits are that function's.
-    """
-    if factor == 1:
-        return samples
-    half = 10 * factor
-    taps = _fir_taps(2 * half + 1, 1.0 / factor)
-    n_out = -(-samples.size // factor)
-    # padded[half + j] is samples[j]; phases[r, i] is padded[i * factor + r],
-    # so input offset u = a * factor + r of output m is phases[r, m + a]
-    rows = n_out + 2 * half // factor
-    out = np.zeros(n_out)
-    padded = np.zeros(rows * factor)
-    padded[half : half + samples.size] = samples
-    phases = padded.reshape(rows, factor).T.copy()
-    for u in range(2 * half + 1):
-        a, r = divmod(u, factor)
-        out += phases[r, a : a + n_out] * taps[2 * half - u]
-    return out
-
-
 def _magnitudes(
     samples: np.ndarray,
     centers: np.ndarray,
@@ -320,11 +293,6 @@ def _l1_bounds(
     sums = np.diff(running[ends], axis=1)
     sums += slack
     return (sums * weights).sum(axis=1) * (1.0 + 2.0 ** -50 * frame_len)
-
-
-def _spectral_factor(rate: float) -> int:
-    """Decimation factor that brings ``rate`` nearest the 16 kHz working rate."""
-    return max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
 
 
 def _grid_frequencies(config: YaaptConfig) -> np.ndarray:

@@ -103,9 +103,8 @@ def test_criterion_5_signal_core_oracles():
     print("ACCEPTANCE 5 (yin/nccf brute-force oracles, cmnd(0)=1): PASS")
 
 
-def _synthetic_corpus():
+def _synthetic_corpus(rate=48000):
     """20 utterances spanning the 80-330 Hz observed pitch range."""
-    rate = 48000
     specs = (
         [("sine", f) for f in (80, 110, 150, 190, 230, 280, 330)]
         + [("saw", f) for f in (85, 120, 160, 200, 240, 290, 325)]
@@ -124,45 +123,54 @@ def _synthetic_corpus():
     return corpus
 
 
+def _check_criterion_6(label, engine, corpus):
+    interior_total = 0
+    interior_fine = 0
+    fine_errors = []
+    silence_total = 0
+    silence_unvoiced = 0
+    octave_jumps = 0
+    for _name, f0, sig in corpus:
+        track = engine(sig)
+        n = len(track)  # 151 frames: silence 0-24, tone 25-125, silence 126-150
+        voiced_lo, voiced_hi = 30, 120
+        est = track.frames
+        for k in range(voiced_lo, voiced_hi + 1):
+            outcome, err = classify_frame(est[k], f0)
+            interior_total += 1
+            if outcome is FrameOutcome.CORRECT_VOICED_FINE:
+                interior_fine += 1
+                fine_errors.append(err)
+        sil = np.concatenate([est[:21], est[n - 21 :]])
+        silence_total += sil.size
+        silence_unvoiced += int(np.sum(sil == 0))
+        run = est[voiced_lo : voiced_hi + 1]
+        run = run[run > 0]
+        if run.size >= 2:
+            octave_jumps += int(np.sum(np.abs(np.diff(np.log2(run))) >= 0.5))
+    fine_rate = interior_fine / interior_total
+    mean_fine = float(np.mean(fine_errors))
+    silence_rate = silence_unvoiced / silence_total
+    assert fine_rate >= 0.95, f"{label}: fine rate {fine_rate:.3f}"
+    assert mean_fine <= 4.0, f"{label}: mean fine error {mean_fine:.2f} samples"
+    assert silence_rate >= 0.99, f"{label}: silence unvoiced rate {silence_rate:.3f}"
+    assert octave_jumps == 0, f"{label}: {octave_jumps} octave jumps"
+    print(
+        f"ACCEPTANCE 6 ({label}: fine {100 * fine_rate:.1f}%, mean "
+        f"{mean_fine:.2f} smp, silence {100 * silence_rate:.2f}%, 0 jumps): PASS"
+    )
+
+
 def test_criterion_6_synthetic_corpus_quality():
     corpus = _synthetic_corpus()
-    engines = [("pyin", pyin_track), ("yaapt", yaapt_track)]
-    for label, engine in engines:
-        interior_total = 0
-        interior_fine = 0
-        fine_errors = []
-        silence_total = 0
-        silence_unvoiced = 0
-        octave_jumps = 0
-        for _name, f0, sig in corpus:
-            track = engine(sig)
-            n = len(track)  # 151 frames: silence 0-24, tone 25-125, silence 126-150
-            voiced_lo, voiced_hi = 30, 120
-            est = track.frames
-            for k in range(voiced_lo, voiced_hi + 1):
-                outcome, err = classify_frame(est[k], f0)
-                interior_total += 1
-                if outcome is FrameOutcome.CORRECT_VOICED_FINE:
-                    interior_fine += 1
-                    fine_errors.append(err)
-            sil = np.concatenate([est[:21], est[n - 21 :]])
-            silence_total += sil.size
-            silence_unvoiced += int(np.sum(sil == 0))
-            run = est[voiced_lo : voiced_hi + 1]
-            run = run[run > 0]
-            if run.size >= 2:
-                octave_jumps += int(np.sum(np.abs(np.diff(np.log2(run))) >= 0.5))
-        fine_rate = interior_fine / interior_total
-        mean_fine = float(np.mean(fine_errors))
-        silence_rate = silence_unvoiced / silence_total
-        assert fine_rate >= 0.95, f"{label}: fine rate {fine_rate:.3f}"
-        assert mean_fine <= 4.0, f"{label}: mean fine error {mean_fine:.2f} samples"
-        assert silence_rate >= 0.99, f"{label}: silence unvoiced rate {silence_rate:.3f}"
-        assert octave_jumps == 0, f"{label}: {octave_jumps} octave jumps"
-        print(
-            f"ACCEPTANCE 6 ({label}: fine {100 * fine_rate:.1f}%, mean "
-            f"{mean_fine:.2f} smp, silence {100 * silence_rate:.2f}%, 0 jumps): PASS"
-        )
+    for label, engine in [("pyin", pyin_track), ("yaapt", yaapt_track)]:
+        _check_criterion_6(label, engine, corpus)
+
+
+@pytest.mark.parametrize("rate", [44100, 48000])
+def test_criterion_6_holds_for_pyin_at_its_working_rate(rate):
+    # pYIN's lag search runs at 14.7 and 16 kHz on these inputs
+    _check_criterion_6(f"pyin at {rate} Hz", pyin_track, _synthetic_corpus(rate))
 
 
 def test_criterion_7_dp_and_viterbi_optimality():

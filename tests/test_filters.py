@@ -1,6 +1,6 @@
-"""The package's own FIR design, bandpass, decimation, transform
-lengths and Beta prior against the SciPy functions they replace, and the
-import graph they leave behind.
+"""The package's own FIR design, bandpass, decimation, transform lengths
+and Beta prior against the SciPy functions they replace, the decimation
+of a span against the whole, and the import graph they leave behind.
 
 The package imports no SciPy at run time: ``scipy.signal`` pulls in
 ``scipy.stats``, ``scipy.interpolate`` and ``scipy.optimize``, and even
@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io.wavfile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import decimate, fftconvolve, firwin
 from scipy.stats import beta
@@ -25,8 +27,7 @@ from scipy.stats import beta
 import pitchbench
 from pitchbench import AudioSignal, PyinConfig, bandpass_filter
 from pitchbench.pyin import _threshold_weights
-from pitchbench.signal import _bandpass_taps, _fast_len
-from pitchbench.yaapt import _decimate_for_spectral
+from pitchbench.signal import _bandpass_taps, _decimate, _fast_len
 from conftest import same_bits
 
 RATES = [8000, 11025, 16000, 22050, 44100, 48000]
@@ -66,7 +67,18 @@ def test_decimation_matches_scipy(factor, rng):
     for n in lengths:
         x = rng.standard_normal(n)
         expected = decimate(x, factor, ftype="fir", zero_phase=True)
-        assert same_bits(_decimate_for_spectral(x, factor), expected), n
+        assert same_bits(_decimate(x, factor), expected), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000), st.integers(2, 12), st.integers(0, 2**32 - 1), st.data())
+def test_decimated_span_is_that_slice_of_the_whole(n, factor, seed, data):
+    # pYIN decimates one block's span at a time; each output keeps its bits
+    x = np.random.default_rng(seed).standard_normal(n)
+    whole = _decimate(x, factor)
+    lo = data.draw(st.integers(0, whole.size), label="lo")
+    hi = data.draw(st.integers(lo, whole.size), label="hi")
+    assert same_bits(_decimate(x, factor, lo, hi), whole[lo:hi])
 
 
 def test_fast_len_matches_next_fast_len():

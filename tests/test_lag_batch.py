@@ -24,7 +24,6 @@ from pitchbench import (
     nccf,
     nccf_candidates,
     pyin_track,
-    pyin_viterbi,
     spectral_pitch_track,
     yaapt_dp_select,
     yaapt_preprocess,
@@ -39,7 +38,7 @@ from pitchbench.signal import (
     yin_difference_rows,
 )
 from conftest import padded_tone, sawtooth
-from test_pyin import frame_candidates
+from test_pyin import frame_candidates, working_rate_oracle
 
 # (frame length, min lag, max lag) of the engines' default lag searches
 LAG_SHAPES = {
@@ -237,13 +236,10 @@ class TestEnginesAgreeWithPerFrameOracles:
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([16000, 48000]))
     def test_pyin_track_matches_per_frame_candidates(self, seed, rate):
+        # at the 16 kHz working rate, the whole signal decimated at once
         signal = _voiced_signal(seed, rate)
         cfg = PyinConfig()
-        frame_len = int(round(cfg.frame_len_ms * rate / 1000.0))
-        centers = frame_centers(len(signal), cfg.hop_ms, rate)
-        frames = frame_signal(signal.samples, frame_len, centers)
-        sets = [frame_candidates(frame, cfg, rate) for frame in frames]
-        oracle = pyin_viterbi(sets, cfg, hop_seconds=cfg.hop_ms / 1000.0)
+        oracle = working_rate_oracle(signal, cfg, round(rate / 16000))
         _assert_tracks_agree(pyin_track(signal, cfg), oracle)
 
     @settings(max_examples=6, deadline=None)

@@ -6,9 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.signal import decimate
 
-from pitchbench import AudioSignal, PitchCandidate, PyinConfig, pyin_track, pyin_viterbi
-from pitchbench.pyin import _bins_of, _candidate_sets, _decode_trellis, _lag_range, _threshold_weights, _trellis
+from pitchbench import (
+    AudioSignal,
+    PitchCandidate,
+    PyinConfig,
+    frame_centers,
+    frame_signal,
+    pyin_track,
+    pyin_viterbi,
+)
+from pitchbench.pyin import (
+    _bins_of,
+    _candidate_sets,
+    _decode_trellis,
+    _lag_range,
+    _pyin_factor,
+    _threshold_weights,
+    _trellis,
+)
 from pitchbench.signal import cmnd_rows, yin_difference_rows
 from conftest import padded_tone, sawtooth, sine
 
@@ -21,6 +38,20 @@ def frame_candidates(frame, config, rate):
     lag_min, lag_max = _lag_range(config, rate)
     d = cmnd_rows(yin_difference_rows(np.asarray(frame, dtype=np.float64)[None], lag_max))
     return _candidate_sets(d, lag_min, config, rate)[0]
+
+
+def working_rate_oracle(signal, config, factor):
+    """pyin_track by its stated rule, one frame at a time: the whole signal
+    decimated by SciPy (for a factor above 1), frame k on the working-rate
+    sample nearest center k / factor, each frame's candidates, the decoder."""
+    rate = signal.sample_rate_hz
+    x = signal.samples if factor == 1 else decimate(signal.samples, factor, ftype="fir")
+    working_rate = rate / factor
+    frame_len = int(round(config.frame_len_ms * working_rate / 1000.0))
+    centers = np.round(frame_centers(len(signal), config.hop_ms, rate) / factor).astype(np.int64)
+    frames = frame_signal(x, frame_len, centers)
+    sets = [frame_candidates(frame, config, working_rate) for frame in frames]
+    return pyin_viterbi(sets, config, hop_seconds=config.hop_ms / 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +312,46 @@ class TestPyinTrack:
         voiced = interior[interior > 0]
         jumps = np.abs(np.diff(np.log2(voiced)))
         assert np.all(jumps < 0.5)
+
+
+class TestWorkingRate:
+    """The lag search runs at ``rate / factor`` with the largest factor up to
+    ``round(rate / 16000)`` that the config accepts and that keeps fmax below
+    a quarter of that rate, else at the input rate; the track keeps the
+    input rate's frame centers and hop."""
+
+    # 44.1 kHz runs at 14.7 kHz; at 176.4 kHz the 1764-sample hop is 160.36
+    # working samples, so the centers step by 160 and 161
+    FACTORS = {8000: 1, 11025: 1, 16000: 1, 22050: 1, 24000: 2, 32000: 2, 44100: 3,
+               48000: 3, 88200: 6, 96000: 6, 176400: 11, 192000: 12}
+
+    @pytest.mark.parametrize("rate", sorted(FACTORS))
+    def test_track_keeps_the_input_rate_frames(self, rate):
+        cfg = PyinConfig()
+        assert _pyin_factor(cfg, rate) == self.FACTORS[rate]
+        signal = padded_tone(sawtooth(150.0, 0.3, rate), rate)
+        track = pyin_track(signal, cfg)
+        assert track.hop_seconds == 0.010
+        assert len(track) == frame_centers(len(signal), cfg.hop_ms, rate).size
+        voiced = track.frames[track.voiced]
+        assert voiced.size >= 25 and np.all(np.abs(voiced / 150.0 - 1) < 0.01)
+
+    @pytest.mark.parametrize("cfg, factor, f0", [
+        (PyinConfig(fmax_hz=7000.0), 1, 220.0),  # above a quarter of 24 and 16 kHz
+        (PyinConfig(fmin_hz=395.0, fmax_hz=400.0), 1, 397.0),  # under two lags at 24 and 16 kHz
+        (PyinConfig(hop_ms=0.05), 2, 220.0),  # 1.2 samples at 24 kHz, 0.8 at 16 kHz
+        (PyinConfig(hop_ms=0.03), 1, 220.0),  # under a sample at 24 and 16 kHz
+    ])
+    def test_configs_the_working_rate_cannot_take_still_run(self, cfg, factor, f0):
+        rate = 48000
+        cfg.validate_rate(rate)
+        assert _pyin_factor(cfg, rate) == factor
+        signal = AudioSignal(sawtooth(f0, 0.05, rate), rate)
+        track = pyin_track(signal, cfg)
+        assert len(track) == frame_centers(len(signal), cfg.hop_ms, rate).size
+        oracle = working_rate_oracle(signal, cfg, factor)
+        np.testing.assert_array_equal(track.voiced, oracle.voiced)
+        np.testing.assert_allclose(track.frames, oracle.frames, rtol=1e-9, atol=0)
 
 
 class TestWorkingSet:

@@ -1,17 +1,24 @@
 """``read_wav`` on hostile input: non-finite float samples, a short
-extensible ``fmt `` chunk, and a fuzz over truncated and mutated files.
+extensible ``fmt `` chunk, a rate field above the ceiling, and a fuzz over
+truncated and mutated files.
 
 Whatever the bytes, the reader returns a signal or raises
 :class:`WavFormatError`; inputs are small byte strings, and the reader
 never allocates what a header claims, only what the file holds.
 """
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pitchbench
 from pitchbench import AudioSignal, WavFormatError, read_wav
 
 PCM, FLOAT, EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -92,6 +99,74 @@ class TestExtensibleFmt:
         fmt = fmt_body(EXTENSIBLE, bits=bits, sub_format=sub_format)
         path.write_bytes(wav(chunk(b"fmt ", fmt), chunk(b"data", raw)))
         np.testing.assert_array_equal(read_wav(path).samples, samples)
+
+
+def tone_wav(rate: int) -> bytes:
+    """800 samples of a 16-bit tone under a canonical 44-byte header, the
+    rate field at byte 24: 1,644 bytes."""
+    pcm = np.round(16384 * np.sin(2 * np.pi * np.arange(800) / 53)).astype("<i2")
+    return wav(chunk(b"fmt ", fmt_body(rate=rate)), chunk(b"data", pcm.tobytes()))
+
+
+# A detect on the 4.28 GHz file below asked the engines for 1.28 GiB (pYIN)
+# and 2.10 GiB (YAAPT) before the ceiling; the child runs under this cap.
+ADDRESS_SPACE_CAP = 1_500_000 * 1024
+
+DETECT_CHILD = """
+import resource
+import sys
+
+cap = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from pitchbench.cli import main
+
+sys.exit(main(["detect", "--algo", sys.argv[2], "--in", sys.argv[3], "--out", sys.argv[4]]))
+"""
+
+
+class TestRateCeiling:
+    """``read_wav`` rejects a rate field above 768 kHz, naming the field's
+    offset, before any engine sizes a frame or a filter from it."""
+
+    def test_rate_above_the_ceiling_is_rejected(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        path.write_bytes(tone_wav(4_280_000_000))
+        assert path.stat().st_size == 1644
+        tracemalloc.start()
+        try:
+            with pytest.raises(WavFormatError, match="768000 Hz ceiling") as err:
+                read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.byte_offset == 24
+        assert peak < 2**20
+
+    def test_ceiling_itself_reads(self, tmp_path):
+        path = tmp_path / "edge.wav"
+        path.write_bytes(tone_wav(768_000))
+        assert read_wav(path).sample_rate_hz == 768_000.0
+        path.write_bytes(tone_wav(768_001))
+        with pytest.raises(WavFormatError, match="sample rate 768001 Hz"):
+            read_wav(path)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS of Linux")
+    @pytest.mark.parametrize("algo", ["pyin", "yaapt"])
+    def test_detect_names_the_wav_and_the_ceiling(self, tmp_path, algo):
+        wav_path, out = tmp_path / "fast.wav", tmp_path / "fast.csv"
+        wav_path.write_bytes(tone_wav(4_280_000_000))
+        src = str(Path(pitchbench.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        argv = [str(ADDRESS_SPACE_CAP), algo, str(wav_path), str(out)]
+        result = subprocess.run([sys.executable, "-c", DETECT_CHILD, *argv],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.splitlines() == [
+            f"error: {wav_path}: sample rate 4280000000 Hz is above the 768000 Hz ceiling"
+            " (byte offset 24)"
+        ]
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

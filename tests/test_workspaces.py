@@ -32,16 +32,17 @@ from pitchbench import (
     spectral_pitch_track,
     yaapt_preprocess,
 )
-from pitchbench.pyin import _lag_range
+from pitchbench.pyin import _lag_range, _pyin_factor
 from pitchbench.signal import (
     _bandpass_taps,
     _block_rows,
+    _working_factor,
     cmnd_rows,
     lag_frame_len,
     nccf_rows,
     yin_difference_rows,
 )
-from pitchbench.yaapt import _NLFER_FFT, _SHC_FFT, _SPECTRAL_TARGET_RATE
+from pitchbench.yaapt import _NLFER_FFT, _SHC_FFT
 from conftest import padded_tone, same_bits, sawtooth
 
 RATES = [8000, 11025, 16000, 22050, 44100, 48000]
@@ -173,22 +174,22 @@ class TestResultsOutliveTheWorkspace:
 def engine_transforms(rate):
     """(input length, transform length) of every transform the engines run
     at ``rate`` with default configs: the lag stage's frame and head
-    transforms (pYIN and YAAPT), the spectral stage's NLFER and SHC
-    frames, and the bandpass of a 1 s signal."""
+    transforms (pYIN and YAAPT, each at its working rate), the spectral
+    stage's NLFER and SHC frames, and the bandpass of a 1 s signal."""
     shapes = []
     pcfg, ycfg = PyinConfig(), YaaptConfig()
-    frame_len = lag_frame_len(pcfg.frame_len_ms, rate, pcfg.fmin_hz)
-    lag_max = _lag_range(pcfg, rate)[1]
+    pyin_rate = rate / _pyin_factor(pcfg, rate)
+    frame_len = lag_frame_len(pcfg.frame_len_ms, pyin_rate, pcfg.fmin_hz)
+    lag_max = _lag_range(pcfg, pyin_rate)[1]
     shapes.append((frame_len, lag_max))
-    frame_len = lag_frame_len(ycfg.frame_len_ms, rate, ycfg.fmin_hz)
-    shapes.append((frame_len, int(math.floor(rate / ycfg.fmin_hz))))
+    yaapt_rate = rate / _working_factor(rate)
+    frame_len = lag_frame_len(ycfg.frame_len_ms, yaapt_rate, ycfg.fmin_hz)
+    shapes.append((frame_len, int(math.floor(yaapt_rate / ycfg.fmin_hz))))
     out = []
     for size, max_lag in shapes:
         n = scipy.fft.next_fast_len(size, real=True)
         out += [(size, n), (size - max_lag, n)]
-    # the spectral stage's frames at the working rate; its SHC frames are twice as long
-    factor = max(1, int(round(rate / _SPECTRAL_TARGET_RATE)))
-    frame_len = lag_frame_len(ycfg.frame_len_ms, rate / factor, ycfg.fmin_hz)
+    # the spectral stage's frames; its SHC frames are twice as long
     for size, n_fft in ((frame_len, _NLFER_FFT), (2 * frame_len, _SHC_FFT)):
         out.append((size, max(n_fft, size)))
     taps = _bandpass_taps(ycfg.bp_low_hz, ycfg.bp_high_hz, rate).size

@@ -23,6 +23,7 @@ from pitchbench import (
     yaapt_track,
 )
 from pitchbench import yaapt
+from pitchbench.signal import _decimate
 from conftest import missing_fundamental, padded_tone, same_bits, sawtooth, sine
 
 
@@ -100,7 +101,7 @@ class TestPreprocess:
             assert branch.sample_rate_hz == rate / factor
             assert len(branch) == -(-n // factor)
         band = bandpass_filter(AudioSignal(x, rate), cfg.bp_low_hz, cfg.bp_high_hz)
-        assert same_bits(plain.samples, yaapt._decimate_for_spectral(band.samples, factor))
+        assert same_bits(plain.samples, _decimate(band.samples, factor))
         full_rate = frame_centers(n, cfg.hop_ms, rate)
         assert centers.dtype == np.int64
         np.testing.assert_array_equal(centers, np.round(full_rate / factor))
@@ -463,13 +464,13 @@ class TestYaaptTrack:
     def test_each_branch_decimated_once(self, rate, factor, monkeypatch):
         # the spectral and NCCF stages share one decimated pair
         factors = []
-        decimate = yaapt._decimate_for_spectral
+        decimate = yaapt._decimate
 
-        def counted(samples, k):
+        def counted(samples, k, *span):
             factors.append(k)
-            return decimate(samples, k)
+            return decimate(samples, k, *span)
 
-        monkeypatch.setattr(yaapt, "_decimate_for_spectral", counted)
+        monkeypatch.setattr(yaapt, "_decimate", counted)
         track = yaapt_track(padded_tone(sawtooth(150.0, 0.5, rate), rate))
         assert track.voiced.any()
         assert factors == [factor, factor]
