@@ -281,7 +281,7 @@ _BLOCK_BYTES = 960 * 1024
 # (mallopt(3)). The stages' arrays are a few hundred KiB to a few MiB, so
 # with the initial thresholds glibc hands them back to the system between
 # utterances and faults them in again. Freeing one untouched 8 MiB block
-# here sets the thresholds once, as one 22 s, 48 kHz utterance would.
+# here sets the thresholds once, as one 66 s utterance at 16 or 48 kHz would.
 # Median minor faults per warm compare over the benchmark's corpora: 0
 # at 16 kHz and 4 at 48 kHz, against 9.9k and 5.5k without the block. A 1
 # or 2 MiB block left 2.4k-11k per compare at 16 kHz, and 3 MiB up to

@@ -1,11 +1,11 @@
 """YAAPT-style pitch engine: dual preprocessing, a spectral coarse
 track, NCCF candidates, and dynamic-programming selection.
 
-Preprocessing produces two signals: the bandpassed original and a
-bandpassed nonlinearity of it (squaring by default), the latter
+Preprocessing produces two signals: the original and a nonlinearity of
+it (squaring by default, formed at the input rate), the latter
 restoring fundamental-frequency energy when the signal carries mostly
-harmonics. Both are decimated once, to one working rate of about
-16 kHz, and every later stage reads that one pair. The spectral stage
+harmonics. Each is decimated once, to one working rate of about 16 kHz,
+and bandpassed there; each later stage reads that pair. The spectral stage
 scores a log-spaced frequency grid with the spectral harmonics
 correlation (SHC) of the *combined* spectrograms of both branches and
 gates frames by the normalized low-frequency energy ratio (NLFER).
@@ -98,17 +98,16 @@ class YaaptConfig:
 
     def validate_rate(self, sample_rate_hz: float) -> None:
         _check_engine_rate(self, sample_rate_hz)
-        nyquist = sample_rate_hz / 2
+        # the bandpass, the SHC terms' range rule and the NCCF's lag rule, at the working rate
+        working_rate = sample_rate_hz / _working_factor(sample_rate_hz)
+        nyquist = working_rate / 2
         if not self.bp_high_hz < nyquist:
             raise ValueError(f"band edge {self.bp_high_hz} Hz must be below Nyquist {nyquist} Hz")
-        # the SHC terms' range rule and the NCCF's lag rule, at the working rate
-        working_rate = sample_rate_hz / _working_factor(sample_rate_hz)
         shc_top = (self.shc_num_harmonics + 1) * self.fmax_hz + self.shc_window_hz / 2
-        shc_nyquist = working_rate / 2
-        if shc_top > shc_nyquist:
+        if shc_top > nyquist:
             raise ValueError(
                 f"SHC reaches {shc_top} Hz ((shc_num_harmonics + 1) * fmax + shc_window / 2),"
-                f" past the spectral stage's Nyquist {shc_nyquist} Hz"
+                f" past the spectral stage's Nyquist {nyquist} Hz"
             )
         # the NLFER's band rule, at its resolution
         n_fft = max(_NLFER_FFT, lag_frame_len(self.frame_len_ms, working_rate, self.fmin_hz))
@@ -150,30 +149,28 @@ def yaapt_preprocess(
 ) -> tuple[AudioSignal, AudioSignal, np.ndarray]:
     """Bandpass the signal and a nonlinearity of it, at the working rate.
 
-    Returns ``(plain, nonlinear, centers)``: the bandpassed original and
-    the bandpassed nonlinearity, each decimated once to the working rate
-    of about 16 kHz, and the branch sample each frame is centered on,
-    the one nearest the k-th of the signal's :func:`frame_centers`.
-    Squaring the waveform creates energy at harmonic differences, so a
-    missing fundamental reappears in the second branch; the bandpass
-    removes the DC term squaring introduces.
+    Returns ``(plain, nonlinear, centers)``: the original and its
+    nonlinearity (formed at the input rate), each decimated once to the
+    working rate of about 16 kHz and bandpassed there, and the branch
+    sample each frame is centered on, the one nearest the k-th of the
+    signal's :func:`frame_centers`. Squaring the waveform creates energy
+    at harmonic differences, so a missing fundamental reappears in the
+    second branch; the bandpass removes the DC term squaring introduces.
     """
     rate = signal.sample_rate_hz
     config.validate_rate(rate)
     factor = _working_factor(rate)
     centers = np.round(frame_centers(len(signal), config.hop_ms, rate) / factor).astype(np.int64)
 
-    def working(bandpassed: AudioSignal) -> AudioSignal:
-        return AudioSignal(_decimate(bandpassed.samples, factor), rate / factor)
+    def working(samples: np.ndarray) -> AudioSignal:
+        return AudioSignal(_decimate(samples, factor), rate / factor)
 
-    # the plain branch is decimated, and its full-rate copy freed, before the other is built;
-    # the full-rate nonlinearity is only the bandpass's argument, so it is freed before decimating
     low, high = config.bp_low_hz, config.bp_high_hz
-    plain = working(bandpass_filter(signal, low, high))
     x = signal.samples
-    nonlinear = working(bandpass_filter(
-        AudioSignal(x * x if config.nonlinearity == "square" else np.abs(x), rate), low, high
-    ))
+    plain = bandpass_filter(working(x), low, high)
+    nonlinear = bandpass_filter(
+        working(x * x if config.nonlinearity == "square" else np.abs(x)), low, high
+    )
     return plain, nonlinear, centers
 
 
@@ -282,7 +279,8 @@ def _l1_bounds(
     running = np.zeros(samples.size + 1)
     np.cumsum(np.abs(samples), out=running[1:])
     # a prefix sum errs by under n eps of the total, and a norm by under
-    # frame_len eps of its value (eps = 2^-52); the slack is four times each
+    # frame_len eps of its value (eps = 2^-52); the slack is four times each,
+    # plus frame_len smallest subnormals for products that underflow
     slack = 2.0 ** -50 * samples.size * running[-1]
     if not slack < np.inf:  # a span's sum could read inf - inf
         return np.full(rows.size, np.inf)
@@ -292,7 +290,7 @@ def _l1_bounds(
     ends = np.clip((centers[rows] - frame_len // 2)[:, None] + edges, 0, samples.size)
     sums = np.diff(running[ends], axis=1)
     sums += slack
-    return (sums * weights).sum(axis=1) * (1.0 + 2.0 ** -50 * frame_len)
+    return (sums * weights).sum(axis=1) * (1.0 + 2.0 ** -50 * frame_len) + frame_len * 5e-324
 
 
 def _grid_frequencies(config: YaaptConfig) -> np.ndarray:

@@ -30,7 +30,8 @@ from pitchbench.pyin import _threshold_weights
 from pitchbench.signal import _bandpass_taps, _decimate, _fast_len
 from conftest import same_bits
 
-RATES = [8000, 11025, 16000, 22050, 44100, 48000]
+# input rates, and 12 and 14.7 kHz, where YAAPT bandpasses 24 and 44.1 kHz input
+RATES = [8000, 11025, 12000, 14700, 16000, 22050, 44100, 48000]
 BANDS = [(50.0, 1500.0), (60.0, 400.0)]  # YAAPT's default band, and a narrow one
 
 

@@ -3,10 +3,11 @@
 ``golden_tracks.npz`` holds the f0 arrays that pYIN and YAAPT produced
 for the signals below at commit 3c9b3ab, before framing and decoding
 were unified; YAAPT's 44.1 and 48 kHz entries were re-recorded when its
-NCCF stage moved to the working rate, and pYIN's (all but ``noise``) when
-its lag search moved there too. Voicing must match exactly and f0
-within 1e-9 relative: FFT SIMD code paths may move the last bits of a
-lag curve, so the comparison is not bit-exact.
+NCCF stage moved to the working rate and again when its bandpass did,
+and pYIN's (all but ``noise``) when its lag search moved there too.
+Voicing must match exactly and f0 within 1e-9 relative: FFT SIMD code
+paths may move the last bits of a lag curve, so the comparison is not
+bit-exact.
 
 Re-record (only on a commit whose tracks are the intended reference):
 ``PYTHONPATH=src python tests/test_golden.py [KEY ...]``. Given keys such

@@ -5,8 +5,11 @@ term reads bins from ``(f - W/2)`` to ``(NH + 1) f + W/2``. A configuration
 that puts either end outside ``[0, Nyquist]`` of that stage, or whose
 search band holds no bin of the NLFER's spectrum, is rejected when it is
 made or checked against a rate, rather than failing inside the engine or
-reading a wrapped bin.
+reading a wrapped bin. So is a bandpass whose upper edge is not below the
+Nyquist of that rate, where the bandpass runs.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,26 @@ class TestFmaxAgainstShcNyquist:
         track = yaapt_track(AudioSignal(np.concatenate([np.zeros(rate // 10), samples]), rate),
                             YaaptConfig(fmax_hz=fmax))
         assert track.frames.size == 41 and np.all(np.isfinite(track.frames))
+
+
+class TestBandEdgeAgainstWorkingNyquist:
+    @pytest.mark.parametrize("rate", [48000, 44100, 22050])
+    def test_edge_at_the_working_nyquist_is_rejected(self, rate):
+        nyquist = SPECTRAL[rate][0] / 2  # 8000, 7350 and, at a factor of 1, 11025 Hz
+        YaaptConfig(bp_high_hz=np.nextafter(nyquist, 0)).validate_rate(rate)
+        message = f"band edge {nyquist} Hz must be below Nyquist {nyquist} Hz"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            YaaptConfig(bp_high_hz=nyquist).validate_rate(rate)
+
+    def test_edge_below_the_working_nyquist_runs_at_48_khz(self):
+        rate = 48000
+        signal = AudioSignal(sine(200.0, 0.5, rate), rate)
+        track = yaapt_track(signal, YaaptConfig(bp_high_hz=7999.0))
+        voiced = track.frames[track.voiced]
+        assert voiced.size > 0
+        assert np.mean(np.abs(voiced / 200.0 - 1) < 0.01) >= 0.9
+        with pytest.raises(ValueError, match=r"band edge 8000\.0 Hz"):
+            yaapt_track(signal, YaaptConfig(bp_high_hz=8000.0))
 
 
 class TestFminAgainstShcWindow:

@@ -172,10 +172,11 @@ class TestResultsOutliveTheWorkspace:
 # ---------------------------------------------------------------------------
 
 def engine_transforms(rate):
-    """(input length, transform length) of every transform the engines run
-    at ``rate`` with default configs: the lag stage's frame and head
+    """(input length, transform length, rows) of every transform the engines
+    run at ``rate`` with default configs: the lag stage's frame and head
     transforms (pYIN and YAAPT, each at its working rate), the spectral
-    stage's NLFER and SHC frames, and the bandpass of a 1 s signal."""
+    stage's NLFER and SHC frames, and the bandpass of a 1 s signal at the
+    working rate, where YAAPT runs it, and at ``rate``."""
     shapes = []
     pcfg, ycfg = PyinConfig(), YaaptConfig()
     pyin_rate = rate / _pyin_factor(pcfg, rate)
@@ -188,20 +189,20 @@ def engine_transforms(rate):
     out = []
     for size, max_lag in shapes:
         n = scipy.fft.next_fast_len(size, real=True)
-        out += [(size, n), (size - max_lag, n)]
+        out += [(size, n, 7), (size - max_lag, n, 7)]
     # the spectral stage's frames; its SHC frames are twice as long
     for size, n_fft in ((frame_len, _NLFER_FFT), (2 * frame_len, _SHC_FFT)):
-        out.append((size, max(n_fft, size)))
-    taps = _bandpass_taps(ycfg.bp_low_hz, ycfg.bp_high_hz, rate).size
-    out.append((rate, scipy.fft.next_fast_len(rate + taps - 1, True)))
+        out.append((size, max(n_fft, size), 7))
+    for size, bp_rate in {(-(-rate // _working_factor(rate)), yaapt_rate), (rate, rate)}:
+        taps = _bandpass_taps(ycfg.bp_low_hz, ycfg.bp_high_hz, bp_rate).size
+        out.append((size, scipy.fft.next_fast_len(size + taps - 1, True), 1))
     return out
 
 
 @pytest.mark.parametrize("rate", RATES)
 def test_numpy_fft_gives_scipy_fft_bits_at_engine_shapes(rate):
     rng = np.random.default_rng(rate)
-    for size, n in engine_transforms(rate):
-        rows = 1 if size == rate else 7
+    for size, n, rows in engine_transforms(rate):
         x = rng.standard_normal(size + 160 * rows)
         contiguous = rng.standard_normal((rows, size))
         strided = sliding_window_view(x, size)[::160][:rows]  # frames as the engines cut them

@@ -25,6 +25,7 @@ from pitchbench import (
 from pitchbench import yaapt
 from pitchbench.signal import _decimate
 from conftest import missing_fundamental, padded_tone, same_bits, sawtooth, sine
+from test_golden import KINDS, golden_signal
 
 
 def spectrum_peak_hz(samples, rate):
@@ -100,8 +101,11 @@ class TestPreprocess:
         for branch in (plain, nonlinear):
             assert branch.sample_rate_hz == rate / factor
             assert len(branch) == -(-n // factor)
-        band = bandpass_filter(AudioSignal(x, rate), cfg.bp_low_hz, cfg.bp_high_hz)
-        assert same_bits(plain.samples, _decimate(band.samples, factor))
+        # each branch is decimated, then bandpassed at the working rate
+        for branch, samples in ((plain, x), (nonlinear, x * x)):
+            working = AudioSignal(_decimate(samples, factor), rate / factor)
+            band = bandpass_filter(working, cfg.bp_low_hz, cfg.bp_high_hz)
+            assert same_bits(branch.samples, band.samples)
         full_rate = frame_centers(n, cfg.hop_ms, rate)
         assert centers.dtype == np.int64
         np.testing.assert_array_equal(centers, np.round(full_rate / factor))
@@ -165,6 +169,63 @@ class TestPreprocess:
         peaks = [self.peak(seconds, 48000, nonlinearity) for seconds in (2.0, 10.0)]
         mib_per_second = (peaks[1] - peaks[0]) / 8.0 / 2**20
         assert mib_per_second < 1.65
+
+    def test_track_holds_less_than_an_input_rate_spectrum(self):
+        # what a call leaves held is the bandpass's cached taps spectrum for
+        # its length: 0.35 of this bound at the working rate, 1.02 when the
+        # bandpass ran at the input rate
+        rate = 48000
+        yaapt_track(AudioSignal(sawtooth(150.0, 2.0, rate), rate))  # fills the design caches
+        signal = AudioSignal(sawtooth(150.0, 10.0, rate), rate)
+        tracemalloc.start()
+        try:
+            track = yaapt_track(signal)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert track.voiced.any()
+        assert held < 16 * (len(signal) // 2 + 1)
+
+
+class TestFilterOrder:
+    """The front end decimates each branch and then bandpasses it at the
+    working rate. The oracle runs the two filters in the order Zahorian &
+    Hu give, bandpass at the input rate and then decimation, with the
+    same later stages; above a factor of 1 the two differ in rounding and
+    in the bandpass's design rate, so f0 is held to 1e-4 relative."""
+
+    @staticmethod
+    def filter_first_track(signal, cfg):
+        rate = signal.sample_rate_hz
+        factor = max(1, round(rate / 16000))
+        x = signal.samples
+        pair = [
+            AudioSignal(_decimate(bandpass_filter(
+                AudioSignal(branch, rate), cfg.bp_low_hz, cfg.bp_high_hz).samples, factor
+            ), rate / factor)
+            for branch in (x, x * x)
+        ]
+        centers = np.round(frame_centers(len(signal), cfg.hop_ms, rate) / factor).astype(np.int64)
+        branches = (*pair, centers)
+        spectral = spectral_pitch_track(branches, cfg)
+        return yaapt_dp_select(nccf_candidates(branches, cfg), spectral, cfg)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rate", [24000, 32000, 44100, 48000])
+    def test_decimated_first_tracks_the_filter_first_order(self, rate, kind):
+        signal = golden_signal(kind, rate)
+        track = yaapt_track(signal)
+        oracle = self.filter_first_track(signal, YaaptConfig())
+        assert track.voiced.any()
+        np.testing.assert_array_equal(track.voiced, oracle.voiced)
+        np.testing.assert_allclose(track.frames, oracle.frames, rtol=1e-4, atol=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050])
+    def test_factor_one_gives_the_same_bytes(self, rate, kind):
+        signal = golden_signal(kind, rate)
+        oracle = self.filter_first_track(signal, YaaptConfig())
+        assert yaapt_track(signal).frames.tobytes() == oracle.frames.tobytes()
 
 
 class TestNlfer:
