@@ -51,8 +51,8 @@ class PitchTrack:
     confidence: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.hop_seconds > 0:
-            raise ValueError(f"hop_seconds must be > 0, got {self.hop_seconds}")
+        if not 0 < self.hop_seconds < math.inf:  # an infinite hop writes times no reader takes
+            raise ValueError(f"hop_seconds must be finite and > 0, got {self.hop_seconds}")
         frames = np.asarray(self.frames, dtype=np.float64)
         if frames.ndim != 1:
             raise ValueError(f"frames must be 1-D, got shape {frames.shape}")

@@ -52,7 +52,6 @@ _NLFER_FFT = 1024
 _SHC_FFT = 2048  # the SHC stage doubles the analysis window, needing more room
 _GRID_STEPS_PER_OCTAVE = 24
 _LINE_FLOOR = 0.05  # fraction of the band maximum a grid point's own line must reach
-_BOUND_SPANS = 16  # spans per frame of the bound on a frame's windowed L1 norm
 
 
 @dataclass(frozen=True)
@@ -267,32 +266,6 @@ def _magnitudes(
     return mags
 
 
-def _l1_bounds(
-    samples: np.ndarray, centers: np.ndarray, rows: np.ndarray, frame_len: int
-) -> np.ndarray:
-    """An upper bound on the windowed L1 norm ``sum |w x|`` of the frames
-    ``rows`` as :func:`_magnitudes` cuts them, which bounds every magnitude
-    of a frame's spectrum: over ``_BOUND_SPANS`` equal spans (one a sample
-    in a shorter frame), the sum of the window's largest value in a span
-    times the span's ``sum |x|``, read from one running sum of ``|x|``,
-    with slack for rounding."""
-    running = np.zeros(samples.size + 1)
-    np.cumsum(np.abs(samples), out=running[1:])
-    # a prefix sum errs by under n eps of the total, and a norm by under
-    # frame_len eps of its value (eps = 2^-52); the slack is four times each,
-    # plus frame_len smallest subnormals for products that underflow
-    slack = 2.0 ** -50 * samples.size * running[-1]
-    if not slack < np.inf:  # a span's sum could read inf - inf
-        return np.full(rows.size, np.inf)
-    spans = min(_BOUND_SPANS, frame_len)
-    edges = np.arange(spans + 1) * frame_len // spans
-    weights = np.maximum.reduceat(np.hanning(frame_len), edges[:-1])
-    ends = np.clip((centers[rows] - frame_len // 2)[:, None] + edges, 0, samples.size)
-    sums = np.diff(running[ends], axis=1)
-    sums += slack
-    return (sums * weights).sum(axis=1) * (1.0 + 2.0 ** -50 * frame_len) + frame_len * 5e-324
-
-
 def _grid_frequencies(config: YaaptConfig) -> np.ndarray:
     n_steps = int(math.floor(math.log2(config.fmax_hz / config.fmin_hz) * _GRID_STEPS_PER_OCTAVE))
     return config.fmin_hz * 2.0 ** (np.arange(n_steps + 1) / _GRID_STEPS_PER_OCTAVE)
@@ -302,7 +275,12 @@ def spectral_pitch_track(
     branches: tuple[AudioSignal, AudioSignal, np.ndarray], config: YaaptConfig
 ) -> SpectralTrack:
     """Coarse pitch from the spectrogram stage, gated by NLFER, on the
-    working-rate branches and frame centers of :func:`yaapt_preprocess`."""
+    working-rate branches and frame centers of :func:`yaapt_preprocess`.
+
+    Only the NLFER-gated frames get SHC spectra, and each branch's are
+    divided by their peak over those frames before the two are summed, so
+    the gated frames' coarse f0 depends on no other frame's spectrum.
+    """
     plain, nonlinear, centers = branches
     rate = plain.sample_rate_hz
     frame_len = lag_frame_len(config.frame_len_ms, rate, config.fmin_hz)
@@ -316,25 +294,16 @@ def spectral_pitch_track(
     )
     coarse = np.zeros(centers.size)
     gated = np.flatnonzero(nlfer >= config.nlfer_threshold)
-    if not gated.size:
-        return SpectralTrack(coarse, nlfer)
 
-    # Combine the branches on equal footing, each scaled by its own
-    # utterance-wide peak so absolute gain cancels; only gated frames are
-    # scored, so only theirs are kept. Another frame can raise the peak
-    # only if its windowed L1 norm reaches the gated frames' peak (less
-    # 1e-9 for round-off), so only those whose upper bound on that norm
-    # reaches it are transformed: bit for bit the peak over all frames.
+    # Combine the branches on equal footing, each scaled by its peak over
+    # the gated frames so absolute gain cancels.
     frame_len *= 2  # the narrower mainlobe keeps near-miss harmonic combs on sidelobes
     n_fft = max(_SHC_FFT, frame_len)
     freq_res, bins = rate / n_fft, n_fft // 2 + 1
-    rest = np.delete(every, gated)
     combined = None
     for samples in (plain.samples, nonlinear.samples):
         mags = _magnitudes(samples, centers, gated, frame_len, n_fft, bins)
         peak = mags.max(initial=0.0)
-        loud = rest[_l1_bounds(samples, centers, rest, frame_len) >= peak * (1.0 - 1e-9)]
-        peak = _magnitudes(samples, centers, loud, frame_len, n_fft, bins).max(initial=peak)
         if peak > 0:
             mags /= peak
         combined = mags if combined is None else np.add(combined, mags, out=combined)

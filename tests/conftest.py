@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.fft import rfft
 
-from pitchbench import AudioSignal, frame_signal
+from pitchbench import AudioSignal, PitchTrack, frame_signal
 from pitchbench.signal import lag_frame_len
 from pitchbench.yaapt import (
     _LINE_FLOOR,
@@ -58,11 +58,22 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_tracks_agree(got, want):
+    """The rule for two tracks that may differ only by rounding (FFT SIMD
+    paths, a filter applied in another order): the same voicing on every
+    frame and f0 within 1e-9 relative, and, when both are ``PitchTrack``s,
+    the same hop. Either may be a bare f0 array, 0 where unvoiced."""
+    if isinstance(got, PitchTrack) and isinstance(want, PitchTrack):
+        assert got.hop_seconds == want.hop_seconds
+    got, want = (np.asarray(getattr(t, "frames", t)) for t in (got, want))
+    np.testing.assert_array_equal(got > 0, want > 0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
 def all_frames_spectral(signal, config):
     """YAAPT's spectral stage transforming every frame of both branches
-    whole, then one SHC call per NLFER-gated frame: the coarse track, the
-    NLFER, and per branch the frame holding its peak (None for a silent
-    branch)."""
+    whole, each branch divided by its peak over the NLFER-gated frames,
+    then one SHC call per gated frame: the coarse track and the NLFER."""
     plain, nonlinear, centers = yaapt_preprocess(signal, config)
     rate = plain.sample_rate_hz
 
@@ -74,14 +85,13 @@ def all_frames_spectral(signal, config):
 
     mags_nlfer, nlfer_res = spectrogram(plain.samples, 1, _NLFER_FFT)
     nlfer = compute_nlfer(mags_nlfer, config, nlfer_res)
+    gated = nlfer >= config.nlfer_threshold
     combined = None
-    peak_frames = []
     for branch in (plain, nonlinear):
         mags, freq_res = spectrogram(branch.samples, 2, _SHC_FFT)
         if combined is None:
             combined = np.zeros_like(mags)
-        peak = mags.max(initial=0.0)
-        peak_frames.append(int(np.argmax(mags.max(axis=1))) if peak > 0 else None)
+        peak = mags[gated].max(initial=0.0)
         if peak > 0:
             combined += mags / peak
 
@@ -90,7 +100,7 @@ def all_frames_spectral(signal, config):
     lo = int(math.ceil(config.fmin_hz / freq_res))
     hi = min(int(math.floor(config.fmax_hz / freq_res)), combined.shape[1] - 1)
     coarse = np.zeros(centers.size)
-    for t in np.flatnonzero(nlfer >= config.nlfer_threshold):
+    for t in np.flatnonzero(gated):
         spectrum = combined[t]
         line_ok = spectrum[grid_bins] >= _LINE_FLOOR * spectrum[lo : hi + 1].max()
         if not np.any(line_ok):
@@ -98,4 +108,4 @@ def all_frames_spectral(signal, config):
         floored = np.maximum(spectrum, _LINE_FLOOR * spectrum.max())
         shc = np.where(line_ok, _shc_grid(floored, grid, config, freq_res), -1.0)
         coarse[t] = grid[int(np.argmax(shc))]
-    return coarse, nlfer, peak_frames
+    return coarse, nlfer

@@ -317,7 +317,7 @@ class TestBatchedShc:
         tone = sawtooth(rng.uniform(90, 250), 1.3, rate)
         signal = padded_tone(tone + 0.05 * rng.standard_normal(tone.size), rate, 0.1, 0.1)
         track = spectral_pitch_track(yaapt_preprocess(signal, config), config)
-        coarse, nlfer, _peak_frames = all_frames_spectral(signal, config)
+        coarse, nlfer = all_frames_spectral(signal, config)
         assert np.count_nonzero(coarse) > 100
         assert same_bits(track.coarse_f0_hz, coarse) and same_bits(track.nlfer, nlfer)
 

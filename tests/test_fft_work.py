@@ -2,9 +2,11 @@
 
 The lag stage correlates each frame with its head by a circular FFT
 only as long as the frame; direct dot products show no term wraps
-around. The spectral stage transforms only the frames that are scored
-or that can hold a branch's peak; a literal all-frames stage shows the
-coarse track and the NLFER keep every bit.
+around. The spectral stage transforms only the NLFER-gated frames, the
+ones it scores, and scales each branch by its peak over them; a literal
+stage that transforms every frame and takes the same peak shows the
+coarse track and the NLFER keep every bit, and no ungated sound moves a
+scored frame.
 """
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from scipy.fft import next_fast_len
 
 from pitchbench import AudioSignal, YaaptConfig, spectral_pitch_track, yaapt_preprocess
 from pitchbench.signal import _lag_terms
-from conftest import all_frames_spectral, padded_tone, same_bits, sawtooth
+from conftest import all_frames_spectral, missing_fundamental, padded_tone, same_bits, sawtooth
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +65,15 @@ class TestLagTermsDoNotWrap:
 
 
 # ---------------------------------------------------------------------------
-# Spectral stage: SHC spectra only where they can matter
+# Spectral stage: SHC spectra of the gated frames only
 # ---------------------------------------------------------------------------
 
 def assert_stage_matches(signal, config):
     track = spectral_pitch_track(yaapt_preprocess(signal, config), config)
-    coarse, nlfer, peak_frames = all_frames_spectral(signal, config)
+    coarse, nlfer = all_frames_spectral(signal, config)
     assert same_bits(track.coarse_f0_hz, coarse)
     assert same_bits(track.nlfer, nlfer)
-    return nlfer >= config.nlfer_threshold, peak_frames
+    return track
 
 
 # 11.025 and 22.05 kHz frame the spectral stage at uneven hops, and 44.1 kHz
@@ -80,48 +82,47 @@ RATES = [8000, 11025, 16000, 22050, 44100, 48000]
 
 
 class TestShcSpectraOnlyWhereNeeded:
-    # the norm bound splits a frame into 16 spans of about 4.4 ms; the 3 ms
-    # burst lies within one or two. It is Hann-shaped, so that its spectrum
-    # stays out of the search band, and follows a silent gap, so that no
-    # voiced frame holds it
     @pytest.mark.parametrize("rate,short", [
         *(pytest.param(rate, False, id=str(rate)) for rate in RATES),
         *(pytest.param(rate, True, id=f"{rate}-short") for rate in RATES),
     ])
     def test_loud_ungated_burst_sets_the_peak(self, rate, short):
-        # quiet voicing, then a loud 1.2 kHz burst: its frames carry little
-        # band energy, so they are not gated, yet they hold the peak of the
-        # plain branch and cannot be skipped
-        voiced = 0.05 * sawtooth(140.0, 0.5, rate)
-        t = np.arange(int(round((0.003 if short else 0.3) * rate))) / rate
-        burst = 0.9 * np.sin(2 * np.pi * 1200.0 * t)
-        gap = np.zeros(0)
-        if short:
-            burst *= np.hanning(t.size)
-            gap = np.zeros(int(round(0.1 * rate)))
-        signal = padded_tone(np.concatenate([voiced, gap, burst]), rate, 0.1, 0.1)
-        gated, peak_frames = assert_stage_matches(signal, YaaptConfig())
-        assert gated.any()
-        assert peak_frames[0] is not None and not gated[peak_frames[0]]
+        # quiet missing-fundamental voicing, then a Hann-shaped 1.2 kHz
+        # burst (0.3 s, or 3 ms after a silent gap): its frames carry little
+        # band energy, so they are not gated, but at 0.9 it sets the plain
+        # branch's utterance-wide peak. Scaled by that peak, the plain branch
+        # would shrink beside the nonlinear one and move the voiced frames'
+        # coarse f0; scaled by the gated frames' peak, no frame moves
+        def signal(burst_amp):
+            voiced = 0.05 * missing_fundamental(140.0, 0.5, rate)
+            t = np.arange(int(round((0.003 if short else 0.3) * rate))) / rate
+            burst = burst_amp * np.sin(2 * np.pi * 1200.0 * t) * np.hanning(t.size)
+            gap = np.zeros(int(round(0.1 * rate)) if short else 0)
+            return padded_tone(np.concatenate([voiced, gap, burst]), rate, 0.1, 0.1)
+
+        config = YaaptConfig()
+        quiet, loud = (assert_stage_matches(signal(amp), config) for amp in (0.01, 0.9))
+        gated = quiet.nlfer >= config.nlfer_threshold
+        assert gated.any() and np.array_equal(gated, loud.nlfer >= config.nlfer_threshold)
+        assert same_bits(quiet.coarse_f0_hz, loud.coarse_f0_hz)
 
     @pytest.mark.parametrize("rate", RATES)
     def test_no_frame_gated(self, rate):
         signal = padded_tone(sawtooth(150.0, 0.4, rate), rate, 0.1, 0.1)
-        gated, _ = assert_stage_matches(signal, YaaptConfig(nlfer_threshold=1000.0))
-        assert not gated.any()
+        track = assert_stage_matches(signal, YaaptConfig(nlfer_threshold=1000.0))
+        assert not track.coarse_f0_hz.any()
 
     @pytest.mark.parametrize("rate", RATES)
     def test_every_frame_gated(self, rate):
         rng = np.random.default_rng(rate)
         tone = sawtooth(180.0, 0.6, rate) + 0.05 * rng.standard_normal(int(round(0.6 * rate)))
-        gated, _ = assert_stage_matches(AudioSignal(tone, rate), YaaptConfig(nlfer_threshold=1e-6))
-        assert gated.all()
+        track = assert_stage_matches(AudioSignal(tone, rate), YaaptConfig(nlfer_threshold=1e-6))
+        assert track.coarse_f0_hz.all()
 
     @pytest.mark.parametrize("rate", RATES)
     def test_silence(self, rate):
-        gated, peak_frames = assert_stage_matches(AudioSignal(np.zeros(rate // 2), rate),
-                                                  YaaptConfig())
-        assert not gated.any() and peak_frames == [None, None]
+        track = assert_stage_matches(AudioSignal(np.zeros(rate // 2), rate), YaaptConfig())
+        assert not track.coarse_f0_hz.any()
 
     @pytest.mark.parametrize("rate", RATES)
     def test_empty_signal(self, rate):

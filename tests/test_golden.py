@@ -5,9 +5,9 @@ for the signals below at commit 3c9b3ab, before framing and decoding
 were unified; YAAPT's 44.1 and 48 kHz entries were re-recorded when its
 NCCF stage moved to the working rate and again when its bandpass did,
 and pYIN's (all but ``noise``) when its lag search moved there too.
-Voicing must match exactly and f0 within 1e-9 relative: FFT SIMD code
-paths may move the last bits of a lag curve, so the comparison is not
-bit-exact.
+Tracks must meet ``conftest.assert_tracks_agree`` (voicing equal, f0
+within 1e-9 relative), not bit-exactness: FFT SIMD code paths may move
+the last bits of a lag curve.
 
 Re-record (only on a commit whose tracks are the intended reference):
 ``PYTHONPATH=src python tests/test_golden.py [KEY ...]``. Given keys such
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from pitchbench import pyin_track, yaapt_track
-from conftest import missing_fundamental, padded_tone, sawtooth, sine
+from conftest import assert_tracks_agree, missing_fundamental, padded_tone, sawtooth, sine
 
 GOLDEN = Path(__file__).with_name("golden_tracks.npz")
 RATES = (8000, 16000, 44100, 48000)
@@ -68,8 +68,7 @@ def test_track_matches_golden(golden, engine, kind, rate):
     want = golden[_key(engine, kind, rate)]
     track = ENGINES[engine](golden_signal(kind, rate))
     assert track.hop_seconds == 0.010
-    np.testing.assert_array_equal(track.voiced, want > 0)
-    np.testing.assert_allclose(track.frames, want, rtol=1e-9, atol=0)
+    assert_tracks_agree(track, want)
 
 
 def test_golden_file_covers_every_case(golden):
@@ -108,7 +107,7 @@ def test_record_rewrites_only_the_named_entries(golden, tmp_path):
         assert got.dtype == want.dtype and got.shape == want.shape
         if name != key:
             assert got.tobytes() == want.tobytes()
-    np.testing.assert_allclose(rerecorded[key], golden[key], rtol=1e-9, atol=0)
+    assert_tracks_agree(rerecorded[key], golden[key])
 
 
 def test_record_rejects_an_unknown_key(tmp_path):

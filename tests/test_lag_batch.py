@@ -37,7 +37,7 @@ from pitchbench.signal import (
     nccf_rows,
     yin_difference_rows,
 )
-from conftest import padded_tone, sawtooth
+from conftest import assert_tracks_agree, padded_tone, sawtooth
 from test_pyin import frame_candidates, working_rate_oracle
 
 # (frame length, min lag, max lag) of the engines' default lag searches
@@ -185,12 +185,6 @@ def _voiced_signal(seed, rate):
     return padded_tone(tone, rate, lead_s=0.05, trail_s=0.08)
 
 
-def _assert_tracks_agree(track, oracle):
-    assert track.hop_seconds == oracle.hop_seconds
-    np.testing.assert_array_equal(track.voiced, oracle.voiced)
-    np.testing.assert_allclose(track.frames, oracle.frames, rtol=1e-9, atol=0)
-
-
 def _per_frame_nccf_candidates(branches, config):
     """Candidate extraction one frame at a time from the one-frame NCCF, on
     the working-rate branches."""
@@ -240,7 +234,7 @@ class TestEnginesAgreeWithPerFrameOracles:
         signal = _voiced_signal(seed, rate)
         cfg = PyinConfig()
         oracle = working_rate_oracle(signal, cfg, round(rate / 16000))
-        _assert_tracks_agree(pyin_track(signal, cfg), oracle)
+        assert_tracks_agree(pyin_track(signal, cfg), oracle)
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([16000, 48000]))
@@ -257,7 +251,7 @@ class TestEnginesAgreeWithPerFrameOracles:
 
         spectral = spectral_pitch_track(branches, cfg)
         oracle = yaapt_dp_select(oracle_cands, spectral, cfg, hop_seconds=cfg.hop_ms / 1000.0)
-        _assert_tracks_agree(yaapt_track(signal, cfg), oracle)
+        assert_tracks_agree(yaapt_track(signal, cfg), oracle)
 
     def test_empty_signal(self):
         # and one or two samples, one frame; YAAPT decimates these rates by

@@ -359,6 +359,18 @@ class TestTrackTypes:
         with pytest.raises(ValueError):
             PitchTrack(0.01, np.array([100.0]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("hop", [0.0, -0.01, math.nan, math.inf])
+    def test_hop_outside_positive_finite_rejected(self, hop):
+        with pytest.raises(ValueError, match=r"hop_seconds must be finite and > 0"):
+            PitchTrack(hop, np.array([100.0]))
+
+    def test_huge_finite_hop_round_trips(self, tmp_path):
+        # the times an accepted hop writes are ones read_external_track takes
+        path = tmp_path / "t.csv"
+        write_track(PitchTrack(1e300, np.array([0.0, 150.0])), path)
+        back = read_external_track(path)
+        assert back.hop_seconds == 1e300 and back.frames.tolist() == [0.0, 150.0]
+
     @pytest.mark.parametrize("value", [-5e-324, np.nextafter(1.0, 2.0), 2.0, math.nan,
                                        -math.inf, math.inf])
     def test_confidence_outside_unit_interval_rejected(self, value):

@@ -170,6 +170,29 @@ class TestPreprocess:
         mib_per_second = (peaks[1] - peaks[0]) / 8.0 / 2**20
         assert mib_per_second < 1.65
 
+    @staticmethod
+    def track_peak(seconds, rate) -> int:
+        tone = sawtooth(150.0, seconds, rate)
+        tone += 0.01 * np.random.default_rng(7).standard_normal(tone.size)
+        signal = AudioSignal(tone, rate)
+        yaapt_track(signal)  # fills the filter caches for this length
+        tracemalloc.start()
+        try:
+            assert yaapt_track(signal).voiced.mean() > 0.99
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_track_peak_per_audio_second(self):
+        # all but the edge frames are gated; both branches' SHC magnitudes,
+        # 2 x 1025 bins of 8 bytes per 10 ms frame, are 1.56 MiB per audio
+        # second. The track peaks at 1.82, and at 2.0-2.1 while the spectral
+        # stage also bounded the ungated frames' norms from a running sum of
+        # each branch
+        peaks = [self.track_peak(seconds, 48000) for seconds in (2.0, 10.0)]
+        mib_per_second = (peaks[1] - peaks[0]) / 8.0 / 2**20
+        assert mib_per_second < 2.25
+
     def test_track_holds_less_than_an_input_rate_spectrum(self):
         # what a call leaves held is the bandpass's cached taps spectrum for
         # its length: 0.35 of this bound at the working rate, 1.02 when the
